@@ -45,11 +45,12 @@ from .oracle import (
 from .parser import ParseError, format_program, parse
 from .sealing import (
     closed_channels,
-    construct_seal,
     expand_plan,
     format_plan,
     is_seal,
+    is_sealable,
     parse_plan,
+    seal_signature,
 )
 from .signature import FirstSend, LastRecv, Signature, compute_signature
 
@@ -83,16 +84,19 @@ def _dot_program_graph(g: ProgramGraph) -> str:
 
 def _dot_signature(sig: Signature) -> str:
     # Edges implied by other edges transitively are drawn thin, so the
-    # direct causality skeleton stands out.
+    # direct causality skeleton stands out. An edge a -> b is implied when
+    # some successor of a is a predecessor of b.
     succ: dict = {}
+    pred: dict = {}
     for a, b in sig.edges:
         succ.setdefault(a, set()).add(b)
+        pred.setdefault(b, set()).add(a)
     lines = ["digraph signature {", "  rankdir=LR;"]
     for node in sig.sorted_nodes():
         shape = "circle" if isinstance(node, (FirstSend, LastRecv)) else "box"
         lines.append(f"  {_quote(node.name)} [shape={shape}];")
     for a, b in sig.sorted_edges():
-        implied = any(b in succ.get(c, ()) for c in succ.get(a, ()) if c != b)
+        implied = not succ[a].isdisjoint(pred[b])
         attr = ' [penwidth="0.5"]' if implied else ""
         lines.append(f"  {_quote(a.name)} -> {_quote(b.name)}{attr};")
     lines.append("}")
@@ -142,7 +146,7 @@ def _cmd_channels(ns: argparse.Namespace) -> CliResult:
 
 
 def _cmd_sealable(ns: argparse.Namespace) -> CliResult:
-    ok = closed_channels(_load_program(ns.file)).undirected_connected()
+    ok = is_sealable(_load_program(ns.file))
     return CliResult(0 if ok else 1, f"sealable: {'true' if ok else 'false'}\n")
 
 
@@ -154,11 +158,10 @@ def _cmd_is_seal(ns: argparse.Namespace) -> CliResult:
 
 
 def _cmd_seal(ns: argparse.Namespace) -> CliResult:
-    p = _load_program(ns.file)
-    closed = closed_channels(p)
-    open_count = p.n * (p.n - 1) - len(closed.edges)
+    sig = compute_signature(_load_program(ns.file))
+    open_count = len(sig.open_channels())
     try:
-        plan = construct_seal(p)
+        plan = seal_signature(sig)
     except Unsealable:
         return CliResult(1, "sealable: false\n")
     text = format_plan(plan)
@@ -190,7 +193,7 @@ def _cmd_verify(ns: argparse.Namespace) -> CliResult:
         p = _load_program(ns.files[0])
         sig = compute_signature(p)
         for ch in channels_of(p.n):
-            static_open = LastRecv(ch) in sig.nodes
+            static_open = sig.leaves_open(ch)
             oracle_open = oracle_channel_open(p, ch, budget)
             same = static_open == oracle_open
             agree &= same

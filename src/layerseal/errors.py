@@ -50,3 +50,8 @@ class ShapeError(AnalysisError):
     def __init__(self, channel) -> None:
         super().__init__(f"more receives than sends on channel {channel}")
         self.channel = channel
+
+
+class InvariantViolation(AnalysisError):
+    """An internal consistency check failed: an implementation bug, never a
+    property of the input."""

@@ -13,6 +13,18 @@ were sent on it, hence after the k'th send.
 
 A cycle in the graph means the program can deadlock; acyclicity is what
 :func:`deadlock_free` reports.
+
+Construction: the graph is a space-time diagram (Lamport 1978), so the
+analyses need neither the explicit graph nor its transitive closure. Every node gets a
+position on its process: 0 for fst_i, x for the x'th event, len + 1 for
+lst_i. :func:`vector_clocks` runs each process forward until it blocks on a
+receive whose matching send has not run yet, which is one pass of Kahn's
+algorithm over the events, and gives every node a vector clock (Fidge 1988;
+Mattern 1989): entry k is the last position on process k that precedes or
+equals the node, -1 when none does. A node a on process i at position x
+precedes a different node b exactly when ``clock_b[i] >= x``, so every
+reachability query costs O(1). The explicit :class:`ProgramGraph` and
+:func:`transitive_closure` remain for display and as a test reference.
 """
 
 from __future__ import annotations
@@ -24,7 +36,6 @@ from .errors import CyclicGraph, Unbalanced
 from .model import Channel, EventRef, Program, StmtKind, iter_events
 
 __all__ = [
-    "ClosedEdgeSet",
     "EventNode",
     "FstDummy",
     "GraphNode",
@@ -32,9 +43,9 @@ __all__ = [
     "ProgramGraph",
     "build_program_graph",
     "deadlock_free",
-    "node_name",
     "node_sort_key",
     "transitive_closure",
+    "vector_clocks",
 ]
 
 
@@ -72,12 +83,6 @@ class EventNode:
 
 GraphNode = FstDummy | LstDummy | EventNode
 Edge = tuple[GraphNode, GraphNode]
-ClosedEdgeSet = frozenset[Edge]
-
-
-def node_name(node: GraphNode) -> str:
-    return node.name
-
 
 def node_sort_key(node: GraphNode) -> tuple[int, int, int]:
     # Orders nodes as fst_i, events of i by position, lst_i, per process.
@@ -197,9 +202,72 @@ def close_edges(nodes: Iterable[N], edges: Iterable[tuple[N, N]]) -> frozenset[t
     return frozenset(closed)
 
 
-def transitive_closure(g: ProgramGraph) -> ClosedEdgeSet:
+def transitive_closure(g: ProgramGraph) -> frozenset[Edge]:
     """Irreflexive transitive closure of the graph's edges."""
     return close_edges(g.nodes, g.edges)
+
+
+def vector_clocks(p: Program) -> list[list[list[int]]]:
+    """Vector clock of every node of the program graph.
+
+    ``clocks[i - 1][x]`` is the clock of the node at position x on process
+    i: fst_i at 0, the x'th event at x, lst_i at ``len + 1``. Entry k - 1 of
+    a clock is the last position on process k that precedes or equals the
+    node, or -1. Raises :class:`Unbalanced`, naming the first channel in
+    canonical order whose send and receive counts differ, or
+    :class:`CyclicGraph`.
+    """
+    n = p.n
+    counts: dict[tuple[int, int], int] = {}
+    for i, seq in enumerate(p.seqs, start=1):
+        for stmt in seq:
+            # Sends count up and receives down on their channel (src, dst).
+            if stmt.kind is StmtKind.SEND:
+                key = (i, stmt.peer)
+                counts[key] = counts.get(key, 0) + 1
+            else:
+                key = (stmt.peer, i)
+                counts[key] = counts.get(key, 0) - 1
+    unbalanced = [key for key, count in counts.items() if count]
+    if unbalanced:
+        raise Unbalanced(Channel(*min(unbalanced)))
+
+    rows: list[list[list[int]]] = []
+    for i in range(n):
+        fst = [-1] * n
+        fst[i] = 0
+        rows.append([fst])
+    sent: dict[tuple[int, int], list[list[int]]] = {}
+    taken: dict[tuple[int, int], int] = {}
+    ready = list(range(1, n + 1))
+    while ready:
+        i = ready.pop()
+        row, seq = rows[i - 1], p.seqs[i - 1]
+        clock = row[-1]
+        for x in range(len(row), len(seq) + 1):
+            stmt = seq[x - 1]
+            if stmt.kind is StmtKind.SEND:
+                clock = clock.copy()
+                clock[i - 1] = x
+                sent.setdefault((i, stmt.peer), []).append(clock)
+                ready.append(stmt.peer)
+            else:
+                key = (stmt.peer, i)
+                k = taken.get(key, 0)
+                out = sent.get(key, ())
+                if len(out) <= k:
+                    break  # blocked until the matching send has run
+                taken[key] = k + 1
+                clock = list(map(max, clock, out[k]))
+                clock[i - 1] = x
+            row.append(clock)
+    for i, (row, seq) in enumerate(zip(rows, p.seqs), start=1):
+        if len(row) <= len(seq):
+            raise CyclicGraph("graph has a cycle")
+        lst = row[-1].copy()
+        lst[i - 1] = len(seq) + 1
+        row.append(lst)
+    return rows
 
 
 def deadlock_free(p: Program) -> bool:
@@ -209,7 +277,11 @@ def deadlock_free(p: Program) -> bool:
     every participant waiting on a receive. Acyclicity is decided on the
     k'th-send-to-k'th-receive pairing; a run may still match messages
     differently, but some run completing every statement always exists when
-    the graph is acyclic.
+    the graph is acyclic. Raises :class:`Unbalanced` like
+    :func:`build_program_graph`.
     """
-    g = build_program_graph(p)
-    return _topological_order(g.nodes, g.edges) is not None
+    try:
+        vector_clocks(p)
+    except CyclicGraph:
+        return False
+    return True

@@ -36,13 +36,13 @@ ascending order in both casts.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BadProcessId, ProcessCountMismatch, Unsealable
-from .graph import FstDummy, LstDummy
+from .errors import BadProcessId, InvariantViolation, ProcessCountMismatch, Unsealable
 from .model import Program, program, recv, send
-from .signature import FirstSend, LastRecv, Signature, compute_signature
+from .signature import Signature, compute_signature
 
 __all__ = [
     "ClosedChannelGraph",
@@ -55,6 +55,8 @@ __all__ = [
     "is_seal",
     "is_sealable",
     "parse_plan",
+    "plan_seal",
+    "seal_signature",
 ]
 
 
@@ -79,17 +81,7 @@ class ClosedChannelGraph:
         return {i: sorted(peers) for i, peers in adj.items()}
 
     def undirected_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        adj = self.undirected_adjacency()
-        seen = {1}
-        stack = [1]
-        while stack:
-            for peer in adj[stack.pop()]:
-                if peer not in seen:
-                    seen.add(peer)
-                    stack.append(peer)
-        return len(seen) == self.n
+        return self.n <= 1 or len(_bfs_tree(self.undirected_adjacency(), 1)) == self.n - 1
 
 
 @dataclass(frozen=True)
@@ -105,26 +97,19 @@ class SealPlan:
 
 
 def closed_channels(p: Program) -> ClosedChannelGraph:
-    """Which channels p closes, read off the signature.
+    """Which channels p closes: every channel its signature leaves open
+    is open, every other one is closed."""
+    return _closed(compute_signature(p))
 
-    Starts from every ordered pair and removes (i, j) when the signature
-    keeps a last receive on i->j that is not ordered before lst_i. Survivors
-    of signature construction never carry that edge, so the surviving
-    last-receive nodes are exactly the open channels.
-    """
-    sig = compute_signature(p)
-    edges = {
+
+def _closed(sig: Signature) -> ClosedChannelGraph:
+    edges = frozenset(
         (i, j)
-        for i in range(1, p.n + 1)
-        for j in range(1, p.n + 1)
-        if i != j
-    }
-    for node in sig.nodes:
-        if isinstance(node, LastRecv):
-            ch = node.channel
-            if (node, LstDummy(ch.src)) not in sig.edges:
-                edges.discard((ch.src, ch.dst))
-    return ClosedChannelGraph(p.n, frozenset(edges))
+        for i in range(1, sig.n + 1)
+        for j in range(1, sig.n + 1)
+        if i != j and (i, j) not in sig.recvs
+    )
+    return ClosedChannelGraph(sig.n, edges)
 
 
 def is_sealable(p: Program) -> bool:
@@ -148,16 +133,13 @@ def is_seal(p: Program, q: Program) -> bool:
 
 
 def _seals(sp: Signature, sq: Signature) -> bool:
-    for node in sp.sorted_nodes():
-        if not isinstance(node, LastRecv):
-            continue
-        ch = node.channel
-        target = FirstSend(ch) if FirstSend(ch) in sq.nodes else LstDummy(ch.src)
-        guarded = any(
-            (node, LstDummy(k)) in sp.edges and (FstDummy(k), target) in sq.edges
-            for k in range(1, sp.n + 1)
-        )
-        if not guarded:
+    # Channel i->j is guarded when, for some k, p's last receive on it
+    # precedes lst_k in p and fst_k precedes the target in q: entry j of
+    # lst_k's clock reaches the receive, entry k of the target's clock is
+    # not -1.
+    for (i, j), (pos, _) in sp.recvs.items():
+        _, target = sq.sends.get((i, j)) or sq.exits[i - 1]
+        if not any(clock[j - 1] >= pos and c >= 0 for (_, clock), c in zip(sp.exits, target)):
             return False
     return True
 
@@ -183,9 +165,9 @@ def _bfs_tree(adj: dict[int, list[int]], root: int) -> dict[int, int]:
     """Parent map of a breadth-first spanning tree; neighbours ascending."""
     parent: dict[int, int] = {}
     seen = {root}
-    queue = [root]
+    queue = deque([root])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for w in adj[v]:
             if w not in seen:
                 seen.add(w)
@@ -202,18 +184,29 @@ def _tree_adjacency(parent: dict[int, int], n: int) -> dict[int, list[int]]:
     return {i: sorted(peers) for i, peers in adj.items()}
 
 
-def _eccentricity(adj: dict[int, list[int]], start: int) -> int:
+def _depths(adj: dict[int, list[int]], start: int) -> dict[int, int]:
     depth = {start: 0}
-    queue = [start]
-    worst = 0
+    queue = deque([start])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for w in adj[v]:
             if w not in depth:
                 depth[w] = depth[v] + 1
-                worst = max(worst, depth[w])
                 queue.append(w)
-    return worst
+    return depth
+
+
+def _centre(tree: dict[int, list[int]]) -> int:
+    """Vertex of minimum eccentricity in a tree, the smallest id on ties.
+
+    In a tree, the farthest vertex from any vertex is an end of a longest
+    path, and every vertex's eccentricity is its larger distance to the two
+    ends of one longest path, so three searches give them all.
+    """
+    first = _depths(tree, 1)
+    from_a = _depths(tree, max(first, key=first.get))
+    from_b = _depths(tree, max(from_a, key=from_a.get))
+    return min(tree, key=lambda v: (max(from_a[v], from_b[v]), v))
 
 
 def _children_map(parent: dict[int, int], n: int) -> dict[int, list[int]]:
@@ -223,42 +216,44 @@ def _children_map(parent: dict[int, int], n: int) -> dict[int, list[int]]:
     return children
 
 
-def construct_seal(p: Program) -> SealPlan:
-    """Synthesize a seal plan for p, or raise :class:`Unsealable`.
+def _orders(children: dict[int, list[int]], root: int) -> tuple[list[int], list[int]]:
+    """Pre-order and post-order of the tree below root, root excluded,
+    children in list order; an explicit stack, so depth is unbounded."""
+    preorder: list[int] = []
+    postorder: list[int] = []
+    stack = [(root, iter(children[root]))]
+    while stack:
+        v, rest = stack[-1]
+        child = next(rest, None)
+        if child is None:
+            stack.pop()
+            if v != root:
+                postorder.append(v)
+        else:
+            preorder.append(child)
+            stack.append((child, iter(children[child])))
+    return preorder, postorder
 
-    The expansion of the returned plan always satisfies
-    ``is_seal(p, expand_plan(plan, p.n))`` and stays under 3n transmissions.
-    """
-    closed = closed_channels(p)
-    if not closed.undirected_connected():
-        raise Unsealable(f"closed-channel graph of {p.name!r} is disconnected")
-    n = p.n
+
+def plan_seal(closed: ClosedChannelGraph) -> SealPlan:
+    """The three-phase plan over a closed-channel graph, as described in
+    the module docstring. Raises :class:`Unsealable` when the graph is
+    disconnected."""
+    n = closed.n
     if n <= 1:
         return SealPlan((), ())
-
     adj = closed.undirected_adjacency()
     bfs_parent = _bfs_tree(adj, root=1)
+    if len(bfs_parent) != n - 1:
+        raise Unsealable("closed-channel graph is disconnected")
     tree_adj = _tree_adjacency(bfs_parent, n)
-    centre = min(range(1, n + 1), key=lambda v: (_eccentricity(tree_adj, v), v))
+    centre = _centre(tree_adj)
 
     # Re-root the tree at the centre; orient every undirected tree edge by a
     # direction that the closed-channel graph actually provides, preferring
     # parent to child.
     parent = _bfs_tree(tree_adj, root=centre)
-    children = _children_map(parent, n)
-
-    preorder: list[int] = []
-    postorder: list[int] = []
-
-    def walk(v: int) -> None:
-        if v != centre:
-            preorder.append(v)
-        for c in children[v]:
-            walk(c)
-        if v != centre:
-            postorder.append(v)
-
-    walk(centre)
+    preorder, postorder = _orders(_children_map(parent, n), centre)
 
     transmissions: list[tuple[int, int]] = []
     tags: list[Phase] = []
@@ -279,12 +274,29 @@ def construct_seal(p: Program) -> SealPlan:
     for w in preorder:
         transmissions.append((parent[w], w))
         tags.append(Phase.BROADCAST)
+    return SealPlan(tuple(transmissions), tuple(tags))
 
-    plan = SealPlan(tuple(transmissions), tuple(tags))
-    # A failure here would be a construction bug, not an unsealable input;
-    # the recovery would be extra direct closes along tree paths, but no
-    # input class is known to need it.
-    assert is_seal(p, expand_plan(plan, n)), "constructed plan must seal its input"
+
+def construct_seal(p: Program) -> SealPlan:
+    """Synthesize a seal plan for p, or raise :class:`Unsealable`.
+
+    The expansion of the returned plan always satisfies
+    ``is_seal(p, expand_plan(plan, p.n))`` and stays under 3n transmissions.
+    """
+    return seal_signature(compute_signature(p))
+
+
+def seal_signature(sig: Signature) -> SealPlan:
+    """:func:`construct_seal` for the program whose signature is ``sig``.
+
+    Raises :class:`InvariantViolation` if the plan does not seal it, which
+    would be a construction bug, not an unsealable input; the recovery would
+    be extra direct closes along tree paths, but no input class is known to
+    need it.
+    """
+    plan = plan_seal(_closed(sig))
+    if not _seals(sig, compute_signature(expand_plan(plan, sig.n))):
+        raise InvariantViolation("constructed plan does not seal its input")
     return plan
 
 

@@ -6,8 +6,9 @@ compose safely with it: per channel, whether a receive remains exposed to
 messages sent by the future, and how the earliest send and latest receive on
 each channel relate causally to every process's entry and exit.
 
-Construction: take the program graph's transitive closure, keep the dummy
-nodes, the first send per channel, and the last receive per channel, then
+Construction: take the vector clocks of the program graph
+(:func:`~layerseal.graph.vector_clocks`), keep the dummy nodes, the first
+send per channel, and the last receive per channel, then
 
 * drop a first send on i->j when fst_j causally precedes it (a message the
   receiver helped cause can never race ahead of the receiver's past), and
@@ -16,27 +17,29 @@ nodes, the first send per channel, and the last receive per channel, then
   consumed by it).
 
 A channel i->j is left open exactly when its last-receive node survives.
+Each kept node carries its process, its position there and its clock, which
+is all any later question needs: the edges between kept nodes, the causal
+order restricted to them, are read off the clocks on demand.
 
 Signatures compose: :func:`signature_compose` computes the signature of a
 layered program from the two signatures alone, without revisiting the
-programs. Node names are stable: fst_i / lst_i for the dummies, snd:i>j for
-a surviving first send, rcv:j<i for a surviving last receive.
+programs. The clocks of the first layer carry over unchanged. A node of the
+second layer moves up by the first layer's event count on its process, and
+for every fst_k that precedes it in its own layer it inherits the clock of
+the first layer's lst_k, which the gluing of lst_k to fst_k puts before it.
+
+Node names are stable: fst_i / lst_i for the dummies, snd:i>j for a
+surviving first send, rcv:j<i for a surviving last receive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 
-from .errors import ProcessCountMismatch
-from .graph import (
-    EventNode,
-    FstDummy,
-    LstDummy,
-    build_program_graph,
-    close_edges,
-    transitive_closure,
-)
-from .model import Channel, Program, StmtKind, iter_events
+from .errors import InvariantViolation, ProcessCountMismatch
+from .graph import FstDummy, LstDummy, vector_clocks
+from .model import Channel, Program, StmtKind
 
 __all__ = [
     "FirstSend",
@@ -44,7 +47,6 @@ __all__ = [
     "SigNode",
     "Signature",
     "compute_signature",
-    "sig_node_name",
     "sig_node_sort_key",
     "signature_compose",
     "signature_equal",
@@ -75,10 +77,8 @@ class LastRecv:
 
 SigNode = FstDummy | LstDummy | FirstSend | LastRecv
 SigEdge = tuple[SigNode, SigNode]
-
-
-def sig_node_name(node: SigNode) -> str:
-    return node.name
+# A kept node's position on its process and its vector clock.
+Point = tuple[int, tuple[int, ...]]
 
 
 def sig_node_sort_key(node: SigNode) -> tuple[int, int, int, int]:
@@ -91,45 +91,117 @@ def sig_node_sort_key(node: SigNode) -> tuple[int, int, int, int]:
     return (3, node.channel.src, node.channel.dst, 0)
 
 
-@dataclass(frozen=True)
+def _entry_clock(n: int, proc: int) -> tuple[int, ...]:
+    return tuple(0 if k == proc else -1 for k in range(1, n + 1))
+
+
 class Signature:
-    n: int
-    nodes: frozenset[SigNode]
-    edges: frozenset[SigEdge]
+    """The kept nodes of a program, each as a :data:`Point`.
+
+    ``exits[k - 1]`` is lst_k. ``sends[(i, j)]`` is the kept first send on
+    i->j, on process i, and ``recvs[(i, j)]`` the kept last receive on it,
+    on process j. fst_k is implicit: position 0, clock -1 but for its own 0.
+
+    ``nodes`` and ``edges`` are derived on first use and then kept;
+    ``edges`` holds every causally ordered pair of distinct nodes.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        exits: tuple[Point, ...],
+        sends: dict[tuple[int, int], Point],
+        recvs: dict[tuple[int, int], Point],
+    ) -> None:
+        self.n = n
+        self.exits = exits
+        self.sends = sends
+        self.recvs = recvs
+        self._points: dict[SigNode, tuple[int, int, tuple[int, ...]]] | None = None
+        self._nodes: frozenset[SigNode] | None = None
+        self._edges: frozenset[SigEdge] | None = None
+
+    def _nodes_at(self) -> dict[SigNode, tuple[int, int, tuple[int, ...]]]:
+        """Every node with its process, position and clock."""
+        if self._points is None:
+            points: dict[SigNode, tuple[int, int, tuple[int, ...]]] = {}
+            for k, (pos, clock) in enumerate(self.exits, start=1):
+                points[FstDummy(k)] = (k, 0, _entry_clock(self.n, k))
+                points[LstDummy(k)] = (k, pos, clock)
+            for (i, j), (pos, clock) in self.sends.items():
+                points[FirstSend(Channel(i, j))] = (i, pos, clock)
+            for (i, j), (pos, clock) in self.recvs.items():
+                points[LastRecv(Channel(i, j))] = (j, pos, clock)
+            self._points = points
+        return self._points
+
+    @property
+    def nodes(self) -> frozenset[SigNode]:
+        if self._nodes is None:
+            self._nodes = frozenset(self._nodes_at())
+        return self._nodes
+
+    @property
+    def edges(self) -> frozenset[SigEdge]:
+        if self._edges is None:
+            points = [(v, proc - 1, pos, clock) for v, (proc, pos, clock) in self._nodes_at().items()]
+            self._edges = frozenset(
+                (a, b)
+                for a, i, x, _ in points
+                for b, _, _, clock in points
+                if a is not b and clock[i] >= x
+            )
+        return self._edges
 
     def leaves_open(self, channel: Channel) -> bool:
-        return LastRecv(channel) in self.nodes
+        return (channel.src, channel.dst) in self.recvs
 
     def open_channels(self) -> list[Channel]:
-        return sorted(node.channel for node in self.nodes if isinstance(node, LastRecv))
+        return [Channel(i, j) for i, j in sorted(self.recvs)]
 
     def sorted_nodes(self) -> list[SigNode]:
-        return sorted(self.nodes, key=sig_node_sort_key)
+        return sorted(self._nodes_at(), key=sig_node_sort_key)
 
     def sorted_edges(self) -> list[SigEdge]:
         return sorted(
             self.edges, key=lambda e: (sig_node_sort_key(e[0]), sig_node_sort_key(e[1]))
         )
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Signature):
+            return NotImplemented
+        return signature_equal(self, other)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.nodes))
+
 
 def _check(sig: Signature) -> Signature:
-    # Structural invariants; violations are implementation bugs.
-    assert len(sig.nodes) <= 2 * sig.n + 2 * sig.n * (sig.n - 1), "signature not O(n^2)"
-    for a, b in sig.edges:
-        assert a != b, "closure must be irreflexive"
-        assert a in sig.nodes and b in sig.nodes
-    for node in sig.nodes:
-        if isinstance(node, FirstSend):
-            assert (FstDummy(node.channel.dst), node) not in sig.edges
-        if isinstance(node, LastRecv):
-            assert (node, LstDummy(node.channel.src)) not in sig.edges
-    succ: dict[SigNode, set[SigNode]] = {}
-    for a, b in sig.edges:
-        succ.setdefault(a, set()).add(b)
-    for a, bs in succ.items():
-        for b in bs:
-            for c in succ.get(b, ()):
-                assert (a, c) in sig.edges, "edges must be transitively closed"
+    """Raise :class:`InvariantViolation` unless the clocks are consistent.
+
+    Costs O(n) per node. A violation is an implementation bug; the check
+    runs on every signature returned.
+    """
+    n = sig.n
+    if len(sig.exits) != n or len(sig.sends) + len(sig.recvs) > 2 * n * (n - 1):
+        raise InvariantViolation(f"signature is not O(n^2) for n = {n}")
+    middles: list[list[Point]] = [[] for _ in range(n)]
+    for (i, j), (pos, clock) in sig.sends.items():
+        if clock[j - 1] >= 0:
+            raise InvariantViolation(f"fst_{j} precedes snd:{i}>{j}")
+        recv = sig.recvs.get((i, j))
+        if recv is not None and not all(map(le, clock, recv[1])):
+            raise InvariantViolation(f"snd:{i}>{j} does not precede rcv:{j}<{i}")
+        middles[i - 1].append((pos, clock))
+    for (i, j), (pos, clock) in sig.recvs.items():
+        if sig.exits[i - 1][1][j - 1] >= pos:
+            raise InvariantViolation(f"rcv:{j}<{i} precedes lst_{i}")
+        middles[j - 1].append((pos, clock))
+    for k, (middle, exit_point) in enumerate(zip(middles, sig.exits), start=1):
+        chain = [(0, _entry_clock(n, k)), *sorted(middle), exit_point]
+        for (x, a), (y, b) in zip(chain, chain[1:]):
+            if x >= y or len(b) != n or b[k - 1] != y or not all(map(le, a, b)):
+                raise InvariantViolation(f"clocks of process {k} are not monotone at position {y}")
     return sig
 
 
@@ -139,92 +211,81 @@ def compute_signature(p: Program) -> Signature:
     Raises :class:`Unbalanced` or :class:`CyclicGraph` when the
     preconditions fail.
     """
-    graph = build_program_graph(p)
-    closed = transitive_closure(graph)
-
-    first_send: dict[Channel, EventNode] = {}
-    last_recv: dict[Channel, EventNode] = {}
-    for ref in iter_events(p):
-        node = EventNode(ref)
-        if ref.kind is StmtKind.SEND:
-            first_send.setdefault(ref.channel, node)
-        else:
-            last_recv[ref.channel] = node
-
-    keep: dict[EventNode, SigNode] = {}
-    for ch, node in first_send.items():
-        if (FstDummy(ch.dst), node) not in closed:
-            keep[node] = FirstSend(ch)
-    for ch, node in last_recv.items():
-        if (node, LstDummy(ch.src)) not in closed:
-            keep[node] = LastRecv(ch)
-
-    def rename(node) -> SigNode | None:
-        if isinstance(node, (FstDummy, LstDummy)):
-            return node
-        return keep.get(node)
-
-    nodes: set[SigNode] = {FstDummy(i) for i in range(1, p.n + 1)}
-    nodes |= {LstDummy(i) for i in range(1, p.n + 1)}
-    nodes |= set(keep.values())
-    edges: set[SigEdge] = set()
-    for a, b in closed:
-        ra, rb = rename(a), rename(b)
-        if ra is not None and rb is not None:
-            edges.add((ra, rb))
-    return _check(Signature(p.n, frozenset(nodes), frozenset(edges)))
+    clocks = vector_clocks(p)
+    first_send: dict[tuple[int, int], int] = {}
+    last_recv: dict[tuple[int, int], int] = {}
+    for i, seq in enumerate(p.seqs, start=1):
+        for x, stmt in enumerate(seq, start=1):
+            if stmt.kind is StmtKind.SEND:
+                first_send.setdefault((i, stmt.peer), x)
+            else:
+                last_recv[(stmt.peer, i)] = x
+    exits = tuple((len(row) - 1, tuple(row[-1])) for row in clocks)
+    sends = {
+        (i, j): (x, tuple(clocks[i - 1][x]))
+        for (i, j), x in first_send.items()
+        if clocks[i - 1][x][j - 1] < 0
+    }
+    recvs = {
+        (i, j): (x, tuple(clocks[j - 1][x]))
+        for (i, j), x in last_recv.items()
+        if exits[i - 1][1][j - 1] < x
+    }
+    return _check(Signature(p.n, exits, sends, recvs))
 
 
 def signature_compose(sp: Signature, sq: Signature) -> Signature:
     """Signature of the layered program, from the layer signatures alone.
 
-    Glues each lst_i of the first signature to fst_i of the second, closes
-    transitively, then removes inner dummies, shadowed sends and receives,
-    and sends or receives whose channel the gluing closed.
+    Glues each lst_i of the first signature to fst_i of the second, then
+    removes inner dummies, shadowed sends and receives, and sends or
+    receives whose channel the gluing closed.
     """
     if sp.n != sq.n:
         raise ProcessCountMismatch(sp.n, sq.n)
     n = sp.n
+    shift = [pos - 1 for pos, _ in sp.exits]
+    # What a node of q inherits from p depends only on which fst_k precede
+    # it, so it is computed once per such set.
+    inherited: dict[tuple[bool, ...], list[int]] = {}
 
-    p_nodes = {("p", v) for v in sp.nodes}
-    q_nodes = {("q", v) for v in sq.nodes}
-    nodes = p_nodes | q_nodes
-    edges: set[tuple[tuple[str, SigNode], tuple[str, SigNode]]] = set()
-    edges |= {(("p", a), ("p", b)) for a, b in sp.edges}
-    edges |= {(("q", a), ("q", b)) for a, b in sq.edges}
-    edges |= {(("p", LstDummy(i)), ("q", FstDummy(i))) for i in range(1, n + 1)}
-    closed = close_edges(nodes, edges)
+    def glue(point: Point, proc: int) -> Point:
+        # fst_k precedes the node in q exactly where its clock is not -1,
+        # and lst_k of p then precedes it too. Where q itself reaches
+        # process k, its own entry, moved up by p's events on k, dominates:
+        # no node of p lies after p's last event on k.
+        pos, clock = point
+        reached = tuple(c >= 0 for c in clock)
+        base = inherited.get(reached)
+        if base is None:
+            base = [-1] * n
+            for k in range(n):
+                if reached[k]:
+                    base = list(map(max, base, sp.exits[k][1]))
+            inherited[reached] = base
+        glued = tuple(c + s if c >= 0 else b for c, s, b in zip(clock, shift, base))
+        return (pos + shift[proc - 1], glued)
 
-    survivors = set(nodes)
-    survivors -= {("p", LstDummy(i)) for i in range(1, n + 1)}
-    survivors -= {("q", FstDummy(i)) for i in range(1, n + 1)}
-    # A first send of the later layer is shadowed by one on the same channel
-    # in the earlier layer; symmetrically for last receives.
-    survivors -= {
-        ("q", v) for v in sq.nodes if isinstance(v, FirstSend) and ("p", v) in survivors
+    exits = tuple(glue(point, k) for k, point in enumerate(sq.exits, start=1))
+    sends = dict(sp.sends)
+    for (i, j), point in sq.sends.items():
+        # A first send of the later layer is shadowed by one on the same
+        # channel in the earlier layer, and dropped when the gluing puts
+        # fst_j before it.
+        if (i, j) not in sends:
+            glued = glue(point, i)
+            if glued[1][j - 1] < 0:
+                sends[(i, j)] = glued
+    # A last receive of the earlier layer is shadowed by one in the later
+    # layer, and dropped when the gluing puts it before lst of its sender.
+    recvs = {
+        (i, j): point
+        for (i, j), point in sp.recvs.items()
+        if (i, j) not in sq.recvs and exits[i - 1][1][j - 1] < point[0]
     }
-    survivors -= {
-        ("p", v) for v in sp.nodes if isinstance(v, LastRecv) and ("q", v) in survivors
-    }
-    # Gluing may close channels across the layer boundary.
-    survivors -= {
-        ("q", v)
-        for v in sq.nodes
-        if isinstance(v, FirstSend)
-        and (("p", FstDummy(v.channel.dst)), ("q", v)) in closed
-    }
-    survivors -= {
-        ("p", v)
-        for v in sp.nodes
-        if isinstance(v, LastRecv)
-        and (("p", v), ("q", LstDummy(v.channel.src))) in closed
-    }
-
-    out_nodes = frozenset(v for _, v in survivors)
-    out_edges = frozenset(
-        (a[1], b[1]) for a, b in closed if a in survivors and b in survivors
-    )
-    return _check(Signature(n, out_nodes, out_edges))
+    for (i, j), point in sq.recvs.items():
+        recvs[(i, j)] = glue(point, j)
+    return _check(Signature(n, exits, sends, recvs))
 
 
 def signature_equal(a: Signature, b: Signature) -> bool:

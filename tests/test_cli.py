@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+import layerseal
 from layerseal import format_program, message_transmit, parse
 from layerseal.cli import run
 from progsets import bystander_sealable, crossed_exchange, deadlocked_pair, gather_phase
@@ -217,6 +223,16 @@ def test_usage_errors_exit_two():
 
 def test_version_flag_exits_zero():
     assert run(["--version"]).exit_code == 0
+
+
+def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(layerseal.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "layerseal", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout == f"layerseal {layerseal.__version__}\n"
 
 
 def test_deadlocking_input_to_sig_is_input_error(tmp_path):

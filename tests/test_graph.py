@@ -24,7 +24,7 @@ from layerseal import (
     send,
     transitive_closure,
 )
-from layerseal.graph import close_edges
+from layerseal.graph import close_edges, vector_clocks
 from layerseal.oracle import EventWorld, Origin
 from progsets import all_balanced_df_programs, deadlocked_pair, random_balanced_df
 
@@ -88,9 +88,10 @@ def test_unbalanced_rejected_with_channel():
     assert exc.value.channel == Channel(1, 2)
     # The first offending channel in canonical order is reported.
     two = program("two", 3, {2: [send(3)], 3: [recv(1)]})
-    with pytest.raises(Unbalanced) as exc:
-        build_program_graph(two)
-    assert exc.value.channel == Channel(1, 3)
+    for analysis in (build_program_graph, vector_clocks, deadlock_free):
+        with pytest.raises(Unbalanced) as exc:
+            analysis(two)
+        assert exc.value.channel == Channel(1, 3)
 
 
 def test_match_edges_pair_kth_send_with_kth_receive():
@@ -108,6 +109,15 @@ def test_match_edges_pair_kth_send_with_kth_receive():
         and a.ref.proc != b.ref.proc
     ]
     assert match == [("s:1:0", "r:2:0"), ("s:1:1", "r:2:1")]
+
+
+def test_vector_clocks_of_message_transmit():
+    # Positions: fst 0, the events 1.., lst last; -1 where nothing of that
+    # process precedes.
+    assert vector_clocks(message_transmit(1, 2, 2)) == [
+        [[0, -1], [1, -1], [2, -1]],
+        [[-1, 0], [1, 1], [1, 2]],
+    ]
 
 
 def test_deadlock_detection():

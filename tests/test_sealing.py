@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import layerseal
+from layerseal import sealing
 from layerseal import (
     BadProcessId,
+    ClosedChannelGraph,
+    InvariantViolation,
     Phase,
     ProcessCountMismatch,
     SealPlan,
@@ -21,6 +29,7 @@ from layerseal import (
     layer,
     message_transmit,
     parse_plan,
+    plan_seal,
     recv,
     send,
 )
@@ -215,3 +224,63 @@ def test_sealing_composes_with_extra_layers():
         s = expand_plan(construct_seal(p), n)
         r = random_balanced_df(rng, n, 6)
         assert is_seal(p, layer(s, r))
+
+
+def test_construct_seal_checks_its_plan(monkeypatch):
+    # Without its first transmission, the plan for MT(1->2) no longer
+    # orders fst_2 before the re-send on 1->2, so it does not seal.
+    expand = sealing.expand_plan
+
+    def lossy(plan, n):
+        return expand(SealPlan(plan.transmissions[1:], plan.phase_tags[1:]), n)
+
+    monkeypatch.setattr(sealing, "expand_plan", lossy)
+    with pytest.raises(InvariantViolation):
+        construct_seal(message_transmit(1, 2, 2))
+
+
+def test_plan_check_survives_optimised_mode():
+    code = (
+        "from layerseal import InvariantViolation, SealPlan, construct_seal, message_transmit, sealing\n"
+        "expand = sealing.expand_plan\n"
+        "sealing.expand_plan = lambda plan, n: expand(SealPlan(plan.transmissions[1:], plan.phase_tags[1:]), n)\n"
+        "try:\n"
+        "    construct_seal(message_transmit(1, 2, 2))\n"
+        "except InvariantViolation:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(layerseal.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.stdout == "raised\n", done.stderr
+
+
+def test_plan_seal_on_a_long_path():
+    # Only i->i+1 is closed. The tree is the path itself; its centres are
+    # 2500 and 2501, and the smaller wins. Every edge above the centre needs
+    # a direct close before the converge-cast can climb it.
+    n = 5000
+    plan = plan_seal(ClosedChannelGraph(n, frozenset((i, i + 1) for i in range(1, n))))
+    centre = 2500
+    below = list(range(centre - 1, 0, -1))
+    above = list(range(centre + 1, n + 1))
+    parent = {w: w + 1 for w in below} | {w: w - 1 for w in above}
+    preorder = below + above
+    postorder = below[::-1] + above[::-1]
+    assert plan.transmissions == tuple(
+        [(w - 1, w) for w in above]
+        + [(w, parent[w]) for w in postorder]
+        + [(parent[w], w) for w in preorder]
+    )
+    assert plan.phase_tags == (
+        (Phase.DIRECT_CLOSE,) * len(above)
+        + (Phase.CONVERGE_CAST,) * (n - 1)
+        + (Phase.BROADCAST,) * (n - 1)
+    )
+    assert len(plan.transmissions) < 3 * n
+
+
+def test_plan_seal_rejects_a_disconnected_graph():
+    with pytest.raises(Unsealable):
+        plan_seal(ClosedChannelGraph(3, frozenset({(1, 2)})))

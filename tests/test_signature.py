@@ -10,6 +10,7 @@ from layerseal import (
     CyclicGraph,
     FirstSend,
     FstDummy,
+    InvariantViolation,
     LastRecv,
     LstDummy,
     ProcessCountMismatch,
@@ -24,6 +25,7 @@ from layerseal import (
     signature_compose,
     signature_equal,
 )
+from layerseal.signature import Signature, _check
 from progsets import (
     all_balanced_df_programs,
     bystander_sealable,
@@ -193,3 +195,26 @@ def test_signature_node_names():
     assert "snd:2>1" in names
     assert "rcv:1<2" in names
     assert {"fst_1", "fst_2", "fst_3", "lst_1", "lst_2", "lst_3"} <= names
+
+
+def test_check_rejects_inconsistent_clocks():
+    # MT(1->2): the send is at position 1 of process 1 with clock (1, -1),
+    # the receive at position 1 of process 2 with clock (1, 1).
+    sig = compute_signature(message_transmit(1, 2, 2))
+    assert sig.sends == {(1, 2): (1, (1, -1))}
+    assert sig.recvs == {(1, 2): (1, (1, 1))}
+    broken = [
+        # the receive does not see the send
+        Signature(2, sig.exits, sig.sends, {(1, 2): (1, (-1, 1))}),
+        # fst_2 precedes the kept first send
+        Signature(2, sig.exits, {(1, 2): (1, (1, 0))}, sig.recvs),
+        # the kept last receive precedes lst_1
+        Signature(2, ((2, (2, 1)), sig.exits[1]), sig.sends, sig.recvs),
+        # lst_2 sees less than the receive before it
+        Signature(2, (sig.exits[0], (2, (-1, 2))), sig.sends, sig.recvs),
+        # a clock whose own entry is not its position
+        Signature(2, sig.exits, sig.sends, {(1, 2): (1, (1, 0))}),
+    ]
+    for bad in broken:
+        with pytest.raises(InvariantViolation):
+            _check(bad)
