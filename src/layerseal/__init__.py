@@ -23,29 +23,18 @@ from .errors import (
     Unbalanced,
     Unsealable,
 )
-from .graph import (
-    EventNode,
-    FstDummy,
-    GraphNode,
-    LstDummy,
-    ProgramGraph,
-    build_program_graph,
-    deadlock_free,
-    transitive_closure,
-)
+from .graph import deadlock_free, program_graph
 from .model import (
     Channel,
-    EventRef,
     Program,
     Statement,
     StmtKind,
-    channel_traffic,
     channels_of,
     empty_program,
     is_balanced,
-    iter_events,
     layer,
     message_transmit,
+    pairing,
     program,
     recv,
     send,
@@ -84,7 +73,9 @@ from .sealing import (
 )
 from .signature import (
     FirstSend,
+    FstDummy,
     LastRecv,
+    LstDummy,
     Signature,
     compute_signature,
     signature_compose,
@@ -99,12 +90,9 @@ __all__ = [
     "ClosedChannelGraph",
     "CyclicGraph",
     "DEFAULT_BUDGET",
-    "EventNode",
-    "EventRef",
     "EventWorld",
     "FirstSend",
     "FstDummy",
-    "GraphNode",
     "InvariantViolation",
     "LastRecv",
     "LstDummy",
@@ -114,7 +102,6 @@ __all__ = [
     "ParseErrorKind",
     "Phase",
     "Program",
-    "ProgramGraph",
     "ProcessCountMismatch",
     "SealPlan",
     "ShapeError",
@@ -124,8 +111,6 @@ __all__ = [
     "StmtKind",
     "Unbalanced",
     "Unsealable",
-    "build_program_graph",
-    "channel_traffic",
     "channels_of",
     "closed_channels",
     "compute_signature",
@@ -140,21 +125,21 @@ __all__ = [
     "is_balanced",
     "is_seal",
     "is_sealable",
-    "iter_events",
     "layer",
     "message_transmit",
     "oracle_channel_open",
     "oracle_seals",
     "oracle_tcc",
+    "pairing",
     "parse",
     "parse_plan",
     "plan_seal",
     "program",
+    "program_graph",
     "recv",
     "seal_signature",
     "send",
     "signature_compose",
     "signature_equal",
-    "transitive_closure",
     "__version__",
 ]

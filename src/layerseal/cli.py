@@ -28,13 +28,8 @@ from .errors import (
     Unbalanced,
     Unsealable,
 )
-from .graph import (
-    EventNode,
-    ProgramGraph,
-    build_program_graph,
-    deadlock_free,
-)
-from .model import Program, channels_of, is_balanced
+from .graph import deadlock_free, program_graph
+from .model import Program, channels_of
 from .oracle import (
     DEFAULT_BUDGET,
     OracleBudget,
@@ -71,13 +66,13 @@ def _quote(name: str) -> str:
     return '"' + name.replace('"', '\\"') + '"'
 
 
-def _dot_program_graph(g: ProgramGraph) -> str:
+def _dot_program_graph(nodes: list[str], edges: list[tuple[str, str]]) -> str:
     lines = ["digraph program_graph {", "  rankdir=LR;"]
-    for node in g.sorted_nodes():
-        shape = "circle" if isinstance(node, EventNode) else "box"
-        lines.append(f"  {_quote(node.name)} [shape={shape}];")
-    for a, b in g.sorted_edges():
-        lines.append(f"  {_quote(a.name)} -> {_quote(b.name)};")
+    for name in nodes:
+        shape = "box" if name.startswith(("fst_", "lst_")) else "circle"
+        lines.append(f"  {_quote(name)} [shape={shape}];")
+    for a, b in edges:
+        lines.append(f"  {_quote(a)} -> {_quote(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -104,22 +99,21 @@ def _dot_signature(sig: Signature) -> str:
 
 
 def _cmd_check(ns: argparse.Namespace) -> CliResult:
-    p = _load_program(ns.file)
-    balanced = is_balanced(p)
-    if not balanced:
+    try:
+        free = deadlock_free(_load_program(ns.file))
+    except Unbalanced:
         return CliResult(1, "balanced: false\ndeadlock_free: unknown\n")
-    free = deadlock_free(p)
     text = f"balanced: true\ndeadlock_free: {'true' if free else 'false'}\n"
     return CliResult(0 if free else 1, text)
 
 
 def _cmd_graph(ns: argparse.Namespace) -> CliResult:
-    g = build_program_graph(_load_program(ns.file))
+    nodes, edges = program_graph(_load_program(ns.file))
     if ns.dot:
-        return CliResult(0, _dot_program_graph(g))
-    lines = [f"nodes: {len(g.nodes)}", f"edges: {len(g.edges)}"]
-    lines += [f"node: {v.name}" for v in g.sorted_nodes()]
-    lines += [f"edge: {a.name} -> {b.name}" for a, b in g.sorted_edges()]
+        return CliResult(0, _dot_program_graph(nodes, edges))
+    lines = [f"nodes: {len(nodes)}", f"edges: {len(edges)}"]
+    lines += [f"node: {name}" for name in nodes]
+    lines += [f"edge: {a} -> {b}" for a, b in edges]
     return CliResult(0, "\n".join(lines) + "\n")
 
 

@@ -19,23 +19,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import ProcessCountMismatch
+from .errors import ProcessCountMismatch, Unbalanced
 
 __all__ = [
     "Channel",
-    "EventRef",
     "Program",
     "Statement",
     "StmtKind",
-    "channel_traffic",
     "channels_of",
     "empty_program",
     "is_balanced",
-    "iter_events",
     "layer",
     "message_transmit",
+    "pairing",
     "program",
     "recv",
     "send",
@@ -86,27 +84,6 @@ def send(peer: int) -> Statement:
 
 def recv(peer: int) -> Statement:
     return Statement(StmtKind.RECV, peer)
-
-
-@dataclass(frozen=True)
-class EventRef:
-    """A statement occurrence within a program.
-
-    Attributes:
-        proc: owning process id.
-        index: 0-based position within the process sequence.
-        kind: send or receive.
-        channel: the channel the statement acts on.
-        seq_on_channel: 1-based ordinal among same-kind events on the same
-            channel, in program order. The k'th send on a channel pairs with
-            the k'th receive when building the program graph.
-    """
-
-    proc: int
-    index: int
-    kind: StmtKind
-    channel: Channel
-    seq_on_channel: int
 
 
 @dataclass(frozen=True)
@@ -181,31 +158,30 @@ def statement_channel(proc: int, stmt: Statement) -> Channel:
     return Channel(stmt.peer, proc)
 
 
-def iter_events(p: Program) -> Iterator[EventRef]:
-    """Yield all events in (process, index) order with channel ordinals."""
-    counters: dict[tuple[Channel, StmtKind], int] = {}
-    for proc in range(1, p.n + 1):
-        for index, stmt in enumerate(p.statements(proc)):
-            ch = statement_channel(proc, stmt)
-            key = (ch, stmt.kind)
-            counters[key] = counters.get(key, 0) + 1
-            yield EventRef(proc, index, stmt.kind, ch, counters[key])
+def pairing(p: Program) -> dict[tuple[int, int], tuple[int, int]]:
+    """The send each receive is paired with in the program graph.
 
-
-def channel_traffic(p: Program) -> dict[Channel, tuple[int, int]]:
-    """Per-channel (send_count, recv_count), omitting untouched channels.
-
-    Keys are emitted in canonical (src, dst) order.
+    Maps the (process, position) of the k'th receive on every channel to the
+    (process, position) of the k'th send on it; positions count a process's
+    events from 1. Raises :class:`Unbalanced` naming the first channel, in
+    canonical order, whose send and receive counts differ.
     """
-    sends: dict[Channel, int] = {}
-    recvs: dict[Channel, int] = {}
-    for ev in iter_events(p):
-        bucket = sends if ev.kind is StmtKind.SEND else recvs
-        bucket[ev.channel] = bucket.get(ev.channel, 0) + 1
-    out: dict[Channel, tuple[int, int]] = {}
-    for ch in sorted(set(sends) | set(recvs)):
-        out[ch] = (sends.get(ch, 0), recvs.get(ch, 0))
-    return out
+    sends: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    recvs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, seq in enumerate(p.seqs, start=1):
+        for x, stmt in enumerate(seq, start=1):
+            if stmt.kind is StmtKind.SEND:
+                sends.setdefault((i, stmt.peer), []).append((i, x))
+            else:
+                recvs.setdefault((stmt.peer, i), []).append((i, x))
+    unbalanced = [
+        key
+        for key in sends.keys() | recvs.keys()
+        if len(sends.get(key, ())) != len(recvs.get(key, ()))
+    ]
+    if unbalanced:
+        raise Unbalanced(Channel(*min(unbalanced)))
+    return {r: s for key, rs in recvs.items() for r, s in zip(rs, sends[key])}
 
 
 def is_balanced(p: Program) -> bool:
@@ -213,7 +189,11 @@ def is_balanced(p: Program) -> bool:
 
     For straight-line programs this static count decides balance exactly.
     """
-    return all(s == r for s, r in channel_traffic(p).values())
+    try:
+        pairing(p)
+    except Unbalanced:
+        return False
+    return True
 
 
 def channels_of(n: int) -> list[Channel]:

@@ -134,12 +134,6 @@ class Matching:
 
     pairs: tuple[tuple[WorldEvent, WorldEvent], ...]
 
-    def send_for(self, receive: WorldEvent) -> WorldEvent:
-        for r, s in self.pairs:
-            if r == receive:
-                return s
-        raise KeyError(receive)
-
 
 def enumerate_matchings(
     world: EventWorld, budget: OracleBudget = DEFAULT_BUDGET

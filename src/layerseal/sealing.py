@@ -81,7 +81,7 @@ class ClosedChannelGraph:
         return {i: sorted(peers) for i, peers in adj.items()}
 
     def undirected_connected(self) -> bool:
-        return self.n <= 1 or len(_bfs_tree(self.undirected_adjacency(), 1)) == self.n - 1
+        return self.n <= 1 or len(_bfs(self.undirected_adjacency(), 1)) == self.n
 
 
 @dataclass(frozen=True)
@@ -161,39 +161,28 @@ def expand_plan(plan: SealPlan, n: int) -> Program:
     return program("seal", n, seqs)
 
 
-def _bfs_tree(adj: dict[int, list[int]], root: int) -> dict[int, int]:
-    """Parent map of a breadth-first spanning tree; neighbours ascending."""
-    parent: dict[int, int] = {}
-    seen = {root}
+def _bfs(adj: dict[int, list[int]], root: int) -> dict[int, tuple[int, int]]:
+    """Parent and depth of every vertex reached from root, in breadth-first
+    order with neighbours ascending; the root is its own parent."""
+    tree = {root: (root, 0)}
     queue = deque([root])
     while queue:
         v = queue.popleft()
+        depth = tree[v][1] + 1
         for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = v
+            if w not in tree:
+                tree[w] = (v, depth)
                 queue.append(w)
-    return parent
+    return tree
 
 
-def _tree_adjacency(parent: dict[int, int], n: int) -> dict[int, list[int]]:
+def _tree_adjacency(spanning: dict[int, tuple[int, int]], n: int) -> dict[int, list[int]]:
     adj: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
-    for child, par in parent.items():
-        adj[child].add(par)
-        adj[par].add(child)
+    for child, (par, _) in spanning.items():
+        if child != par:
+            adj[child].add(par)
+            adj[par].add(child)
     return {i: sorted(peers) for i, peers in adj.items()}
-
-
-def _depths(adj: dict[int, list[int]], start: int) -> dict[int, int]:
-    depth = {start: 0}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                queue.append(w)
-    return depth
 
 
 def _centre(tree: dict[int, list[int]]) -> int:
@@ -203,25 +192,20 @@ def _centre(tree: dict[int, list[int]]) -> int:
     path, and every vertex's eccentricity is its larger distance to the two
     ends of one longest path, so three searches give them all.
     """
-    first = _depths(tree, 1)
-    from_a = _depths(tree, max(first, key=first.get))
-    from_b = _depths(tree, max(from_a, key=from_a.get))
-    return min(tree, key=lambda v: (max(from_a[v], from_b[v]), v))
+    first = _bfs(tree, 1)
+    from_a = _bfs(tree, max(first, key=lambda v: first[v][1]))
+    from_b = _bfs(tree, max(from_a, key=lambda v: from_a[v][1]))
+    return min(tree, key=lambda v: (max(from_a[v][1], from_b[v][1]), v))
 
 
-def _children_map(parent: dict[int, int], n: int) -> dict[int, list[int]]:
-    children: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    for child in sorted(parent):
-        children[parent[child]].append(child)
-    return children
-
-
-def _orders(children: dict[int, list[int]], root: int) -> tuple[list[int], list[int]]:
+def _orders(tree: dict[int, list[int]], root: int) -> tuple[list[int], list[int], dict[int, int]]:
     """Pre-order and post-order of the tree below root, root excluded,
-    children in list order; an explicit stack, so depth is unbounded."""
+    children ascending, and the parent of every vertex; an explicit stack,
+    so depth is unbounded."""
+    parent = {root: root}
     preorder: list[int] = []
     postorder: list[int] = []
-    stack = [(root, iter(children[root]))]
+    stack = [(root, iter(tree[root]))]
     while stack:
         v, rest = stack[-1]
         child = next(rest, None)
@@ -229,10 +213,11 @@ def _orders(children: dict[int, list[int]], root: int) -> tuple[list[int], list[
             stack.pop()
             if v != root:
                 postorder.append(v)
-        else:
+        elif child != parent[v]:
+            parent[child] = v
             preorder.append(child)
-            stack.append((child, iter(children[child])))
-    return preorder, postorder
+            stack.append((child, iter(tree[child])))
+    return preorder, postorder, parent
 
 
 def plan_seal(closed: ClosedChannelGraph) -> SealPlan:
@@ -242,18 +227,16 @@ def plan_seal(closed: ClosedChannelGraph) -> SealPlan:
     n = closed.n
     if n <= 1:
         return SealPlan((), ())
-    adj = closed.undirected_adjacency()
-    bfs_parent = _bfs_tree(adj, root=1)
-    if len(bfs_parent) != n - 1:
+    spanning = _bfs(closed.undirected_adjacency(), 1)
+    if len(spanning) != n:
         raise Unsealable("closed-channel graph is disconnected")
-    tree_adj = _tree_adjacency(bfs_parent, n)
-    centre = _centre(tree_adj)
+    tree = _tree_adjacency(spanning, n)
 
     # Re-root the tree at the centre; orient every undirected tree edge by a
     # direction that the closed-channel graph actually provides, preferring
     # parent to child.
-    parent = _bfs_tree(tree_adj, root=centre)
-    preorder, postorder = _orders(_children_map(parent, n), centre)
+    centre = _centre(tree)
+    preorder, postorder, parent = _orders(tree, centre)
 
     transmissions: list[tuple[int, int]] = []
     tags: list[Phase] = []

@@ -38,12 +38,14 @@ from dataclasses import dataclass
 from operator import le
 
 from .errors import InvariantViolation, ProcessCountMismatch
-from .graph import FstDummy, LstDummy, vector_clocks
+from .graph import vector_clocks
 from .model import Channel, Program, StmtKind
 
 __all__ = [
     "FirstSend",
+    "FstDummy",
     "LastRecv",
+    "LstDummy",
     "SigNode",
     "Signature",
     "compute_signature",
@@ -51,6 +53,28 @@ __all__ = [
     "signature_compose",
     "signature_equal",
 ]
+
+
+@dataclass(frozen=True)
+class FstDummy:
+    """Entry marker of one process; precedes all its events."""
+
+    proc: int
+
+    @property
+    def name(self) -> str:
+        return f"fst_{self.proc}"
+
+
+@dataclass(frozen=True)
+class LstDummy:
+    """Exit marker of one process; follows all its events."""
+
+    proc: int
+
+    @property
+    def name(self) -> str:
+        return f"lst_{self.proc}"
 
 
 @dataclass(frozen=True)

@@ -1,42 +1,156 @@
 """The closure-based signature algorithm, kept as a test reference.
 
 Before vector clocks, a signature was read off the transitive closure of
-the program graph, and composition glued two signatures as a tagged graph
-and closed it again. Both are restated here, on the public graph API, so
-that the clock-based :func:`compute_signature` and
-:func:`signature_compose` can be required to equal them exactly. A
-reference signature is a triple ``(n, nodes, edges)``.
+the explicit program graph, and composition glued two signatures as a
+tagged graph and closed it again. All three are restated here, the graph
+with its own send/receive pairing, so that the clock-based
+:func:`compute_signature` and :func:`signature_compose` can be required to
+equal them exactly without sharing code with them. A reference signature
+is a triple ``(n, nodes, edges)``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Hashable, Iterable, TypeVar
+
 from layerseal import (
     Channel,
-    EventNode,
+    CyclicGraph,
     FirstSend,
     FstDummy,
     LastRecv,
     LstDummy,
     Program,
     StmtKind,
-    build_program_graph,
-    iter_events,
-    transitive_closure,
+    Unbalanced,
 )
-from layerseal.graph import close_edges
+
+N = TypeVar("N", bound=Hashable)
+
+
+@dataclass(frozen=True)
+class Event:
+    """The statement at 0-based ``index`` of process ``proc``."""
+
+    proc: int
+    index: int
+    kind: StmtKind
+    channel: Channel
+
+    @property
+    def name(self) -> str:
+        tag = "s" if self.kind is StmtKind.SEND else "r"
+        return f"{tag}:{self.proc}:{self.index}"
+
+
+def explicit_graph(p: Program) -> tuple[list, set]:
+    """Nodes and edges of the program graph, built node by node.
+
+    Each process is a chain fst_i, its events, lst_i; the k'th send on each
+    channel has an edge to the k'th receive on it. Raises
+    :class:`Unbalanced` naming the first channel, in canonical order, whose
+    counts differ.
+    """
+    nodes: list = []
+    edges: set = set()
+    by_channel: dict[tuple[Channel, StmtKind], list[Event]] = {}
+    for proc, seq in enumerate(p.seqs, start=1):
+        prev = FstDummy(proc)
+        nodes.append(prev)
+        for index, stmt in enumerate(seq):
+            if stmt.kind is StmtKind.SEND:
+                ch = Channel(proc, stmt.peer)
+            else:
+                ch = Channel(stmt.peer, proc)
+            node = Event(proc, index, stmt.kind, ch)
+            by_channel.setdefault((ch, stmt.kind), []).append(node)
+            nodes.append(node)
+            edges.add((prev, node))
+            prev = node
+        nodes.append(LstDummy(proc))
+        edges.add((prev, LstDummy(proc)))
+    for ch in sorted({ch for ch, _ in by_channel}):
+        out = by_channel.get((ch, StmtKind.SEND), [])
+        inn = by_channel.get((ch, StmtKind.RECV), [])
+        if len(out) != len(inn):
+            raise Unbalanced(ch)
+        edges.update(zip(out, inn))
+    return nodes, edges
+
+
+def _topological_order(nodes: list[N], edges: set[tuple[N, N]]) -> list[N] | None:
+    """Kahn's algorithm; None when the graph has a cycle."""
+    succ: dict[N, list[N]] = {v: [] for v in nodes}
+    indeg = {v: 0 for v in nodes}
+    for a, b in edges:
+        succ[a].append(b)
+        indeg[b] += 1
+    frontier = [v for v in nodes if indeg[v] == 0]
+    order: list[N] = []
+    while frontier:
+        v = frontier.pop()
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                frontier.append(w)
+    if len(order) != len(nodes):
+        return None
+    return order
+
+
+def close_edges(nodes: Iterable[N], edges: Iterable[tuple[N, N]]) -> frozenset[tuple[N, N]]:
+    """Smallest transitive superset of ``edges``, as reachability pairs.
+
+    Raises :class:`CyclicGraph` when the input has a cycle; on acyclic input
+    the result is also irreflexive.
+    """
+    nodes = list(nodes)
+    edges = set(edges)
+    order = _topological_order(nodes, edges)
+    if order is None:
+        raise CyclicGraph("graph has a cycle")
+    index = {v: k for k, v in enumerate(nodes)}
+    succ: dict[N, list[N]] = {v: [] for v in nodes}
+    for a, b in edges:
+        succ[a].append(b)
+    reach = {v: 0 for v in nodes}
+    for v in reversed(order):
+        mask = 0
+        for w in succ[v]:
+            mask |= reach[w] | (1 << index[w])
+        reach[v] = mask
+    closed: set[tuple[N, N]] = set()
+    for v in nodes:
+        mask = reach[v]
+        while mask:
+            low = mask & -mask
+            closed.add((v, nodes[low.bit_length() - 1]))
+            mask ^= low
+    return frozenset(closed)
+
+
+def closure(p: Program) -> frozenset:
+    """Irreflexive transitive closure of the program graph."""
+    return close_edges(*explicit_graph(p))
+
 
 RefSignature = tuple[int, frozenset, frozenset]
 
 
 def closure_signature(p: Program) -> RefSignature:
-    closed = transitive_closure(build_program_graph(p))
-    first_send: dict[Channel, EventNode] = {}
-    last_recv: dict[Channel, EventNode] = {}
-    for ref in iter_events(p):
-        if ref.kind is StmtKind.SEND:
-            first_send.setdefault(ref.channel, EventNode(ref))
+    graph_nodes, graph_edges = explicit_graph(p)
+    closed = close_edges(graph_nodes, graph_edges)
+    first_send: dict[Channel, Event] = {}
+    last_recv: dict[Channel, Event] = {}
+    for node in graph_nodes:
+        if not isinstance(node, Event):
+            continue
+        if node.kind is StmtKind.SEND:
+            first_send.setdefault(node.channel, node)
         else:
-            last_recv[ref.channel] = EventNode(ref)
+            last_recv[node.channel] = node
 
     keep: dict = {}
     for ch, node in first_send.items():

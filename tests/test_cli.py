@@ -79,6 +79,7 @@ def test_graph_text_and_dot(mt_file):
     assert dot.exit_code == 0
     assert dot.stdout.startswith("digraph program_graph {")
     assert '"fst_1" [shape=box];' in dot.stdout
+    assert '"lst_2" [shape=box];' in dot.stdout
     assert '"s:1:0" [shape=circle];' in dot.stdout
     assert '"s:1:0" -> "r:2:0";' in dot.stdout
 

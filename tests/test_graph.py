@@ -1,4 +1,5 @@
-"""Tests for the program graph and its transitive closure."""
+"""Tests for the program graph, its send/receive pairing, and the closure
+reference in ``closure_reference.py``."""
 
 from __future__ import annotations
 
@@ -9,22 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closure_reference import close_edges, closure, explicit_graph
 from layerseal import (
     Channel,
     CyclicGraph,
-    EventNode,
     Unbalanced,
-    build_program_graph,
     deadlock_free,
     enumerate_matchings,
+    is_balanced,
     layer,
     message_transmit,
+    pairing,
     program,
+    program_graph,
     recv,
     send,
-    transitive_closure,
 )
-from layerseal.graph import close_edges, vector_clocks
+from layerseal.graph import vector_clocks
 from layerseal.oracle import EventWorld, Origin
 from progsets import all_balanced_df_programs, deadlocked_pair, random_balanced_df
 
@@ -47,9 +49,9 @@ def reference_closure(nodes, edges):
 
 
 def test_message_transmit_graph_shape():
-    g = build_program_graph(message_transmit(1, 2, 2))
-    assert len(g.nodes) == 6
-    assert _names(g.edges) == [
+    nodes, edges = program_graph(message_transmit(1, 2, 2))
+    assert nodes == ["fst_1", "s:1:0", "lst_1", "fst_2", "r:2:0", "lst_2"]
+    assert sorted(edges) == [
         ("fst_1", "s:1:0"),
         ("fst_2", "r:2:0"),
         ("r:2:0", "lst_2"),
@@ -59,8 +61,7 @@ def test_message_transmit_graph_shape():
 
 
 def test_message_transmit_closure_frozen():
-    g = build_program_graph(message_transmit(1, 2, 2))
-    closed = transitive_closure(g)
+    closed = closure(message_transmit(1, 2, 2))
     assert _names(closed) == [
         ("fst_1", "lst_1"),
         ("fst_1", "lst_2"),
@@ -76,22 +77,23 @@ def test_message_transmit_closure_frozen():
 
 
 def test_empty_program_graph():
-    g = build_program_graph(program("idle", 2))
-    assert len(g.nodes) == 4
-    assert _names(g.edges) == [("fst_1", "lst_1"), ("fst_2", "lst_2")]
+    nodes, edges = program_graph(program("idle", 2))
+    assert nodes == ["fst_1", "lst_1", "fst_2", "lst_2"]
+    assert edges == [("fst_1", "lst_1"), ("fst_2", "lst_2")]
 
 
 def test_unbalanced_rejected_with_channel():
     lonely = program("lonely", 2, {1: [send(2)]})
     with pytest.raises(Unbalanced) as exc:
-        build_program_graph(lonely)
+        pairing(lonely)
     assert exc.value.channel == Channel(1, 2)
     # The first offending channel in canonical order is reported.
     two = program("two", 3, {2: [send(3)], 3: [recv(1)]})
-    for analysis in (build_program_graph, vector_clocks, deadlock_free):
+    for analysis in (pairing, program_graph, vector_clocks, deadlock_free, explicit_graph):
         with pytest.raises(Unbalanced) as exc:
             analysis(two)
         assert exc.value.channel == Channel(1, 3)
+    assert not is_balanced(lonely) and not is_balanced(two)
 
 
 def test_match_edges_pair_kth_send_with_kth_receive():
@@ -100,15 +102,27 @@ def test_match_edges_pair_kth_send_with_kth_receive():
         2,
         {1: [send(2), send(2)], 2: [recv(1), recv(1)]},
     )
-    g = build_program_graph(p)
-    match = [
-        (a.name, b.name)
-        for a, b in g.sorted_edges()
-        if isinstance(a, EventNode)
-        and isinstance(b, EventNode)
-        and a.ref.proc != b.ref.proc
-    ]
+    match = [(a, b) for a, b in program_graph(p)[1] if a[0] == "s" and b[0] == "r"]
     assert match == [("s:1:0", "r:2:0"), ("s:1:1", "r:2:1")]
+    assert pairing(p) == {(2, 1): (1, 1), (2, 2): (1, 2)}
+
+
+def test_program_graph_lists_in_display_order():
+    # Nodes per process from fst to lst; edges by source, then by target,
+    # so a match edge into a lower process comes before the chain edge.
+    p = program("pingpong", 2, {1: [recv(2), send(2)], 2: [send(1), recv(1)]})
+    nodes, edges = program_graph(p)
+    assert nodes == ["fst_1", "r:1:0", "s:1:1", "lst_1", "fst_2", "s:2:0", "r:2:1", "lst_2"]
+    assert edges == [
+        ("fst_1", "r:1:0"),
+        ("r:1:0", "s:1:1"),
+        ("s:1:1", "lst_1"),
+        ("s:1:1", "r:2:1"),
+        ("fst_2", "s:2:0"),
+        ("s:2:0", "r:1:0"),
+        ("s:2:0", "r:2:1"),
+        ("r:2:1", "lst_2"),
+    ]
 
 
 def test_vector_clocks_of_message_transmit():
@@ -161,7 +175,7 @@ def test_close_edges_matches_reference_on_random_dags():
 
 def test_closure_is_transitive_and_irreflexive():
     for p in all_balanced_df_programs(3, 4):
-        closed = transitive_closure(build_program_graph(p))
+        closed = closure(p)
         assert all(a != b for a, b in closed)
         succ = {}
         for a, b in closed:
@@ -176,28 +190,29 @@ def test_closure_is_transitive_and_irreflexive():
 def test_node_and_edge_counts(n, pyrng):
     rng = random.Random(pyrng.randint(0, 10**9))
     p = random_balanced_df(rng, n, 5)
-    g = build_program_graph(p)
+    nodes, edges = program_graph(p)
     transmissions = p.event_count // 2
-    assert len(g.nodes) == 2 * n + p.event_count
+    assert len(nodes) == len(set(nodes)) == 2 * n + p.event_count
     # chain edges: one per event plus one per process; match edges: one per
     # transmission.
-    assert len(g.edges) == p.event_count + n + transmissions
+    assert len(edges) == len(set(edges)) == p.event_count + n + transmissions
+    assert len(pairing(p)) == transmissions
+    # The listed graph is the reference's graph, under the same names.
+    ref_nodes, ref_edges = explicit_graph(p)
+    assert sorted(nodes) == sorted(v.name for v in ref_nodes)
+    assert sorted(edges) == _names(ref_edges)
 
 
 def test_graph_edges_hold_in_every_run():
-    """Every matching's happens-before respects the event-to-event edges.
+    """Every matching's happens-before respects the pairing.
 
     The k'th-send/k'th-receive pairing is a static stand-in for whichever
     message a receive really consumes; soundness means no run can order the
     receive before that send.
     """
     for p in all_balanced_df_programs(2, 4) + all_balanced_df_programs(3, 4)[:20]:
-        g = build_program_graph(p)
-        static = {
-            (a.ref, b.ref)
-            for a, b in g.edges
-            if isinstance(a, EventNode) and isinstance(b, EventNode)
-        }
+        # (process, position) from pairing; the world counts positions from 0.
+        static = {((i, x - 1), (j, y - 1)) for (j, y), (i, x) in pairing(p).items()}
         if not static:
             continue
         world = EventWorld.from_layers([(p, Origin.LAYER_P)], probe_channels=[])
@@ -212,6 +227,4 @@ def test_graph_edges_hold_in_every_run():
                 edges.add((s, r))
             closed = close_edges(world.all_events(), edges)
             for a, b in static:
-                wa = key[(a.proc, a.index)]
-                wb = key[(b.proc, b.index)]
-                assert (wb, wa) not in closed, (p, a, b)
+                assert (key[b], key[a]) not in closed, (p, a, b)

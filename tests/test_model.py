@@ -10,14 +10,13 @@ from layerseal import (
     Channel,
     ProcessCountMismatch,
     Program,
-    StmtKind,
-    channel_traffic,
+    Unbalanced,
     channels_of,
     empty_program,
     is_balanced,
-    iter_events,
     layer,
     message_transmit,
+    pairing,
     program,
     recv,
     send,
@@ -75,22 +74,29 @@ def test_layer_rejects_mismatched_process_counts():
         layer(empty_program(2), empty_program(3))
 
 
-def test_iter_events_orders_and_numbers():
-    p = program("p", 2, {1: [send(2), send(2)], 2: [recv(1), recv(1)]})
-    evs = list(iter_events(p))
-    assert [(e.proc, e.index) for e in evs] == [(1, 0), (1, 1), (2, 0), (2, 1)]
-    assert [e.seq_on_channel for e in evs] == [1, 2, 1, 2]
-    assert all(e.channel == Channel(1, 2) for e in evs)
-    assert [e.kind for e in evs] == [StmtKind.SEND] * 2 + [StmtKind.RECV] * 2
+def test_pairing_numbers_each_channel_apart():
+    # Positions count from 1. The k'th receive on a channel pairs with the
+    # k'th send on that channel, whatever other channels lie in between.
+    p = program(
+        "p",
+        3,
+        {1: [send(2), send(3), send(2), recv(3)], 2: [recv(1), recv(1)], 3: [send(1), recv(1)]},
+    )
+    assert pairing(p) == {(2, 1): (1, 1), (2, 2): (1, 3), (3, 2): (1, 2), (1, 4): (3, 1)}
+    assert pairing(empty_program(3)) == {}
 
 
 def test_channel_traffic_counts():
+    # 1->2 carries two sends and one receive, 3->1 one of each: the
+    # channel with a send too many is named, the other pairs up.
     p = program("p", 3, {1: [send(2), send(2), recv(3)], 2: [recv(1)], 3: [send(1)]})
-    assert channel_traffic(p) == {
-        Channel(1, 2): (2, 1),
-        Channel(3, 1): (1, 1),
-    }
+    with pytest.raises(Unbalanced) as exc:
+        pairing(p)
+    assert exc.value.channel == Channel(1, 2)
     assert not is_balanced(p)
+    q = program("q", 3, {1: [send(2), recv(3)], 2: [recv(1)], 3: [send(1)]})
+    assert pairing(q) == {(2, 1): (1, 1), (1, 2): (3, 1)}
+    assert is_balanced(q)
 
 
 def test_balance_examples():
@@ -99,6 +105,10 @@ def test_balance_examples():
     assert not is_balanced(program("p", 2, {1: [send(2)]}))
     # Equal totals across different channels do not balance.
     assert not is_balanced(program("p", 3, {1: [send(2)], 3: [recv(2)]}))
+    # One channel balanced, another with a send too many.
+    assert not is_balanced(
+        program("p", 3, {1: [send(2), send(2), recv(3)], 2: [recv(1)], 3: [send(1)]})
+    )
 
 
 def test_channels_of():

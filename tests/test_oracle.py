@@ -14,6 +14,8 @@ from layerseal import (
     OracleBudget,
     ShapeError,
     StmtKind,
+    channels_of,
+    compute_signature,
     deadlock_free,
     empty_program,
     enumerate_matchings,
@@ -32,6 +34,7 @@ from progsets import (
     all_balanced_programs,
     crossed_exchange,
     deadlocked_pair,
+    gather_phase,
     random_balanced_df,
 )
 
@@ -195,10 +198,12 @@ def test_oracle_results_stable_across_calls():
         assert a == b
 
 
-def test_matching_send_for_lookup():
-    ms = enumerate_matchings(_world(message_transmit(1, 2, 2)))
-    (m,) = ms
-    r, s = m.pairs[0]
-    assert m.send_for(r) == s
-    with pytest.raises(KeyError):
-        m.send_for(s)
+def test_gather_phase_4_open_channels_match_oracle():
+    # Pins the n=4 gather example channel by channel: every i->j with
+    # i >= 2 is open, and the collector's channels 1->* are closed.
+    p = gather_phase(4)
+    sig = compute_signature(p)
+    for ch in channels_of(4):
+        assert sig.leaves_open(ch) == oracle_channel_open(p, ch), ch
+    assert sig.open_channels() == [ch for ch in channels_of(4) if ch.src >= 2]
+    assert len(sig.open_channels()) == 9
