@@ -81,16 +81,17 @@ def _dot_signature(sig: Signature) -> str:
     # Edges implied by other edges transitively are drawn thin, so the
     # direct causality skeleton stands out. An edge a -> b is implied when
     # some successor of a is a predecessor of b.
+    edges = sig.sorted_edges()
     succ: dict = {}
     pred: dict = {}
-    for a, b in sig.edges:
+    for a, b in edges:
         succ.setdefault(a, set()).add(b)
         pred.setdefault(b, set()).add(a)
     lines = ["digraph signature {", "  rankdir=LR;"]
     for node in sig.sorted_nodes():
         shape = "circle" if isinstance(node, (FirstSend, LastRecv)) else "box"
         lines.append(f"  {_quote(node.name)} [shape={shape}];")
-    for a, b in sig.sorted_edges():
+    for a, b in edges:
         implied = not succ[a].isdisjoint(pred[b])
         attr = ' [penwidth="0.5"]' if implied else ""
         lines.append(f"  {_quote(a.name)} -> {_quote(b.name)}{attr};")
@@ -121,9 +122,10 @@ def _cmd_sig(ns: argparse.Namespace) -> CliResult:
     sig = compute_signature(_load_program(ns.file))
     if ns.dot:
         return CliResult(0, _dot_signature(sig))
-    lines = [f"n: {sig.n}", f"nodes: {len(sig.nodes)}", f"edges: {len(sig.edges)}"]
-    lines += [f"node: {v.name}" for v in sig.sorted_nodes()]
-    lines += [f"edge: {a.name} -> {b.name}" for a, b in sig.sorted_edges()]
+    nodes, edges = sig.sorted_nodes(), sig.sorted_edges()
+    lines = [f"n: {sig.n}", f"nodes: {len(nodes)}", f"edges: {len(edges)}"]
+    lines += [f"node: {v.name}" for v in nodes]
+    lines += [f"edge: {a.name} -> {b.name}" for a, b in edges]
     return CliResult(0, "\n".join(lines) + "\n")
 
 

@@ -9,9 +9,9 @@ Grammar::
     stmt    := "send" NAT ";" | "recv" NAT ";" | "assign" IDENT ";"
 
 ``#`` starts a comment running to the end of the line. Whitespace is
-insignificant. ``assign`` statements are accepted and discarded; they have no
-communication effect. Process blocks may appear in any order; processes
-without a block are empty.
+insignificant; columns count characters, so a tab is one column. ``assign``
+statements are accepted and discarded; they have no communication effect.
+Process blocks may appear in any order; processes without a block are empty.
 
 :func:`parse` raises :class:`ParseError` with a source span and a kind:
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .model import Program, Statement, StmtKind, program
 
@@ -41,7 +42,9 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NAT_RE = re.compile(r"[0-9]+")
+# Blanks and an optional comment, then one token (group 1) or one stray
+# character (group 2); matches nothing more at the end of a line.
+_TOKEN_RE = re.compile(r"[ \t\r]*(?:#.*)?(?:([{};]|[0-9]+|" + _IDENT_RE.pattern + r")|(.))?")
 _KEYWORDS = frozenset({"processes", "program", "process", "send", "recv", "assign"})
 
 
@@ -68,168 +71,108 @@ class ParseError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    span: SourceSpan
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    col = 1
-    i = 0
-    length = len(source)
-    while i < length:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < length and source[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(line, col)
-        if ch in "{};":
-            tokens.append(_Token(ch, span))
-            i += 1
-            col += 1
-            continue
-        m = _NAT_RE.match(source, i) or _IDENT_RE.match(source, i)
-        if m is None:
-            raise ParseError(ParseErrorKind.SYNTAX, span, f"unexpected character {ch!r}")
-        text = m.group()
-        tokens.append(_Token(text, span))
-        i = m.end()
-        col += len(text)
-    return tokens
+# A token's text, line and column; the last token, with empty text, marks
+# the end of input. Tokens are ASCII, so ``str.isdigit`` and
+# ``str.isidentifier`` tell naturals and identifiers exactly.
+_Tok = tuple[str, int, int]
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], source_end: SourceSpan) -> None:
-        self._tokens = tokens
+    def __init__(self, source: str) -> None:
         self._pos = 0
-        self._end = source_end
+        self._tokens: list[_Tok] = []
+        lines = source.split("\n")
+        for line, text in enumerate(lines, start=1):
+            for m in _TOKEN_RE.finditer(text):
+                token, stray = m.groups()
+                if token:
+                    self._tokens.append((token, line, m.start(1) + 1))
+                elif stray:
+                    at = (stray, line, m.start(2) + 1)
+                    raise self._fail(f"unexpected character {stray!r}", tok=at)
+        self._tokens.append(("", len(lines), len(lines[-1]) + 1))
 
-    def _peek(self) -> _Token | None:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return None
+    def _fail(
+        self, message: str, kind: ParseErrorKind = ParseErrorKind.SYNTAX, tok: _Tok | None = None
+    ) -> ParseError:
+        """The error at ``tok``, by default the next token."""
+        _, line, column = tok or self._tokens[self._pos]
+        return ParseError(kind, SourceSpan(line, column), message)
 
-    def _fail(self, message: str, kind: ParseErrorKind = ParseErrorKind.SYNTAX) -> ParseError:
-        tok = self._peek()
-        span = tok.span if tok is not None else self._end
-        return ParseError(kind, span, message)
-
-    def _next(self, expected: str) -> _Token:
-        tok = self._peek()
-        if tok is None:
+    def _next(self, expected: str, accept: Callable[[str], bool]) -> _Tok:
+        tok = self._tokens[self._pos]
+        if not tok[0]:
             raise self._fail(f"expected {expected}, found end of input")
+        if not accept(tok[0]):
+            raise self._fail(f"expected {expected}, found {tok[0]!r}")
         self._pos += 1
         return tok
 
-    def _expect(self, literal: str) -> _Token:
-        tok = self._next(repr(literal))
-        if tok.text != literal:
-            self._pos -= 1
-            raise self._fail(f"expected {literal!r}, found {tok.text!r}")
-        return tok
+    def _expect(self, literal: str) -> None:
+        self._next(repr(literal), literal.__eq__)
 
-    def _nat(self, what: str) -> tuple[int, SourceSpan]:
-        tok = self._next(what)
-        if not _NAT_RE.fullmatch(tok.text):
-            self._pos -= 1
-            raise self._fail(f"expected {what}, found {tok.text!r}")
-        return int(tok.text), tok.span
+    def _nat(self, what: str) -> tuple[int, _Tok]:
+        tok = self._next(what, str.isdigit)
+        return int(tok[0]), tok
 
-    def _ident(self, what: str) -> _Token:
-        tok = self._next(what)
-        if not _IDENT_RE.fullmatch(tok.text) or _NAT_RE.fullmatch(tok.text):
-            self._pos -= 1
-            raise self._fail(f"expected {what}, found {tok.text!r}")
-        return tok
+    def _block(self, item: str, parse_item: Callable[[], None]) -> None:
+        """``{`` then items until the matching ``}``."""
+        self._expect("{")
+        while (text := self._tokens[self._pos][0]) != "}":
+            if not text:
+                raise self._fail(f"expected {item} or '}}', found end of input")
+            parse_item()
+        self._pos += 1
 
     def parse_file(self) -> Program:
         self._expect("processes")
         n, _ = self._nat("process count")
         self._expect(";")
         self._expect("program")
-        name = self._ident("program name").text
-        self._expect("{")
+        name = self._next("program name", str.isidentifier)[0]
         seqs: dict[int, list[Statement]] = {}
-        while True:
-            tok = self._peek()
-            if tok is None:
-                raise self._fail("expected 'process' or '}', found end of input")
-            if tok.text == "}":
-                self._pos += 1
-                break
-            self._parse_proc(n, seqs)
-        if self._peek() is not None:
-            raise self._fail(f"trailing input after program: {self._peek().text!r}")
+        self._block("'process'", lambda: self._parse_proc(n, seqs))
+        if trailing := self._tokens[self._pos][0]:
+            raise self._fail(f"trailing input after program: {trailing!r}")
         return program(name, n, seqs)
 
     def _parse_proc(self, n: int, seqs: dict[int, list[Statement]]) -> None:
         self._expect("process")
-        pid, pid_span = self._nat("process id")
+        pid, tok = self._nat("process id")
         if not 1 <= pid <= n:
-            raise ParseError(
-                ParseErrorKind.BAD_PROCESS_ID, pid_span, f"process id {pid} outside 1..{n}"
-            )
+            raise self._fail(f"process id {pid} outside 1..{n}", ParseErrorKind.BAD_PROCESS_ID, tok)
         if pid in seqs:
-            raise ParseError(
-                ParseErrorKind.DUPLICATE_PROCESS, pid_span, f"duplicate block for process {pid}"
+            raise self._fail(
+                f"duplicate block for process {pid}", ParseErrorKind.DUPLICATE_PROCESS, tok
             )
-        seqs[pid] = []
-        self._expect("{")
-        while True:
-            tok = self._peek()
-            if tok is None:
-                raise self._fail("expected statement or '}', found end of input")
-            if tok.text == "}":
-                self._pos += 1
-                return
-            self._parse_stmt(pid, n, seqs[pid])
+        out = seqs[pid] = []
+        self._block("statement", lambda: self._parse_stmt(pid, n, out))
 
     def _parse_stmt(self, pid: int, n: int, out: list[Statement]) -> None:
-        tok = self._next("statement")
-        if tok.text == "assign":
-            self._ident("variable name")
+        keyword = self._next(
+            "'send', 'recv' or 'assign'", ("send", "recv", "assign").__contains__
+        )[0]
+        if keyword == "assign":
+            self._next("variable name", str.isidentifier)
             self._expect(";")
             return
-        if tok.text not in ("send", "recv"):
-            self._pos -= 1
-            raise self._fail(f"expected 'send', 'recv' or 'assign', found {tok.text!r}")
-        peer, peer_span = self._nat("peer id")
+        peer, tok = self._nat("peer id")
         if not 1 <= peer <= n:
-            raise ParseError(
-                ParseErrorKind.BAD_PROCESS_ID, peer_span, f"peer {peer} outside 1..{n}"
-            )
+            raise self._fail(f"peer {peer} outside 1..{n}", ParseErrorKind.BAD_PROCESS_ID, tok)
         if peer == pid:
-            raise ParseError(
-                ParseErrorKind.SELF_CHANNEL, peer_span, f"process {pid} addresses itself"
-            )
+            raise self._fail(f"process {pid} addresses itself", ParseErrorKind.SELF_CHANNEL, tok)
         self._expect(";")
-        kind = StmtKind.SEND if tok.text == "send" else StmtKind.RECV
-        out.append(Statement(kind, peer))
+        out.append(Statement(StmtKind.SEND if keyword == "send" else StmtKind.RECV, peer))
 
 
 def parse(source: str) -> Program:
     """Parse DSL text into a :class:`Program`. Raises :class:`ParseError`."""
-    lines = source.split("\n")
-    end = SourceSpan(len(lines), len(lines[-1]) + 1)
-    return _Parser(_tokenize(source), end).parse_file()
+    return _Parser(source).parse_file()
 
 
 def format_program(p: Program) -> str:
     """Render ``p`` as DSL text. Empty process blocks are omitted."""
-    if not _IDENT_RE.fullmatch(p.name) or _NAT_RE.fullmatch(p.name) or p.name in _KEYWORDS:
+    if not _IDENT_RE.fullmatch(p.name) or p.name in _KEYWORDS:
         raise ValueError(f"program name {p.name!r} is not a printable identifier")
     out = [f"processes {p.n};", f"program {p.name} {{"]
     for proc in range(1, p.n + 1):

@@ -39,6 +39,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .errors import BadProcessId, InvariantViolation, ProcessCountMismatch, Unsealable
 from .model import Program, program, recv, send
@@ -74,11 +75,7 @@ class ClosedChannelGraph:
     edges: frozenset[tuple[int, int]]
 
     def undirected_adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, set[int]] = {i: set() for i in range(1, self.n + 1)}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return {i: sorted(peers) for i, peers in adj.items()}
+        return _undirected(self.n, self.edges)
 
     def undirected_connected(self) -> bool:
         return self.n <= 1 or len(_bfs(self.undirected_adjacency(), 1)) == self.n
@@ -176,12 +173,12 @@ def _bfs(adj: dict[int, list[int]], root: int) -> dict[int, tuple[int, int]]:
     return tree
 
 
-def _tree_adjacency(spanning: dict[int, tuple[int, int]], n: int) -> dict[int, list[int]]:
+def _undirected(n: int, pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    """Ascending neighbours of each of 1..n, every pair taken both ways."""
     adj: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
-    for child, (par, _) in spanning.items():
-        if child != par:
-            adj[child].add(par)
-            adj[par].add(child)
+    for i, j in pairs:
+        adj[i].add(j)
+        adj[j].add(i)
     return {i: sorted(peers) for i, peers in adj.items()}
 
 
@@ -230,7 +227,7 @@ def plan_seal(closed: ClosedChannelGraph) -> SealPlan:
     spanning = _bfs(closed.undirected_adjacency(), 1)
     if len(spanning) != n:
         raise Unsealable("closed-channel graph is disconnected")
-    tree = _tree_adjacency(spanning, n)
+    tree = _undirected(n, ((child, par) for child, (par, _) in spanning.items() if child != par))
 
     # Re-root the tree at the centre; orient every undirected tree edge by a
     # direction that the closed-channel graph actually provides, preferring

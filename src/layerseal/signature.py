@@ -35,6 +35,7 @@ surviving first send, rcv:j<i for a surviving last receive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import le
 
 from .errors import InvariantViolation, ProcessCountMismatch
@@ -49,7 +50,6 @@ __all__ = [
     "SigNode",
     "Signature",
     "compute_signature",
-    "sig_node_sort_key",
     "signature_compose",
     "signature_equal",
 ]
@@ -105,16 +105,6 @@ SigEdge = tuple[SigNode, SigNode]
 Point = tuple[int, tuple[int, ...]]
 
 
-def sig_node_sort_key(node: SigNode) -> tuple[int, int, int, int]:
-    if isinstance(node, FstDummy):
-        return (0, node.proc, 0, 0)
-    if isinstance(node, LstDummy):
-        return (1, node.proc, 0, 0)
-    if isinstance(node, FirstSend):
-        return (2, node.channel.src, node.channel.dst, 0)
-    return (3, node.channel.src, node.channel.dst, 0)
-
-
 def _entry_clock(n: int, proc: int) -> tuple[int, ...]:
     return tuple(0 if k == proc else -1 for k in range(1, n + 1))
 
@@ -141,41 +131,30 @@ class Signature:
         self.exits = exits
         self.sends = sends
         self.recvs = recvs
-        self._points: dict[SigNode, tuple[int, int, tuple[int, ...]]] | None = None
-        self._nodes: frozenset[SigNode] | None = None
-        self._edges: frozenset[SigEdge] | None = None
 
-    def _nodes_at(self) -> dict[SigNode, tuple[int, int, tuple[int, ...]]]:
-        """Every node with its process, position and clock."""
-        if self._points is None:
-            points: dict[SigNode, tuple[int, int, tuple[int, ...]]] = {}
-            for k, (pos, clock) in enumerate(self.exits, start=1):
-                points[FstDummy(k)] = (k, 0, _entry_clock(self.n, k))
-                points[LstDummy(k)] = (k, pos, clock)
-            for (i, j), (pos, clock) in self.sends.items():
-                points[FirstSend(Channel(i, j))] = (i, pos, clock)
-            for (i, j), (pos, clock) in self.recvs.items():
-                points[LastRecv(Channel(i, j))] = (j, pos, clock)
-            self._points = points
-        return self._points
+    @cached_property
+    def _points(self) -> dict[SigNode, tuple[int, int, tuple[int, ...]]]:
+        """Every node with its process, position and clock, in print order:
+        fst and then lst by process, first sends and then last receives by
+        channel."""
+        points: dict[SigNode, tuple[int, int, tuple[int, ...]]] = {
+            FstDummy(k): (k, 0, _entry_clock(self.n, k)) for k in range(1, self.n + 1)
+        }
+        for k, (pos, clock) in enumerate(self.exits, start=1):
+            points[LstDummy(k)] = (k, pos, clock)
+        for (i, j), (pos, clock) in sorted(self.sends.items()):
+            points[FirstSend(Channel(i, j))] = (i, pos, clock)
+        for (i, j), (pos, clock) in sorted(self.recvs.items()):
+            points[LastRecv(Channel(i, j))] = (j, pos, clock)
+        return points
 
-    @property
+    @cached_property
     def nodes(self) -> frozenset[SigNode]:
-        if self._nodes is None:
-            self._nodes = frozenset(self._nodes_at())
-        return self._nodes
+        return frozenset(self._points)
 
-    @property
+    @cached_property
     def edges(self) -> frozenset[SigEdge]:
-        if self._edges is None:
-            points = [(v, proc - 1, pos, clock) for v, (proc, pos, clock) in self._nodes_at().items()]
-            self._edges = frozenset(
-                (a, b)
-                for a, i, x, _ in points
-                for b, _, _, clock in points
-                if a is not b and clock[i] >= x
-            )
-        return self._edges
+        return frozenset(self.sorted_edges())
 
     def leaves_open(self, channel: Channel) -> bool:
         return (channel.src, channel.dst) in self.recvs
@@ -184,12 +163,17 @@ class Signature:
         return [Channel(i, j) for i, j in sorted(self.recvs)]
 
     def sorted_nodes(self) -> list[SigNode]:
-        return sorted(self._nodes_at(), key=sig_node_sort_key)
+        return list(self._points)
 
     def sorted_edges(self) -> list[SigEdge]:
-        return sorted(
-            self.edges, key=lambda e: (sig_node_sort_key(e[0]), sig_node_sort_key(e[1]))
-        )
+        """The edges, ordered by source and then target in print order."""
+        points = [(v, proc - 1, pos, clock) for v, (proc, pos, clock) in self._points.items()]
+        return [
+            (a, b)
+            for a, i, x, _ in points
+            for b, _, _, clock in points
+            if a is not b and clock[i] >= x
+        ]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Signature):

@@ -193,6 +193,9 @@ def test_verify_wrong_arity(mt_file, ack_file):
     res = run(["verify", "tcc", mt_file, ack_file])
     assert res.exit_code == 2
     assert "one program file" in res.stdout
+    res = run(["verify", "is-seal", mt_file])
+    assert res.exit_code == 2
+    assert "takes two program files" in res.stdout
 
 
 def test_parse_error_reported_with_position(tmp_path):

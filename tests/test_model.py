@@ -46,6 +46,10 @@ def test_program_rejects_bad_peers():
         program("p", 2, {1: [send(1)]})
     with pytest.raises(ValueError):
         program("p", 2, {3: [send(1)]})
+    with pytest.raises(ValueError, match="non-negative"):
+        Program("p", -1, ())
+    with pytest.raises(ValueError, match="expected 2 sequences"):
+        Program("p", 2, ((),))
 
 
 def test_program_builder_fills_missing_processes():

@@ -12,6 +12,7 @@ from layerseal import (
     CyclicGraph,
     EventWorld,
     OracleBudget,
+    ProcessCountMismatch,
     ShapeError,
     StmtKind,
     channels_of,
@@ -158,6 +159,9 @@ def test_oracle_seals_fixtures():
     assert not oracle_seals(mt, mt)
     assert not oracle_seals(mt, empty_program(2))
     assert oracle_seals(empty_program(2), empty_program(2))
+    # The counts are compared before either program is checked.
+    with pytest.raises(ProcessCountMismatch):
+        oracle_seals(deadlocked_pair(), empty_program(3))
 
 
 def test_oracle_tcc_fixtures():
@@ -187,6 +191,10 @@ def test_world_positions_run_per_process():
         Origin.LAYER_P,
         Origin.LAYER_S,
     ]
+    with pytest.raises(ValueError, match="at least one layer"):
+        EventWorld.from_layers([])
+    with pytest.raises(ProcessCountMismatch):
+        EventWorld.from_layers([(p, Origin.LAYER_P), (empty_program(3), Origin.LAYER_S)])
 
 
 def test_oracle_results_stable_across_calls():

@@ -101,6 +101,21 @@ def test_zero_process_program():
             4,
             11,
         ),
+        # \r\n line endings, tabs (one column each) and comments right
+        # after a token leave the span where it would be without them.
+        (
+            "processes 2;\r\nprogram p {\r\n  process 3 { }\r\n}\r\n",
+            ParseErrorKind.BAD_PROCESS_ID,
+            3,
+            11,
+        ),
+        ("processes 2;\nprogram p {\n\t\tprocess 3 { }\n}\n", ParseErrorKind.BAD_PROCESS_ID, 3, 11),
+        (
+            "processes 2;\nprogram p {# open\n  process 3 { }#x\n}\n",
+            ParseErrorKind.BAD_PROCESS_ID,
+            3,
+            11,
+        ),
     ],
 )
 def test_semantic_errors_carry_kind_and_span(src, kind, line, col):
@@ -135,9 +150,24 @@ def test_syntax_errors(src):
 
 
 def test_syntax_error_spans_point_at_offender():
-    with pytest.raises(ParseError) as exc:
-        parse("processes 2;\nprogram p {\n  process 1 { emit 2; }\n}\n")
-    assert exc.value.span == type(exc.value.span)(3, 15)
+    cases = [
+        ("processes 2;\nprogram p {\n  process 1 { emit 2; }\n}\n", 3, 15),
+        ("processes 2;\r\nprogram p {\r\n  process 1 { emit 2; }\r\n}\r\n", 3, 15),
+        ("processes 2;\nprogram p {\n\tprocess 1 {\temit 2; }\n}\n", 3, 14),
+        ("processes 2;#c\nprogram p {#\n  process 1 { emit 2; }#x\n}\n", 3, 15),
+        # A letter outside ASCII ends the identifier and is itself the error.
+        ("processes 2;\nprogram p {\n  process 1 { sénd 2; }\n}\n", 3, 16),
+        # End of input, after a comment with no final newline.
+        ("processes 2;\nprogram p {\n  process 1 { send 2; } # end", 3, 30),
+        # A block left open: the span lies past the last line.
+        ("processes 2;\nprogram p {\n  process 1 {\n", 4, 1),
+        ("processes 2;\r\nprogram p {\r\n  process 1 {\r\n", 4, 1),
+    ]
+    for src, line, col in cases:
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert exc.value.kind is ParseErrorKind.SYNTAX
+        assert exc.value.span == type(exc.value.span)(line, col), src
 
 
 def test_error_at_end_of_input_has_span_past_last_line():

@@ -1,0 +1,28 @@
+"""Checks on the package source and its documentation."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+PROJECT = Path(__file__).resolve().parents[1]
+
+
+def test_library_has_no_assert_statements():
+    # ``python -O`` strips asserts, so a check that matters must raise.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((PROJECT / "src" / "layerseal").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_readme_python_example_runs():
+    readme = (PROJECT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -190,6 +190,8 @@ def test_expand_plan_round_trip_and_errors():
         expand_plan(plan, 1)
     with pytest.raises(BadProcessId):
         expand_plan(SealPlan(((1, 1),), (Phase.BROADCAST,)), 3)
+    with pytest.raises(ValueError, match="one phase tag"):
+        SealPlan(((2, 1), (1, 2)), (Phase.BROADCAST,))
 
 
 def test_plan_format_parse_round_trip():

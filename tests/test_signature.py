@@ -186,7 +186,11 @@ def test_distinct_programs_can_share_a_signature():
     double = program(
         "double", 2, {1: [send(2), send(2)], 2: [recv(1), recv(1)]}
     )
-    assert signature_equal(compute_signature(single), compute_signature(double))
+    a, b = compute_signature(single), compute_signature(double)
+    assert a.exits != b.exits
+    assert signature_equal(a, b)
+    assert a == b and hash(a) == hash(b)
+    assert a != compute_signature(message_transmit(2, 1, 2))
 
 
 def test_signature_node_names():
@@ -214,6 +218,8 @@ def test_check_rejects_inconsistent_clocks():
         Signature(2, (sig.exits[0], (2, (-1, 2))), sig.sends, sig.recvs),
         # a clock whose own entry is not its position
         Signature(2, sig.exits, sig.sends, {(1, 2): (1, (1, 0))}),
+        # fewer exits than processes
+        Signature(2, sig.exits[:1], sig.sends, sig.recvs),
     ]
     for bad in broken:
         with pytest.raises(InvariantViolation):
