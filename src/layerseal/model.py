@@ -46,7 +46,7 @@ class StmtKind(Enum):
     RECV = "recv"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Channel:
     """Directed channel from process ``src`` to process ``dst``."""
 
@@ -63,7 +63,7 @@ class Channel:
         return f"{self.src}->{self.dst}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     """One communication statement, owned by some process.
 

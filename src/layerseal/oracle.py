@@ -29,14 +29,28 @@ actual count lower.
 
 Results are deterministic: matchings appear in lexicographic order of send
 choices along receives sorted by (process, position).
+
+The search numbers the events of :meth:`EventWorld.all_events` 0..N-1 and
+keeps, for every event x, an int bitset ``reach[x]`` of the events x
+reaches, x included: at first along its process only. Choosing send s for
+receive r closes a cycle exactly when bit s of ``reach[r]`` is set;
+otherwise the edge s -> r adds ``reach[r]`` to every bitset that holds s,
+in a new list, so backtracking drops nothing but a reference. This is
+happened-before over a space-time diagram (Lamport 1978), one AND per
+candidate. Matchings stream out one at a time, so the queries stop at the
+first answer: :func:`oracle_channel_open` at the first matching that uses
+the probe, :func:`oracle_seals` at the first that serves a receive of p
+from outside p, :func:`has_rel_run` at the first matching. No state
+outlives a call.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import perm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadProcessId, BudgetExceeded, CyclicGraph, ProcessCountMismatch, ShapeError
 from .graph import deadlock_free
@@ -144,87 +158,70 @@ def enumerate_matchings(
     sends and :class:`BudgetExceeded` when the world or the candidate count
     is over budget.
     """
+    events = world.all_events()
+    return [
+        Matching(tuple((events[r], events[s]) for r, s in pairs))
+        for pairs in _matchings(world, budget)
+    ]
+
+
+def _matchings(
+    world: EventWorld, budget: OracleBudget
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The matchings of ``world``, each as (receive, send) pairs of indices
+    into ``world.all_events()``, in the order of the module docstring.
+
+    The budget refusals and :class:`ShapeError` are raised by the call
+    itself, before any matching is searched for.
+    """
     if world.event_count > budget.max_events:
         raise BudgetExceeded(
             f"world has {world.event_count} events, budget allows {budget.max_events}"
         )
+    events = world.all_events()
+    sends: dict[Channel, list[int]] = {}
+    receives: list[int] = []
+    for x, ev in enumerate(events):
+        if ev.kind is StmtKind.SEND:
+            sends.setdefault(ev.channel, []).append(x)
+        else:
+            receives.append(x)
+    receives.sort(key=lambda x: (events[x].proc, events[x].pos))
 
-    sends_by_channel: dict[Channel, list[WorldEvent]] = {}
-    receives: list[WorldEvent] = []
-    for row in world.events:
-        for ev in row:
-            if ev.kind is StmtKind.SEND:
-                sends_by_channel.setdefault(ev.channel, []).append(ev)
-            else:
-                receives.append(ev)
-    receives.sort(key=lambda ev: (ev.proc, ev.pos))
-
-    recv_count: dict[Channel, int] = {}
-    for ev in receives:
-        recv_count[ev.channel] = recv_count.get(ev.channel, 0) + 1
+    recv_count = Counter(events[r].channel for r in receives)
     candidates = 1
     for ch in sorted(recv_count):
-        n_sends = len(sends_by_channel.get(ch, ()))
-        n_recvs = recv_count[ch]
-        if n_recvs > n_sends:
+        n_sends = len(sends.get(ch, ()))
+        if recv_count[ch] > n_sends:
             raise ShapeError(ch)
-        candidates *= perm(n_sends, n_recvs)
+        candidates *= perm(n_sends, recv_count[ch])
     if candidates > budget.max_matchings:
         raise BudgetExceeded(
             f"{candidates} candidate matchings, budget allows {budget.max_matchings}"
         )
 
-    next_in_proc: dict[WorldEvent, WorldEvent] = {}
+    # Along its row alone, an event reaches itself and the events after it.
+    reach: list[int] = []
     for row in world.events:
-        for a, b in zip(row, row[1:]):
-            next_in_proc[a] = b
+        first = len(reach)
+        reach += [((1 << len(row)) - 1 >> k) << (first + k) for k in range(len(row))]
+    choices = [(r, sends[events[r].channel]) for r in receives]
 
-    assigned_recv: dict[WorldEvent, WorldEvent] = {}
-
-    def reaches(start: WorldEvent, target: WorldEvent) -> bool:
-        # DFS over process-successor edges and chosen send->receive edges.
-        stack = [start]
-        seen = {start}
-        while stack:
-            ev = stack.pop()
-            if ev == target:
-                return True
-            succ = next_in_proc.get(ev)
-            if succ is not None and succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-            matched = assigned_recv.get(ev)
-            if matched is not None and matched not in seen:
-                seen.add(matched)
-                stack.append(matched)
-        return False
-
-    chosen: list[tuple[WorldEvent, WorldEvent]] = []
-    used: set[WorldEvent] = set()
-    results: list[Matching] = []
-
-    def search(idx: int) -> None:
-        if idx == len(receives):
-            results.append(Matching(tuple(chosen)))
+    def search(k: int, reach: list[int], used: int, pairs: tuple) -> Iterator[tuple]:
+        if k == len(choices):
+            yield pairs
             return
-        r = receives[idx]
-        for s in sends_by_channel.get(r.channel, ()):
-            if s in used:
+        r, senders = choices[k]
+        from_r = reach[r]
+        for s in senders:
+            # Skip a used send, and one that r already reaches: the edge
+            # s -> r would close a cycle, and edges only accumulate.
+            if (used | from_r) >> s & 1:
                 continue
-            # The new edge s -> r closes a cycle exactly when r already
-            # reaches s; pruning here is sound because edges only accumulate.
-            if reaches(r, s):
-                continue
-            used.add(s)
-            assigned_recv[s] = r
-            chosen.append((r, s))
-            search(idx + 1)
-            chosen.pop()
-            del assigned_recv[s]
-            used.remove(s)
+            grown = [v | from_r if v >> s & 1 else v for v in reach]
+            yield from search(k + 1, grown, used | 1 << s, pairs + ((r, s),))
 
-    search(0)
-    return results
+    return search(0, reach, 0, ())
 
 
 def _require_well_formed(p: Program) -> None:
@@ -244,11 +241,8 @@ def oracle_channel_open(
         raise BadProcessId(f"channel {channel} outside 1..{p.n}")
     _require_well_formed(p)
     world = EventWorld.from_layers([(p, Origin.LAYER_P)], probe_channels=[channel])
-    return any(
-        s.origin is Origin.PROBE
-        for m in enumerate_matchings(world, budget)
-        for _, s in m.pairs
-    )
+    probe = next(x for x, ev in enumerate(world.all_events()) if ev.origin is Origin.PROBE)
+    return any(s == probe for pairs in _matchings(world, budget) for _, s in pairs)
 
 
 def oracle_seals(p: Program, s: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
@@ -266,11 +260,12 @@ def oracle_seals(p: Program, s: Program, budget: OracleBudget = DEFAULT_BUDGET) 
     world = EventWorld.from_layers(
         [(p, Origin.LAYER_P), (s, Origin.LAYER_S)], probe_channels=channels_of(p.n)
     )
-    for m in enumerate_matchings(world, budget):
-        for r, snd in m.pairs:
-            if r.origin is Origin.LAYER_P and snd.origin is not Origin.LAYER_P:
-                return False
-    return True
+    events = world.all_events()
+    return not any(
+        events[r].origin is Origin.LAYER_P and events[s].origin is not Origin.LAYER_P
+        for pairs in _matchings(world, budget)
+        for r, s in pairs
+    )
 
 
 def oracle_tcc(p: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
@@ -289,4 +284,4 @@ def has_rel_run(p: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
     with the run-level notion on small inputs.
     """
     world = EventWorld.from_layers([(p, Origin.LAYER_P)])
-    return bool(enumerate_matchings(world, budget))
+    return next(_matchings(world, budget), None) is not None

@@ -12,6 +12,8 @@ Grammar::
 insignificant; columns count characters, so a tab is one column. ``assign``
 statements are accepted and discarded; they have no communication effect.
 Process blocks may appear in any order; processes without a block are empty.
+The program name may not be a keyword, which ``format_program`` could not
+print.
 
 :func:`parse` raises :class:`ParseError` with a source span and a kind:
 
@@ -129,7 +131,9 @@ class _Parser:
         n, _ = self._nat("process count")
         self._expect(";")
         self._expect("program")
-        name = self._next("program name", str.isidentifier)[0]
+        name = self._next(
+            "program name", lambda text: text.isidentifier() and text not in _KEYWORDS
+        )[0]
         seqs: dict[int, list[Statement]] = {}
         self._block("'process'", lambda: self._parse_proc(n, seqs))
         if trailing := self._tokens[self._pos][0]:

@@ -4,6 +4,7 @@ reference in ``closure_reference.py``."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -16,6 +17,7 @@ from layerseal import (
     CyclicGraph,
     Unbalanced,
     deadlock_free,
+    empty_program,
     enumerate_matchings,
     is_balanced,
     layer,
@@ -145,6 +147,19 @@ def test_deadlock_detection():
         {1: [recv(3), send(2)], 2: [recv(1), send(3)], 3: [recv(2), send(1)]},
     )
     assert not deadlock_free(ring)
+
+
+def test_deadlock_free_memory_is_linear():
+    # 5000 idle processes: a clock per dummy would hold 5000 entries each,
+    # some 400 MB; the count of events run needs a few hundred kB.
+    p = empty_program(5000)
+    tracemalloc.start()
+    try:
+        assert deadlock_free(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_layering_deadlock_free_programs_stays_deadlock_free():

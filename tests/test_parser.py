@@ -162,6 +162,11 @@ def test_syntax_error_spans_point_at_offender():
         # A block left open: the span lies past the last line.
         ("processes 2;\nprogram p {\n  process 1 {\n", 4, 1),
         ("processes 2;\r\nprogram p {\r\n  process 1 {\r\n", 4, 1),
+        # A keyword is no program name: format_program could not print it.
+        *(
+            (f"processes 1;\nprogram {kw} {{ }}\n", 2, 9)
+            for kw in ("assign", "process", "processes", "program", "recv", "send")
+        ),
     ]
     for src, line, col in cases:
         with pytest.raises(ParseError) as exc:

@@ -6,8 +6,21 @@ from __future__ import annotations
 import random
 
 from closure_reference import closure, closure_compose, closure_signature
-from layerseal import CyclicGraph, compute_signature, deadlock_free, signature_compose
-from progsets import all_balanced_df_programs, all_balanced_programs, random_balanced_df
+from layerseal import (
+    CyclicGraph,
+    compute_signature,
+    deadlock_free,
+    layer,
+    message_transmit,
+    signature_compose,
+)
+from progsets import (
+    all_balanced_df_programs,
+    all_balanced_programs,
+    crossed_exchange,
+    deadlocked_pair,
+    random_balanced_df,
+)
 
 EXHAUSTIVE = ((1, 4), (2, 4), (2, 6), (3, 4), (3, 6), (4, 4))
 
@@ -58,11 +71,18 @@ def test_left_folds_match_reference():
 
 
 def test_deadlock_freedom_matches_closure():
+    fixtures = [
+        deadlocked_pair(),
+        layer(message_transmit(1, 2, 2), deadlocked_pair()),
+        layer(crossed_exchange(), deadlocked_pair()),
+        layer(deadlocked_pair(), crossed_exchange()),
+    ]
     for n, cap in EXHAUSTIVE:
-        for p in all_balanced_programs(n, cap):
-            try:
-                closure(p)
-                acyclic = True
-            except CyclicGraph:
-                acyclic = False
-            assert deadlock_free(p) == acyclic, p
+        fixtures += all_balanced_programs(n, cap)
+    for p in fixtures:
+        try:
+            closure(p)
+            acyclic = True
+        except CyclicGraph:
+            acyclic = False
+        assert deadlock_free(p) == acyclic, p
