@@ -10,6 +10,8 @@ programs small enough to enumerate.
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
 from .errors import (
@@ -38,17 +40,6 @@ from .model import (
     program,
     recv,
     send,
-)
-from .oracle import (
-    DEFAULT_BUDGET,
-    EventWorld,
-    Matching,
-    OracleBudget,
-    enumerate_matchings,
-    has_rel_run,
-    oracle_channel_open,
-    oracle_seals,
-    oracle_tcc,
 )
 from .parser import (
     ParseError,
@@ -143,3 +134,18 @@ __all__ = [
     "signature_equal",
     "__version__",
 ]
+
+# The oracle and its names load on first use (PEP 562), so that importing
+# the package, or the CLI for any command but ``verify``, does not pay for
+# it. ``from . import oracle`` here would call this function again.
+_ORACLE_NAMES = frozenset(
+    "DEFAULT_BUDGET EventWorld Matching OracleBudget enumerate_matchings has_rel_run"
+    " oracle_channel_open oracle_seals oracle_tcc".split()
+)
+
+
+def __getattr__(name: str):
+    if name != "oracle" and name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    oracle = importlib.import_module(".oracle", __name__)
+    return oracle if name == "oracle" else getattr(oracle, name)

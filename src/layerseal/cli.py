@@ -30,13 +30,6 @@ from .errors import (
 )
 from .graph import deadlock_free, program_graph
 from .model import Program, channels_of
-from .oracle import (
-    DEFAULT_BUDGET,
-    OracleBudget,
-    oracle_channel_open,
-    oracle_seals,
-    oracle_tcc,
-)
 from .parser import ParseError, format_program, parse
 from .sealing import (
     closed_channels,
@@ -173,14 +166,13 @@ def _cmd_expand(ns: argparse.Namespace) -> CliResult:
     return CliResult(0, format_program(expand_plan(plan, ns.processes)))
 
 
-def _budget(ns: argparse.Namespace) -> OracleBudget:
-    if ns.budget is None:
-        return DEFAULT_BUDGET
-    return OracleBudget(max_matchings=ns.budget, max_events=DEFAULT_BUDGET.max_events)
-
-
 def _cmd_verify(ns: argparse.Namespace) -> CliResult:
-    budget = _budget(ns)
+    # The oracle is loaded here alone, so that no other command pays for it.
+    from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_channel_open, oracle_seals, oracle_tcc
+
+    budget = DEFAULT_BUDGET
+    if ns.budget is not None:
+        budget = OracleBudget(max_matchings=ns.budget, max_events=DEFAULT_BUDGET.max_events)
     lines: list[str] = []
     agree = True
     if ns.mode != "is-seal" and len(ns.files) != 1:

@@ -30,23 +30,26 @@ actual count lower.
 Results are deterministic: matchings appear in lexicographic order of send
 choices along receives sorted by (process, position).
 
-The search numbers the events of :meth:`EventWorld.all_events` 0..N-1 and
-keeps, for every event x, an int bitset ``reach[x]`` of the events x
-reaches, x included: at first along its process only. Choosing send s for
-receive r closes a cycle exactly when bit s of ``reach[r]`` is set;
-otherwise the edge s -> r adds ``reach[r]`` to every bitset that holds s,
-in a new list, so backtracking drops nothing but a reference. This is
-happened-before over a space-time diagram (Lamport 1978), one AND per
-candidate. Matchings stream out one at a time, so the queries stop at the
-first answer: :func:`oracle_channel_open` at the first matching that uses
-the probe, :func:`oracle_seals` at the first that serves a receive of p
-from outside p, :func:`has_rel_run` at the first matching. No state
-outlives a call.
+The queries build their world straight from the programs' statement
+sequences, as per-process rows of ``((src, dst), is_send)`` pairs with the
+probe sends at the ends of the rows, and number its events row by row
+0..N-1, so a probe or an event of p is told by its place in the rows.
+:class:`WorldEvent` and :class:`EventWorld` serve :func:`enumerate_matchings`
+alone, which converts a world's rows the same way. The search keeps, for
+every event x, an int bitset ``reach[x]`` of the events x reaches, x
+included: at first along its row only. Choosing send s for receive r
+closes a cycle exactly when bit s of ``reach[r]`` is set; otherwise the
+edge s -> r adds ``reach[r]`` to every bitset that holds s, in a new list,
+so backtracking drops nothing but a reference. This is happened-before
+over a space-time diagram (Lamport 1978), one AND per candidate. Matchings
+stream out one at a time, so the queries stop at the first answer:
+:func:`oracle_channel_open` at the first matching that uses the probe,
+:func:`oracle_seals` at the first that serves a receive of p from outside
+p, :func:`has_rel_run` at the first matching. No state outlives a call.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import perm
@@ -54,7 +57,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BadProcessId, BudgetExceeded, CyclicGraph, ProcessCountMismatch, ShapeError
 from .graph import deadlock_free
-from .model import Channel, Program, StmtKind, channels_of, empty_program, statement_channel
+from .model import Channel, Program, StmtKind, empty_program, statement_channel
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -159,53 +162,77 @@ def enumerate_matchings(
     is over budget.
     """
     events = world.all_events()
-    return [
-        Matching(tuple((events[r], events[s]) for r, s in pairs))
-        for pairs in _matchings(world, budget)
+    rows = [
+        [((ev.channel.src, ev.channel.dst), ev.kind is StmtKind.SEND) for ev in row]
+        for row in world.events
     ]
+    matchings = _search(rows, budget, [(ev.proc, ev.pos) for ev in events])
+    return [Matching(tuple((events[r], events[s]) for r, s in pairs)) for pairs in matchings]
 
 
-def _matchings(
-    world: EventWorld, budget: OracleBudget
+# A world's events, row by row: the channel as (src, dst), and whether the
+# event is a send.
+_Row = list[tuple[tuple[int, int], bool]]
+
+
+def _rows(layers: Sequence[Program], probes: Iterable[tuple[int, int]] = ()) -> list[_Row]:
+    """The rows of ``layers`` run one after the other on every process, then
+    one probe send on each channel ``(src, dst)`` of ``probes``."""
+    rows = [
+        [
+            ((i, stmt.peer), True) if stmt.kind is StmtKind.SEND else ((stmt.peer, i), False)
+            for p in layers
+            for stmt in p.seqs[i - 1]
+        ]
+        for i in range(1, layers[0].n + 1)
+    ]
+    for src, dst in probes:
+        rows[src - 1].append(((src, dst), True))
+    return rows
+
+
+def _search(
+    rows: list[_Row], budget: OracleBudget, order: Sequence[tuple[int, int]] | None = None
 ) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The matchings of ``world``, each as (receive, send) pairs of indices
-    into ``world.all_events()``, in the order of the module docstring.
+    """The matchings of the world of ``rows``, each as (receive, send) pairs
+    of event indices, in the order of the module docstring. Receives are
+    taken in index order, or by ``order[x]`` when given.
 
     The budget refusals and :class:`ShapeError` are raised by the call
     itself, before any matching is searched for.
     """
-    if world.event_count > budget.max_events:
-        raise BudgetExceeded(
-            f"world has {world.event_count} events, budget allows {budget.max_events}"
-        )
-    events = world.all_events()
-    sends: dict[Channel, list[int]] = {}
-    receives: list[int] = []
-    for x, ev in enumerate(events):
-        if ev.kind is StmtKind.SEND:
-            sends.setdefault(ev.channel, []).append(x)
-        else:
-            receives.append(x)
-    receives.sort(key=lambda x: (events[x].proc, events[x].pos))
-
-    recv_count = Counter(events[r].channel for r in receives)
+    size = sum(map(len, rows))
+    if size > budget.max_events:
+        raise BudgetExceeded(f"world has {size} events, budget allows {budget.max_events}")
+    sends: dict[tuple[int, int], list[int]] = {}
+    receives: list[tuple[int, tuple[int, int]]] = []
+    counts: dict[tuple[int, int], int] = {}
+    # Along its row alone, an event reaches itself and the events after it.
+    reach: list[int] = []
+    x = 0
+    for row in rows:
+        end = 1 << (x + len(row))
+        for ch, is_send in row:
+            if is_send:
+                sends.setdefault(ch, []).append(x)
+            else:
+                receives.append((x, ch))
+                counts[ch] = counts.get(ch, 0) + 1
+            reach.append(end - (1 << x))
+            x += 1
+    if order is not None:
+        receives.sort(key=lambda rc: order[rc[0]])
     candidates = 1
-    for ch in sorted(recv_count):
+    for ch in sorted(counts):
         n_sends = len(sends.get(ch, ()))
-        if recv_count[ch] > n_sends:
-            raise ShapeError(ch)
-        candidates *= perm(n_sends, recv_count[ch])
+        if counts[ch] > n_sends:
+            raise ShapeError(Channel(*ch))
+        candidates *= perm(n_sends, counts[ch])
     if candidates > budget.max_matchings:
         raise BudgetExceeded(
             f"{candidates} candidate matchings, budget allows {budget.max_matchings}"
         )
-
-    # Along its row alone, an event reaches itself and the events after it.
-    reach: list[int] = []
-    for row in world.events:
-        first = len(reach)
-        reach += [((1 << len(row)) - 1 >> k) << (first + k) for k in range(len(row))]
-    choices = [(r, sends[events[r].channel]) for r in receives]
+    choices = [(r, sends[ch]) for r, ch in receives]
 
     def search(k: int, reach: list[int], used: int, pairs: tuple) -> Iterator[tuple]:
         if k == len(choices):
@@ -240,9 +267,10 @@ def oracle_channel_open(
     if channel.src > p.n or channel.dst > p.n:
         raise BadProcessId(f"channel {channel} outside 1..{p.n}")
     _require_well_formed(p)
-    world = EventWorld.from_layers([(p, Origin.LAYER_P)], probe_channels=[channel])
-    probe = next(x for x, ev in enumerate(world.all_events()) if ev.origin is Origin.PROBE)
-    return any(s == probe for pairs in _matchings(world, budget) for _, s in pairs)
+    rows = _rows([p], [(channel.src, channel.dst)])
+    # The probe ends the row of its sender.
+    probe = sum(map(len, rows[: channel.src])) - 1
+    return any(s == probe for pairs in _search(rows, budget) for _, s in pairs)
 
 
 def oracle_seals(p: Program, s: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
@@ -257,14 +285,15 @@ def oracle_seals(p: Program, s: Program, budget: OracleBudget = DEFAULT_BUDGET) 
         raise ProcessCountMismatch(p.n, s.n)
     _require_well_formed(p)
     _require_well_formed(s)
-    world = EventWorld.from_layers(
-        [(p, Origin.LAYER_P), (s, Origin.LAYER_S)], probe_channels=channels_of(p.n)
-    )
-    events = world.all_events()
+    n = p.n
+    rows = _rows([p, s], [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j])
+    # The events of p open every row: a bitset of their indices.
+    in_p = start = 0
+    for seq, row in zip(p.seqs, rows):
+        in_p |= ((1 << len(seq)) - 1) << start
+        start += len(row)
     return not any(
-        events[r].origin is Origin.LAYER_P and events[s].origin is not Origin.LAYER_P
-        for pairs in _matchings(world, budget)
-        for r, s in pairs
+        in_p >> r & 1 and not in_p >> x & 1 for pairs in _search(rows, budget) for r, x in pairs
     )
 
 
@@ -283,5 +312,4 @@ def has_rel_run(p: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
     Exposed separately so the graph-based deadlock check can be compared
     with the run-level notion on small inputs.
     """
-    world = EventWorld.from_layers([(p, Origin.LAYER_P)])
-    return next(_matchings(world, budget), None) is not None
+    return next(_search(_rows([p]), budget), None) is not None

@@ -21,6 +21,12 @@ print.
 * ``BAD_PROCESS_ID``: a process id or peer outside 1..n.
 * ``SELF_CHANNEL``: a process sending to or receiving from itself.
 * ``DUPLICATE_PROCESS``: two blocks for the same process id.
+* ``TOO_MANY_PROCESSES``: a process count above :data:`MAX_PROCESSES`.
+
+A program declares at most :data:`MAX_PROCESSES` (100,000) processes. A
+number token longer than that limit is refused by its length alone, as a
+count with ``TOO_MANY_PROCESSES`` and as an id or peer with
+``BAD_PROCESS_ID``, so no token is too long for ``int``.
 
 :func:`format_program` renders a program so that parsing the result yields an
 equal program, name included.
@@ -36,6 +42,7 @@ from typing import Callable
 from .model import Program, Statement, StmtKind, program
 
 __all__ = [
+    "MAX_PROCESSES",
     "ParseError",
     "ParseErrorKind",
     "SourceSpan",
@@ -49,12 +56,16 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"[ \t\r]*(?:#.*)?(?:([{};]|[0-9]+|" + _IDENT_RE.pattern + r")|(.))?")
 _KEYWORDS = frozenset({"processes", "program", "process", "send", "recv", "assign"})
 
+# The largest process count a program may declare.
+MAX_PROCESSES = 100_000
+
 
 class ParseErrorKind(Enum):
     SYNTAX = "syntax"
     BAD_PROCESS_ID = "bad-process-id"
     SELF_CHANNEL = "self-channel"
     DUPLICATE_PROCESS = "duplicate-process"
+    TOO_MANY_PROCESSES = "too-many-processes"
 
 
 @dataclass(frozen=True)
@@ -113,9 +124,14 @@ class _Parser:
     def _expect(self, literal: str) -> None:
         self._next(repr(literal), literal.__eq__)
 
-    def _nat(self, what: str) -> tuple[int, _Tok]:
+    def _nat(self, what: str, kind: ParseErrorKind) -> tuple[int, _Tok]:
+        """A natural number and its token. One with more digits than
+        ``MAX_PROCESSES`` is refused with ``kind`` before ``int`` sees it."""
         tok = self._next(what, str.isdigit)
-        return int(tok[0]), tok
+        digits = tok[0].lstrip("0")
+        if len(digits) > len(str(MAX_PROCESSES)):
+            raise self._fail(f"{what} with {len(digits)} digits exceeds {MAX_PROCESSES}", kind, tok)
+        return int(digits or "0"), tok
 
     def _block(self, item: str, parse_item: Callable[[], None]) -> None:
         """``{`` then items until the matching ``}``."""
@@ -128,7 +144,11 @@ class _Parser:
 
     def parse_file(self) -> Program:
         self._expect("processes")
-        n, _ = self._nat("process count")
+        n, tok = self._nat("process count", ParseErrorKind.TOO_MANY_PROCESSES)
+        if n > MAX_PROCESSES:
+            raise self._fail(
+                f"process count {n} exceeds {MAX_PROCESSES}", ParseErrorKind.TOO_MANY_PROCESSES, tok
+            )
         self._expect(";")
         self._expect("program")
         name = self._next(
@@ -142,7 +162,7 @@ class _Parser:
 
     def _parse_proc(self, n: int, seqs: dict[int, list[Statement]]) -> None:
         self._expect("process")
-        pid, tok = self._nat("process id")
+        pid, tok = self._nat("process id", ParseErrorKind.BAD_PROCESS_ID)
         if not 1 <= pid <= n:
             raise self._fail(f"process id {pid} outside 1..{n}", ParseErrorKind.BAD_PROCESS_ID, tok)
         if pid in seqs:
@@ -160,7 +180,7 @@ class _Parser:
             self._next("variable name", str.isidentifier)
             self._expect(";")
             return
-        peer, tok = self._nat("peer id")
+        peer, tok = self._nat("peer id", ParseErrorKind.BAD_PROCESS_ID)
         if not 1 <= peer <= n:
             raise self._fail(f"peer {peer} outside 1..{n}", ParseErrorKind.BAD_PROCESS_ID, tok)
         if peer == pid:

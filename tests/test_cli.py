@@ -206,6 +206,35 @@ def test_parse_error_reported_with_position(tmp_path):
     assert res.stdout == "error: line 3 col 20: process 1 addresses itself [self-channel]\n"
 
 
+@pytest.mark.parametrize("count", ["1000000", "9" * 5000])
+def test_process_count_over_limit_is_parse_error(tmp_path, count):
+    big = tmp_path / "big.lsl"
+    big.write_text(f"processes {count};\nprogram p {{ }}\n")
+    res = run(["check", str(big)])
+    assert res.exit_code == 2
+    assert res.stdout.startswith("error: line 1 col 11: process count ")
+    assert res.stdout.endswith(" exceeds 100000 [too-many-processes]\n")
+
+
+def test_cli_import_leaves_the_oracle_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(layerseal.__file__).resolve().parents[1]))
+    code = (
+        "import sys, layerseal.cli, layerseal\n"
+        "assert 'layerseal.oracle' not in sys.modules\n"
+        "assert layerseal.oracle_seals is layerseal.oracle.oracle_seals\n"
+        "assert 'layerseal.oracle' in sys.modules\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_star_import_gives_every_public_name():
+    names: dict = {}
+    exec("from layerseal import *", names)
+    assert set(layerseal.__all__) <= names.keys()
+    assert names["DEFAULT_BUDGET"] is layerseal.oracle.DEFAULT_BUDGET
+
+
 def test_missing_file_is_input_error():
     res = run(["check", "/nonexistent/no.lsl"])
     assert res.exit_code == 2

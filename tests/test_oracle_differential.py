@@ -1,12 +1,33 @@
 """Differential tests widened to the oracle's real budget: the static open
 channels and ``is_seal`` against exhaustive matching enumeration on every
-program, or every pair, of scopes beyond the acceptance suite's."""
+program, or every pair, of scopes beyond the acceptance suite's, and
+composition and seal construction against the oracle on programs drawn by
+Hypothesis."""
 
 from __future__ import annotations
 
 import random
 
-from layerseal import channels_of, compute_signature, is_seal, oracle_channel_open, oracle_seals
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from layerseal import (
+    DEFAULT_BUDGET,
+    Program,
+    Statement,
+    channels_of,
+    compute_signature,
+    construct_seal,
+    expand_plan,
+    is_seal,
+    is_sealable,
+    layer,
+    oracle_channel_open,
+    oracle_seals,
+    recv,
+    send,
+    signature_compose,
+)
 from progsets import all_balanced_df_programs
 
 
@@ -36,3 +57,53 @@ def test_is_seal_matches_oracle_on_sampled_pairs_of_four_processes():
     for _ in range(1500):
         p, s = rng.choice(progs), rng.choice(progs)
         assert is_seal(p, s) == oracle_seals(p, s), (p, s)
+
+
+@st.composite
+def df_programs(draw, n: int, max_transmissions: int, name: str) -> Program:
+    """A balanced, deadlock-free program on n processes, written along one
+    of its runs: each step sends on some channel, or receives a message
+    still in flight. Every receive on a channel then comes after as many
+    sends on it, so the program graph is acyclic."""
+    chans = channels_of(n)
+    rows: list[list[Statement]] = [[] for _ in range(n)]
+    in_flight = []
+    count = draw(st.integers(0, max_transmissions))
+    sent = 0
+    while sent < count or in_flight:
+        k = draw(st.integers(0 if sent < count else 1, len(in_flight)))
+        if k == 0:
+            ch = draw(st.sampled_from(chans))
+            rows[ch.src - 1].append(send(ch.dst))
+            in_flight.append(ch)
+            sent += 1
+        else:
+            ch = in_flight.pop(k - 1)
+            rows[ch.dst - 1].append(recv(ch.src))
+    return Program(name, n, tuple(map(tuple, rows)))
+
+
+@st.composite
+def df_pairs(draw) -> tuple[Program, Program]:
+    # At most 8 + 8 events, and a probe: within the 24-event budget.
+    n = draw(st.integers(2, 4))
+    return draw(df_programs(n, 4, "p")), draw(df_programs(n, 4, "q"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(df_pairs())
+def test_composed_open_channels_match_oracle_on_the_layered_program(pq):
+    p, q = pq
+    composed = signature_compose(compute_signature(p), compute_signature(q))
+    whole = layer(p, q)
+    for ch in channels_of(p.n):
+        assert composed.leaves_open(ch) == oracle_channel_open(whole, ch), (p, q, ch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: df_programs(n, 3, "p")))
+def test_constructed_seals_pass_the_oracle(p):
+    assume(is_sealable(p))
+    seal = expand_plan(construct_seal(p), p.n)
+    assume(p.event_count + seal.event_count + p.n * (p.n - 1) <= DEFAULT_BUDGET.max_events)
+    assert oracle_seals(p, seal), p

@@ -5,23 +5,32 @@ the same answers, and the same refusals with the same messages."""
 from __future__ import annotations
 
 import random
+from collections import Counter
+from math import perm, prod
 
 import oracle_reference as ref
+import pytest
 from layerseal import (
     DEFAULT_BUDGET,
+    BadProcessId,
     BudgetExceeded,
     Channel,
+    CyclicGraph,
     EventWorld,
     OracleBudget,
+    ProcessCountMismatch,
     Program,
     ShapeError,
+    StmtKind,
     channels_of,
     deadlock_free,
     empty_program,
     enumerate_matchings,
     has_rel_run,
+    message_transmit,
     oracle_channel_open,
     oracle_seals,
+    oracle_tcc,
     program,
     recv,
     send,
@@ -96,19 +105,89 @@ def test_matches_reference_on_fixtures():
     assert isinstance(_check_world(EventWorld(3, shuffled)), list)
 
 
-def test_refusals_match_reference():
+def _grid_programs() -> list[Program]:
+    """The programs whose worlds the budget grids run over."""
     rng = random.Random(4343)
-    worlds = [
-        EventWorld.from_layers([(random_balanced_df(rng, n, 4), P)], channels_of(n))
-        for n in (2, 3, 4)
+    progs = [random_balanced_df(rng, n, 4) for n in (2, 3, 4)]
+    return progs + [program("six", 2, {1: [send(2)] * 6, 2: [recv(1)] * 6})]
+
+
+def _budget_grid(events: int) -> list[OracleBudget]:
+    """Every event budget up to ``events``, and candidate budgets on both
+    sides of 5040, the count of ``six`` with its probe."""
+    return [OracleBudget(max_events=e) for e in range(events + 1)] + [
+        OracleBudget(max_matchings=m) for m in (0, 1, 2, 6, 24, 120, 720, 5039, 5040)
     ]
-    six = program("six", 2, {1: [send(2)] * 6, 2: [recv(1)] * 6})
-    worlds.append(EventWorld.from_layers([(six, P)], [Channel(1, 2)]))
+
+
+def test_refusals_match_reference():
+    progs = _grid_programs()
+    worlds = [EventWorld.from_layers([(p, P)], channels_of(p.n)) for p in progs[:-1]]
+    worlds.append(EventWorld.from_layers([(progs[-1], P)], [Channel(1, 2)]))
     for world in worlds:
-        for events in range(world.event_count + 1):
-            _check_world(world, OracleBudget(max_events=events))
-        for matchings in (0, 1, 2, 6, 24, 120, 720, 5039, 5040):
-            _check_world(world, OracleBudget(max_matchings=matchings))
+        for budget in _budget_grid(world.event_count):
+            _check_world(world, budget)
+
+
+def test_query_refusals_match_reference():
+    # The queries build their worlds from the programs, not as EventWorlds:
+    # each must answer, or refuse with the same type and message, as the
+    # reference does on the world it stands for.
+    outcomes: dict = {}
+
+    def expected(query, world, budget):
+        # Budgets that admit the world's events and candidates admit it
+        # alike: the reference enumerates it once for all of them.
+        sends = Counter(ev.channel for row in world.events for ev in row if ev.kind is StmtKind.SEND)
+        recvs = Counter(ev.channel for row in world.events for ev in row if ev.kind is StmtKind.RECV)
+        candidates = prod(perm(sends[ch], k) for ch, k in recvs.items())
+        key = (
+            id(world),
+            min(budget.max_matchings, candidates),
+            min(budget.max_events, world.event_count),
+        )
+        if key not in outcomes:
+            outcomes[key] = _check_world(world, OracleBudget(*key[1:]))
+        return _answer(query, outcomes[key])
+
+    for p in _grid_programs():
+        outcomes.clear()  # keyed by id: the worlds of this program only
+        s = message_transmit(2, 1, p.n)
+        bare = EventWorld.from_layers([(p, P)])
+        probed = {ch: EventWorld.from_layers([(p, P)], [ch]) for ch in channels_of(p.n)}
+        pair = EventWorld.from_layers([(p, P), (s, S)], channels_of(p.n))
+        for budget in _budget_grid(pair.event_count):
+            assert _outcome(has_rel_run, p, budget) == expected(bool, bare, budget), (p, budget)
+            for ch, world in probed.items():
+                answer = expected(ref.uses_probe, world, budget)
+                assert _outcome(oracle_channel_open, p, ch, budget) == answer, (p, ch, budget)
+            answer = expected(ref.keeps_p_inside, pair, budget)
+            assert _outcome(oracle_seals, p, s, budget) == answer, (p, budget)
+
+
+def test_input_errors_come_before_budget_refusals():
+    tight = OracleBudget(max_matchings=0, max_events=0)
+    p, stuck = crossed_exchange(), deadlocked_pair()
+    with pytest.raises(BadProcessId):
+        oracle_channel_open(p, Channel(1, 3), tight)
+    with pytest.raises(BadProcessId):
+        oracle_channel_open(stuck, Channel(3, 1), tight)
+    with pytest.raises(ProcessCountMismatch):
+        oracle_seals(p, empty_program(3), tight)
+    with pytest.raises(ProcessCountMismatch):
+        oracle_seals(stuck, crossed_exchange(3), tight)
+    with pytest.raises(CyclicGraph):
+        oracle_channel_open(stuck, Channel(1, 2), tight)
+    with pytest.raises(CyclicGraph):
+        oracle_seals(stuck, p, tight)
+    with pytest.raises(CyclicGraph):
+        oracle_seals(p, stuck, tight)
+    with pytest.raises(CyclicGraph):
+        oracle_tcc(stuck, tight)
+    # has_rel_run takes deadlocking programs: only the budget refuses it.
+    with pytest.raises(BudgetExceeded):
+        has_rel_run(stuck, tight)
+    assert not has_rel_run(stuck)
 
 
 def test_shape_errors_match_reference():

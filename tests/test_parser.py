@@ -18,6 +18,7 @@ from layerseal import (
     recv,
     send,
 )
+from layerseal.parser import MAX_PROCESSES
 from progsets import random_balanced_df
 
 GOOD = """\
@@ -173,6 +174,35 @@ def test_syntax_error_spans_point_at_offender():
             parse(src)
         assert exc.value.kind is ParseErrorKind.SYNTAX
         assert exc.value.span == type(exc.value.span)(line, col), src
+
+
+def test_process_count_limit():
+    assert MAX_PROCESSES == 100_000
+    assert parse("processes 100000;\nprogram wide { }\n").n == MAX_PROCESSES
+    assert parse("processes 000100000;\nprogram wide { }\n").n == MAX_PROCESSES
+    # Counts above the limit, up to one too long for Python's int(), are
+    # refused at the number before any process is built.
+    for count in ("100001", "1000000", "0" * 9 + "1000000", "9" * 5000):
+        with pytest.raises(ParseError) as exc:
+            parse(f"processes {count};\nprogram wide {{ }}\n")
+        assert exc.value.kind is ParseErrorKind.TOO_MANY_PROCESSES
+        assert exc.value.span == type(exc.value.span)(1, 11)
+
+
+def test_oversized_ids_and_peers_are_bad_process_ids():
+    huge = "7" * 5000
+    for src, col in (
+        (f"processes 3;\nprogram p {{\n  process {huge} {{ }}\n}}\n", 11),
+        (f"processes 3;\nprogram p {{\n  process 1 {{ send {huge}; }}\n}}\n", 20),
+        ("processes 3;\nprogram p {\n  process 1 { recv 100001; }\n}\n", 20),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert exc.value.kind is ParseErrorKind.BAD_PROCESS_ID
+        assert exc.value.span == type(exc.value.span)(3, col)
+        assert len(str(exc.value)) < 100
+    # Leading zeros do not count toward a number's length.
+    assert parse("processes 3;\nprogram p { process 0000001 { send 00000002; } }\n").n == 3
 
 
 def test_error_at_end_of_input_has_span_past_last_line():
