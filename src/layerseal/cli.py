@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -29,8 +28,8 @@ from .errors import (
     Unsealable,
 )
 from .graph import deadlock_free, program_graph
-from .model import Program, channels_of
-from .parser import ParseError, format_program, parse
+from .model import Program, Record, channels_of, setfield
+from .parser import MAX_PROCESSES, ParseError, format_program, parse
 from .sealing import (
     closed_channels,
     expand_plan,
@@ -45,10 +44,31 @@ from .signature import FirstSend, LastRecv, Signature, compute_signature
 __all__ = ["CliResult", "main", "run"]
 
 
-@dataclass(frozen=True)
-class CliResult:
-    exit_code: int
-    stdout: str
+class CliResult(Record):
+    __slots__ = ("exit_code", "stdout")
+
+    def __init__(self, exit_code: int, stdout: str) -> None:
+        setfield(self, "exit_code", exit_code)
+        setfield(self, "stdout", stdout)
+
+
+def _positive(text: str) -> int:
+    """An integer argument of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
+def _process_count(text: str) -> int:
+    """A process count a program may declare."""
+    value = _positive(text)
+    if value > MAX_PROCESSES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_PROCESSES}, not {value}")
+    return value
 
 
 def _load_program(path: str) -> Program:
@@ -256,7 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("expand", help="expand a seal plan into program text")
     s.add_argument("plan")
-    s.add_argument("-n", "--processes", type=int, required=True, help="process count")
+    s.add_argument(
+        "-n", "--processes", type=_process_count, required=True, help="process count"
+    )
     s.set_defaults(handler=_cmd_expand)
 
     s = sub.add_parser(
@@ -265,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("mode", choices=["channels", "is-seal", "tcc"])
     s.add_argument("files", nargs="+")
-    s.add_argument("--budget", type=int, help="cap on enumerated matchings")
+    s.add_argument("--budget", type=_positive, help="cap on enumerated matchings")
     s.set_defaults(handler=_cmd_verify)
 
     return top

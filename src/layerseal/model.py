@@ -17,8 +17,9 @@ while slower processes are still inside the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from functools import total_ordering
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .errors import ProcessCountMismatch, Unbalanced
@@ -46,33 +47,86 @@ class StmtKind(Enum):
     RECV = "recv"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Channel:
-    """Directed channel from process ``src`` to process ``dst``."""
+# Sets a field of a Record, past its __setattr__; for use in ``__init__``.
+setfield = object.__setattr__
 
-    src: int
-    dst: int
 
-    def __post_init__(self) -> None:
-        if self.src < 1 or self.dst < 1:
-            raise ValueError(f"process ids start at 1: {self.src}->{self.dst}")
-        if self.src == self.dst:
-            raise ValueError(f"no channel from a process to itself: {self.src}")
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__``, sets them in its own
+    ``__init__`` with :data:`setfield`, and is not subclassed further.
+    Instances compare and hash by their fields, in order, and only with
+    instances of the same class, so a record never equals a plain tuple.
+    Assigning or deleting a field raises :class:`AttributeError`; copy and
+    pickle rebuild a record through its ``__init__``. Plain classes rather
+    than ``dataclasses``: that module's import, and the code it generates
+    and compiles for every class, cost each CLI call more than its analysis.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+@total_ordering
+class Channel(Record):
+    """Directed channel from process ``src`` to process ``dst``, ordered by
+    ``src`` and then ``dst``."""
+
+    __slots__ = ("src", "dst")
+
+    def __init__(self, src: int, dst: int) -> None:
+        if src < 1 or dst < 1:
+            raise ValueError(f"process ids start at 1: {src}->{dst}")
+        if src == dst:
+            raise ValueError(f"no channel from a process to itself: {src}")
+        setfield(self, "src", src)
+        setfield(self, "dst", dst)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not Channel:
+            return NotImplemented
+        return (self.src, self.dst) < (other.src, other.dst)
 
     def __str__(self) -> str:
         return f"{self.src}->{self.dst}"
 
 
-@dataclass(frozen=True, slots=True)
-class Statement:
+class Statement(Record):
     """One communication statement, owned by some process.
 
     ``peer`` is the other endpoint: the destination for a send, the source
     for a receive.
     """
 
-    kind: StmtKind
-    peer: int
+    __slots__ = ("kind", "peer")
+
+    def __init__(self, kind: StmtKind, peer: int) -> None:
+        setfield(self, "kind", kind)
+        setfield(self, "peer", peer)
 
     def __str__(self) -> str:
         return f"{self.kind.value} {self.peer}"
@@ -86,29 +140,29 @@ def recv(peer: int) -> Statement:
     return Statement(StmtKind.RECV, peer)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     """An n-process straight-line program.
 
     ``seqs[i - 1]`` is the statement sequence of process i. Every peer id
     must lie in 1..n and differ from the owning process.
     """
 
-    name: str
-    n: int
-    seqs: tuple[tuple[Statement, ...], ...]
+    __slots__ = ("name", "n", "seqs")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, name: str, n: int, seqs: tuple[tuple[Statement, ...], ...]) -> None:
+        if n < 0:
             raise ValueError("process count must be non-negative")
-        if len(self.seqs) != self.n:
-            raise ValueError(f"expected {self.n} sequences, got {len(self.seqs)}")
-        for proc, seq in enumerate(self.seqs, start=1):
+        if len(seqs) != n:
+            raise ValueError(f"expected {n} sequences, got {len(seqs)}")
+        for proc, seq in enumerate(seqs, start=1):
             for stmt in seq:
-                if not 1 <= stmt.peer <= self.n:
-                    raise ValueError(f"process {proc}: peer {stmt.peer} outside 1..{self.n}")
+                if not 1 <= stmt.peer <= n:
+                    raise ValueError(f"process {proc}: peer {stmt.peer} outside 1..{n}")
                 if stmt.peer == proc:
                     raise ValueError(f"process {proc} addresses itself")
+        setfield(self, "name", name)
+        setfield(self, "n", n)
+        setfield(self, "seqs", seqs)
 
     def statements(self, proc: int) -> tuple[Statement, ...]:
         return self.seqs[proc - 1]

@@ -50,14 +50,13 @@ p, :func:`has_rel_run` at the first matching. No state outlives a call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import perm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadProcessId, BudgetExceeded, CyclicGraph, ProcessCountMismatch, ShapeError
 from .graph import deadlock_free
-from .model import Channel, Program, StmtKind, empty_program, statement_channel
+from .model import Channel, Program, Record, StmtKind, empty_program, setfield, statement_channel
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -80,32 +79,40 @@ class Origin(Enum):
     PROBE = "probe"
 
 
-@dataclass(frozen=True)
-class WorldEvent:
+class WorldEvent(Record):
     """One event in the world: position ``pos`` within process ``proc``."""
 
-    proc: int
-    pos: int
-    kind: StmtKind
-    channel: Channel
-    origin: Origin
+    __slots__ = ("proc", "pos", "kind", "channel", "origin")
+
+    def __init__(
+        self, proc: int, pos: int, kind: StmtKind, channel: Channel, origin: Origin
+    ) -> None:
+        setfield(self, "proc", proc)
+        setfield(self, "pos", pos)
+        setfield(self, "kind", kind)
+        setfield(self, "channel", channel)
+        setfield(self, "origin", origin)
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_matchings: int = 1_000_000
-    max_events: int = 24
+class OracleBudget(Record):
+    __slots__ = ("max_matchings", "max_events")
+
+    def __init__(self, max_matchings: int = 1_000_000, max_events: int = 24) -> None:
+        setfield(self, "max_matchings", max_matchings)
+        setfield(self, "max_events", max_events)
 
 
 DEFAULT_BUDGET = OracleBudget()
 
 
-@dataclass(frozen=True)
-class EventWorld:
+class EventWorld(Record):
     """Per-process event sequences drawn from one or more layered programs."""
 
-    n: int
-    events: tuple[tuple[WorldEvent, ...], ...]
+    __slots__ = ("n", "events")
+
+    def __init__(self, n: int, events: tuple[tuple[WorldEvent, ...], ...]) -> None:
+        setfield(self, "n", n)
+        setfield(self, "events", events)
 
     @classmethod
     def from_layers(
@@ -145,11 +152,13 @@ class EventWorld:
         return sum(len(row) for row in self.events)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(Record):
     """Receive-to-send assignment, in canonical receive order."""
 
-    pairs: tuple[tuple[WorldEvent, WorldEvent], ...]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[WorldEvent, WorldEvent], ...]) -> None:
+        setfield(self, "pairs", pairs)
 
 
 def enumerate_matchings(

@@ -35,11 +35,10 @@ equal program, name included.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .model import Program, Statement, StmtKind, program
+from .model import Program, Record, Statement, StmtKind, program, setfield
 
 __all__ = [
     "MAX_PROCESSES",
@@ -68,12 +67,14 @@ class ParseErrorKind(Enum):
     TOO_MANY_PROCESSES = "too-many-processes"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """1-based line and column of the offending token."""
 
-    line: int
-    column: int
+    __slots__ = ("line", "column")
+
+    def __init__(self, line: int, column: int) -> None:
+        setfield(self, "line", line)
+        setfield(self, "column", column)
 
 
 class ParseError(Exception):

@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 from .errors import BadProcessId, InvariantViolation, ProcessCountMismatch, Unsealable
-from .model import Program, program, recv, send
+from .model import Program, Record, program, recv, send, setfield
 from .signature import Signature, compute_signature
 
 __all__ = [
@@ -67,12 +66,14 @@ class Phase(Enum):
     BROADCAST = "broadcast"
 
 
-@dataclass(frozen=True)
-class ClosedChannelGraph:
+class ClosedChannelGraph(Record):
     """Directed graph over process ids; an edge (i, j) means i->j is closed."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
+        setfield(self, "n", n)
+        setfield(self, "edges", edges)
 
     def undirected_adjacency(self) -> dict[int, list[int]]:
         return _undirected(self.n, self.edges)
@@ -81,16 +82,18 @@ class ClosedChannelGraph:
         return self.n <= 1 or len(_bfs(self.undirected_adjacency(), 1)) == self.n
 
 
-@dataclass(frozen=True)
-class SealPlan:
+class SealPlan(Record):
     """Ordered single-message transmissions realizing a seal."""
 
-    transmissions: tuple[tuple[int, int], ...]
-    phase_tags: tuple[Phase, ...]
+    __slots__ = ("transmissions", "phase_tags")
 
-    def __post_init__(self) -> None:
-        if len(self.transmissions) != len(self.phase_tags):
+    def __init__(
+        self, transmissions: tuple[tuple[int, int], ...], phase_tags: tuple[Phase, ...]
+    ) -> None:
+        if len(transmissions) != len(phase_tags):
             raise ValueError("one phase tag per transmission")
+        setfield(self, "transmissions", transmissions)
+        setfield(self, "phase_tags", phase_tags)
 
 
 def closed_channels(p: Program) -> ClosedChannelGraph:

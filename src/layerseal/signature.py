@@ -34,13 +34,12 @@ surviving first send, rcv:j<i for a surviving last receive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import le
 
 from .errors import InvariantViolation, ProcessCountMismatch
 from .graph import vector_clocks
-from .model import Channel, Program, StmtKind
+from .model import Channel, Program, Record, StmtKind, setfield
 
 __all__ = [
     "FirstSend",
@@ -55,44 +54,52 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FstDummy:
+class FstDummy(Record):
     """Entry marker of one process; precedes all its events."""
 
-    proc: int
+    __slots__ = ("proc",)
+
+    def __init__(self, proc: int) -> None:
+        setfield(self, "proc", proc)
 
     @property
     def name(self) -> str:
         return f"fst_{self.proc}"
 
 
-@dataclass(frozen=True)
-class LstDummy:
+class LstDummy(Record):
     """Exit marker of one process; follows all its events."""
 
-    proc: int
+    __slots__ = ("proc",)
+
+    def __init__(self, proc: int) -> None:
+        setfield(self, "proc", proc)
 
     @property
     def name(self) -> str:
         return f"lst_{self.proc}"
 
 
-@dataclass(frozen=True)
-class FirstSend:
+class FirstSend(Record):
     """Earliest send on a channel that the receiver's past cannot see."""
 
-    channel: Channel
+    __slots__ = ("channel",)
+
+    def __init__(self, channel: Channel) -> None:
+        setfield(self, "channel", channel)
 
     @property
     def name(self) -> str:
         return f"snd:{self.channel.src}>{self.channel.dst}"
 
 
-@dataclass(frozen=True)
-class LastRecv:
+class LastRecv(Record):
     """Latest receive on a channel, still exposed to future sends."""
 
-    channel: Channel
+    __slots__ = ("channel",)
+
+    def __init__(self, channel: Channel) -> None:
+        setfield(self, "channel", channel)
 
     @property
     def name(self) -> str:

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 import layerseal
 from layerseal import format_program, message_transmit, parse
-from layerseal.cli import run
+from layerseal.cli import CliResult, run
+from layerseal.parser import MAX_PROCESSES
 from progsets import bystander_sealable, crossed_exchange, deadlocked_pair, gather_phase
 
 MT = """\
@@ -134,6 +135,20 @@ def test_seal_writes_plan_and_expand_round_trips(tmp_path, mt_file):
     assert check.exit_code == 0
 
 
+def test_expand_process_count_limit(tmp_path, capsys):
+    plan = tmp_path / "p.plan"
+    plan.write_text("1 -> 2 [broadcast]\n")
+    res = run(["expand", str(plan), "-n", str(MAX_PROCESSES)])
+    assert res.exit_code == 0
+    assert res.stdout.startswith(f"processes {MAX_PROCESSES};\n")
+    expanded = tmp_path / "p.lsl"
+    expanded.write_text(res.stdout)
+    assert run(["check", str(expanded)]) == CliResult(0, "balanced: true\ndeadlock_free: true\n")
+    for count in (MAX_PROCESSES + 1, 0):
+        assert run(["expand", str(plan), "-n", str(count)]) == CliResult(2, "")
+        assert "error: argument -n/--processes: must be at" in capsys.readouterr().err
+
+
 def test_seal_unsealable(tmp_path):
     res = run(["seal", _write(tmp_path, "x.lsl", crossed_exchange())])
     assert res.exit_code == 1
@@ -189,6 +204,13 @@ def test_verify_budget_exhaustion(tmp_path):
     assert res.stdout.startswith("error:")
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_verify_budget_below_one_is_usage_error(mt_file, capsys, budget):
+    res = run(["verify", "channels", mt_file, "--budget", budget])
+    assert res.exit_code == 2
+    assert f"error: argument --budget: must be at least 1, not {budget}\n" in capsys.readouterr().err
+
+
 def test_verify_wrong_arity(mt_file, ack_file):
     res = run(["verify", "tcc", mt_file, ack_file])
     assert res.exit_code == 2
@@ -217,14 +239,22 @@ def test_process_count_over_limit_is_parse_error(tmp_path, count):
 
 
 def test_cli_import_leaves_the_oracle_unloaded():
+    # Every CLI call pays for its imports, and for compiling them where no
+    # bytecode is cached: the library loads no ``dataclasses`` and none of
+    # the modules it pulls in. ``-S`` keeps site-packages from loading them.
     env = dict(os.environ, PYTHONPATH=str(Path(layerseal.__file__).resolve().parents[1]))
     code = (
         "import sys, layerseal.cli, layerseal\n"
+        "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}\n"
+        "assert not heavy & sys.modules.keys(), heavy & sys.modules.keys()\n"
         "assert 'layerseal.oracle' not in sys.modules\n"
         "assert layerseal.oracle_seals is layerseal.oracle.oracle_seals\n"
         "assert 'layerseal.oracle' in sys.modules\n"
+        "assert not heavy & sys.modules.keys(), heavy & sys.modules.keys()\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
     assert done.returncode == 0, done.stderr
 
 

@@ -2,14 +2,30 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerseal import (
     Channel,
+    ClosedChannelGraph,
+    EventWorld,
+    FirstSend,
+    FstDummy,
+    LastRecv,
+    LstDummy,
+    Matching,
+    OracleBudget,
+    Phase,
     ProcessCountMismatch,
     Program,
+    SealPlan,
+    SourceSpan,
+    Statement,
+    StmtKind,
     Unbalanced,
     channels_of,
     empty_program,
@@ -21,6 +37,8 @@ from layerseal import (
     recv,
     send,
 )
+from layerseal.cli import CliResult
+from layerseal.oracle import Origin, WorldEvent
 
 
 def test_channel_validation():
@@ -162,3 +180,60 @@ def test_event_count():
     assert message_transmit(1, 2, 2).event_count == 2
     p = Program("p", 2, ((send(2), send(2)), (recv(1), recv(1))))
     assert p.event_count == 4
+
+
+_EVENT = WorldEvent(1, 0, StmtKind.SEND, Channel(1, 2), Origin.PROBE)
+
+# Every value class of the package: its fields in order, and for the ones
+# that validate their fields, a field value that must raise ValueError.
+RECORDS = [
+    (Channel, {"src": 1, "dst": 2}, {"dst": 1}),
+    (Statement, {"kind": StmtKind.SEND, "peer": 2}, None),
+    (Program, {"name": "p", "n": 2, "seqs": ((send(2),), (recv(1),))}, {"n": 1}),
+    (SourceSpan, {"line": 3, "column": 7}, None),
+    (FstDummy, {"proc": 1}, None),
+    (LstDummy, {"proc": 1}, None),
+    (FirstSend, {"channel": Channel(1, 2)}, None),
+    (LastRecv, {"channel": Channel(1, 2)}, None),
+    (ClosedChannelGraph, {"n": 2, "edges": frozenset({(2, 1)})}, None),
+    (SealPlan, {"transmissions": ((1, 2),), "phase_tags": (Phase.BROADCAST,)}, {"phase_tags": ()}),
+    (CliResult, {"exit_code": 1, "stdout": "seals: false\n"}, None),
+    (WorldEvent, {"proc": 1, "pos": 0, "kind": StmtKind.SEND, "channel": Channel(1, 2),
+                  "origin": Origin.PROBE}, None),
+    (OracleBudget, {"max_matchings": 6, "max_events": 5}, None),
+    (EventWorld, {"n": 2, "events": ((_EVENT,), ())}, None),
+    (Matching, {"pairs": ((_EVENT, _EVENT),)}, None),
+]
+
+
+@pytest.mark.parametrize("cls, fields, invalid", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_immutable_values(cls, fields, invalid):
+    values = tuple(fields.values())
+    a, b = cls(*values), cls(**fields)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert [getattr(a, name) for name in fields] == list(values)
+    # A record equals no plain tuple, so tuple keys and records never alias.
+    assert a != values and values != a and a != values[0]
+    assert repr(a).startswith(f"{cls.__name__}(")
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 0
+    # Equality holds only within one class: FstDummy(1) is not LstDummy(1).
+    for other, other_fields, _ in RECORDS:
+        if other is not cls and other_fields.keys() == fields.keys():
+            assert a != other(**fields)
+    if invalid is not None:
+        with pytest.raises(ValueError):
+            cls(**{**fields, **invalid})
+    if cls is Channel:
+        assert a < Channel(1, 3) < Channel(2, 1) and Channel(2, 1) >= a
+        with pytest.raises(TypeError):
+            a < values
+    if cls is OracleBudget:
+        assert OracleBudget() == OracleBudget(1_000_000, 24)
+        assert OracleBudget(max_events=3) == OracleBudget(1_000_000, 3)

@@ -20,6 +20,20 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_does_not_import_dataclasses():
+    # Importing ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and
+    # ``tokenize``, and every dataclass compiles generated code at import:
+    # together more than the analysis of a typical CLI call.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((PROJECT / "src" / "layerseal").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert found == []
+
+
 def test_readme_python_example_runs():
     readme = (PROJECT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
