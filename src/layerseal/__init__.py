@@ -63,10 +63,7 @@ from .sealing import (
     seal_signature,
 )
 from .signature import (
-    FirstSend,
-    FstDummy,
-    LastRecv,
-    LstDummy,
+    SigNode,
     Signature,
     compute_signature,
     signature_compose,
@@ -82,11 +79,7 @@ __all__ = [
     "CyclicGraph",
     "DEFAULT_BUDGET",
     "EventWorld",
-    "FirstSend",
-    "FstDummy",
     "InvariantViolation",
-    "LastRecv",
-    "LstDummy",
     "Matching",
     "OracleBudget",
     "ParseError",
@@ -96,6 +89,7 @@ __all__ = [
     "ProcessCountMismatch",
     "SealPlan",
     "ShapeError",
+    "SigNode",
     "Signature",
     "SourceSpan",
     "Statement",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .errors import (
@@ -31,7 +32,6 @@ from .graph import deadlock_free, program_graph
 from .model import Program, Record, channels_of, setfield
 from .parser import MAX_PROCESSES, ParseError, format_program, parse
 from .sealing import (
-    closed_channels,
     expand_plan,
     format_plan,
     is_seal,
@@ -39,7 +39,7 @@ from .sealing import (
     parse_plan,
     seal_signature,
 )
-from .signature import FirstSend, LastRecv, Signature, compute_signature
+from .signature import Signature, compute_signature
 
 __all__ = ["CliResult", "main", "run"]
 
@@ -79,13 +79,21 @@ def _quote(name: str) -> str:
     return '"' + name.replace('"', '\\"') + '"'
 
 
-def _dot_program_graph(nodes: list[str], edges: list[tuple[str, str]]) -> str:
-    lines = ["digraph program_graph {", "  rankdir=LR;"]
+def _dot(
+    graph: str,
+    nodes: list[str],
+    edges: list[tuple[str, str]],
+    implied: Callable[[str, str], bool] = lambda a, b: False,
+) -> str:
+    """DOT text: dummies as boxes, events as circles, and each edge that
+    ``implied`` marks drawn thin."""
+    lines = [f"digraph {graph} {{", "  rankdir=LR;"]
     for name in nodes:
         shape = "box" if name.startswith(("fst_", "lst_")) else "circle"
         lines.append(f"  {_quote(name)} [shape={shape}];")
     for a, b in edges:
-        lines.append(f"  {_quote(a)} -> {_quote(b)};")
+        attr = ' [penwidth="0.5"]' if implied(a, b) else ""
+        lines.append(f"  {_quote(a)} -> {_quote(b)}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -94,22 +102,14 @@ def _dot_signature(sig: Signature) -> str:
     # Edges implied by other edges transitively are drawn thin, so the
     # direct causality skeleton stands out. An edge a -> b is implied when
     # some successor of a is a predecessor of b.
-    edges = sig.sorted_edges()
-    succ: dict = {}
-    pred: dict = {}
+    edges = [(a.name, b.name) for a, b in sig.sorted_edges()]
+    succ: dict[str, set[str]] = {}
+    pred: dict[str, set[str]] = {}
     for a, b in edges:
         succ.setdefault(a, set()).add(b)
         pred.setdefault(b, set()).add(a)
-    lines = ["digraph signature {", "  rankdir=LR;"]
-    for node in sig.sorted_nodes():
-        shape = "circle" if isinstance(node, (FirstSend, LastRecv)) else "box"
-        lines.append(f"  {_quote(node.name)} [shape={shape}];")
-    for a, b in edges:
-        implied = not succ[a].isdisjoint(pred[b])
-        attr = ' [penwidth="0.5"]' if implied else ""
-        lines.append(f"  {_quote(a.name)} -> {_quote(b.name)}{attr};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = [v.name for v in sig.sorted_nodes()]
+    return _dot("signature", nodes, edges, lambda a, b: not succ[a].isdisjoint(pred[b]))
 
 
 def _cmd_check(ns: argparse.Namespace) -> CliResult:
@@ -124,7 +124,7 @@ def _cmd_check(ns: argparse.Namespace) -> CliResult:
 def _cmd_graph(ns: argparse.Namespace) -> CliResult:
     nodes, edges = program_graph(_load_program(ns.file))
     if ns.dot:
-        return CliResult(0, _dot_program_graph(nodes, edges))
+        return CliResult(0, _dot("program_graph", nodes, edges))
     lines = [f"nodes: {len(nodes)}", f"edges: {len(edges)}"]
     lines += [f"node: {name}" for name in nodes]
     lines += [f"edge: {a} -> {b}" for a, b in edges]
@@ -143,14 +143,13 @@ def _cmd_sig(ns: argparse.Namespace) -> CliResult:
 
 
 def _cmd_channels(ns: argparse.Namespace) -> CliResult:
-    p = _load_program(ns.file)
-    closed = closed_channels(p)
-    all_pairs = [(c.src, c.dst) for c in channels_of(p.n)]
-    open_pairs = [pair for pair in all_pairs if pair not in closed.edges]
-    lines = [f"closed: {i}->{j}" for i, j in sorted(closed.edges)]
-    lines += [f"open: {i}->{j}" for i, j in open_pairs]
-    lines.append(f"closed_count: {len(closed.edges)}")
-    lines.append(f"open_count: {len(open_pairs)}")
+    sig = compute_signature(_load_program(ns.file))
+    procs = range(1, sig.n + 1)
+    closed = [(i, j) for i in procs for j in procs if i != j and (i, j) not in sig.recvs]
+    opened = sorted(sig.recvs)
+    lines = [f"closed: {i}->{j}" for i, j in closed] + [f"open: {i}->{j}" for i, j in opened]
+    lines.append(f"closed_count: {len(closed)}")
+    lines.append(f"open_count: {len(opened)}")
     return CliResult(0, "\n".join(lines) + "\n")
 
 
@@ -168,7 +167,7 @@ def _cmd_is_seal(ns: argparse.Namespace) -> CliResult:
 
 def _cmd_seal(ns: argparse.Namespace) -> CliResult:
     sig = compute_signature(_load_program(ns.file))
-    open_count = len(sig.open_channels())
+    open_count = len(sig.recvs)
     try:
         plan = seal_signature(sig)
     except Unsealable:

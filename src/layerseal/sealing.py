@@ -42,6 +42,7 @@ from typing import Iterable
 
 from .errors import BadProcessId, InvariantViolation, ProcessCountMismatch, Unsealable
 from .model import Program, Record, program, recv, send, setfield
+from .parser import MAX_PROCESSES
 from .signature import Signature, compute_signature
 
 __all__ = [
@@ -298,7 +299,10 @@ def format_plan(plan: SealPlan) -> str:
 
 
 def parse_plan(text: str) -> SealPlan:
-    """Inverse of :func:`format_plan`; blank lines and ``#`` comments allowed."""
+    """Inverse of :func:`format_plan`; blank lines and ``#`` comments allowed.
+
+    Raises :class:`ValueError` naming the line for a line that does not
+    parse, an unknown phase, or a process id above ``MAX_PROCESSES``."""
     transmissions: list[tuple[int, int]] = []
     tags: list[Phase] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -309,6 +313,15 @@ def parse_plan(text: str) -> SealPlan:
         if m is None:
             raise ValueError(f"plan line {lineno}: cannot parse {raw!r}")
         src, dst, tag = m.groups()
+        # Judged by length before ``int``, which refuses a number of more
+        # than 4300 digits with an error that names no line.
+        for number in (src, dst):
+            digits = number.lstrip("0")
+            if len(digits) > len(str(MAX_PROCESSES)):
+                raise ValueError(
+                    f"plan line {lineno}: process id with {len(digits)} digits"
+                    f" exceeds {MAX_PROCESSES}"
+                )
         try:
             phase = Phase(tag) if tag else Phase.DIRECT_CLOSE
         except ValueError:

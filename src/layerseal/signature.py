@@ -18,8 +18,12 @@ send per channel, and the last receive per channel, then
 
 A channel i->j is left open exactly when its last-receive node survives.
 Each kept node carries its process, its position there and its clock, which
-is all any later question needs: the edges between kept nodes, the causal
-order restricted to them, are read off the clocks on demand.
+is all any later question needs. The identity of a signature is its ranked
+clocks: every entry k of a kept node's clock replaced by its rank among the
+kept positions on process k. Two signatures have the same edges, the causal
+order restricted to their kept nodes, exactly when their kept channels and
+ranked clocks agree, so equality and hashing never list an edge. The node
+and edge sets are read off the clocks on first use, for listing only.
 
 Signatures compose: :func:`signature_compose` computes the signature of a
 layered program from the two signatures alone, without revisiting the
@@ -28,12 +32,14 @@ second layer moves up by the first layer's event count on its process, and
 for every fst_k that precedes it in its own layer it inherits the clock of
 the first layer's lst_k, which the gluing of lst_k to fst_k puts before it.
 
-Node names are stable: fst_i / lst_i for the dummies, snd:i>j for a
-surviving first send, rcv:j<i for a surviving last receive.
+Every node is a :class:`SigNode` known by a stable name: fst_i / lst_i for
+the dummies, snd:i>j for a surviving first send, rcv:j<i for a surviving
+last receive.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
 from operator import le
 
@@ -42,10 +48,6 @@ from .graph import vector_clocks
 from .model import Channel, Program, Record, StmtKind, setfield
 
 __all__ = [
-    "FirstSend",
-    "FstDummy",
-    "LastRecv",
-    "LstDummy",
     "SigNode",
     "Signature",
     "compute_signature",
@@ -54,59 +56,16 @@ __all__ = [
 ]
 
 
-class FstDummy(Record):
-    """Entry marker of one process; precedes all its events."""
+class SigNode(Record):
+    """A kept node of a signature, known by its name: ``fst_k``, ``lst_k``,
+    ``snd:i>j`` or ``rcv:j<i``."""
 
-    __slots__ = ("proc",)
+    __slots__ = ("name",)
 
-    def __init__(self, proc: int) -> None:
-        setfield(self, "proc", proc)
-
-    @property
-    def name(self) -> str:
-        return f"fst_{self.proc}"
+    def __init__(self, name: str) -> None:
+        setfield(self, "name", name)
 
 
-class LstDummy(Record):
-    """Exit marker of one process; follows all its events."""
-
-    __slots__ = ("proc",)
-
-    def __init__(self, proc: int) -> None:
-        setfield(self, "proc", proc)
-
-    @property
-    def name(self) -> str:
-        return f"lst_{self.proc}"
-
-
-class FirstSend(Record):
-    """Earliest send on a channel that the receiver's past cannot see."""
-
-    __slots__ = ("channel",)
-
-    def __init__(self, channel: Channel) -> None:
-        setfield(self, "channel", channel)
-
-    @property
-    def name(self) -> str:
-        return f"snd:{self.channel.src}>{self.channel.dst}"
-
-
-class LastRecv(Record):
-    """Latest receive on a channel, still exposed to future sends."""
-
-    __slots__ = ("channel",)
-
-    def __init__(self, channel: Channel) -> None:
-        setfield(self, "channel", channel)
-
-    @property
-    def name(self) -> str:
-        return f"rcv:{self.channel.dst}<{self.channel.src}"
-
-
-SigNode = FstDummy | LstDummy | FirstSend | LastRecv
 SigEdge = tuple[SigNode, SigNode]
 # A kept node's position on its process and its vector clock.
 Point = tuple[int, tuple[int, ...]]
@@ -123,8 +82,9 @@ class Signature:
     i->j, on process i, and ``recvs[(i, j)]`` the kept last receive on it,
     on process j. fst_k is implicit: position 0, clock -1 but for its own 0.
 
-    ``nodes`` and ``edges`` are derived on first use and then kept;
-    ``edges`` holds every causally ordered pair of distinct nodes.
+    ``nodes`` and ``edges`` are derived on first use and then kept, for
+    listing only; ``edges`` holds every causally ordered pair of distinct
+    nodes. Equality and hashing use the ranked clocks alone.
     """
 
     def __init__(
@@ -140,19 +100,42 @@ class Signature:
         self.recvs = recvs
 
     @cached_property
+    def _key(self) -> tuple:
+        """The identity of the signature: its kept channels and every kept
+        node's clock with entry k replaced by its rank among the kept
+        positions on process k, which counts the kept nodes of k at or
+        before the node. fst_k's clock is the same in every signature over
+        n processes, so it is left out."""
+        kept = [[0, pos] for pos, _ in self.exits]
+        for (i, _), (pos, _) in self.sends.items():
+            kept[i - 1].append(pos)
+        for (_, j), (pos, _) in self.recvs.items():
+            kept[j - 1].append(pos)
+        for positions in kept:
+            positions.sort()
+
+        def rank(clock: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple(map(bisect_right, kept, clock))
+
+        exits = tuple(rank(clock) for _, clock in self.exits)
+        sends = tuple(sorted((ch, rank(clock)) for ch, (_, clock) in self.sends.items()))
+        recvs = tuple(sorted((ch, rank(clock)) for ch, (_, clock) in self.recvs.items()))
+        return self.n, exits, sends, recvs
+
+    @cached_property
     def _points(self) -> dict[SigNode, tuple[int, int, tuple[int, ...]]]:
         """Every node with its process, position and clock, in print order:
         fst and then lst by process, first sends and then last receives by
         channel."""
-        points: dict[SigNode, tuple[int, int, tuple[int, ...]]] = {
-            FstDummy(k): (k, 0, _entry_clock(self.n, k)) for k in range(1, self.n + 1)
+        points = {
+            SigNode(f"fst_{k}"): (k, 0, _entry_clock(self.n, k)) for k in range(1, self.n + 1)
         }
         for k, (pos, clock) in enumerate(self.exits, start=1):
-            points[LstDummy(k)] = (k, pos, clock)
+            points[SigNode(f"lst_{k}")] = (k, pos, clock)
         for (i, j), (pos, clock) in sorted(self.sends.items()):
-            points[FirstSend(Channel(i, j))] = (i, pos, clock)
+            points[SigNode(f"snd:{i}>{j}")] = (i, pos, clock)
         for (i, j), (pos, clock) in sorted(self.recvs.items()):
-            points[LastRecv(Channel(i, j))] = (j, pos, clock)
+            points[SigNode(f"rcv:{j}<{i}")] = (j, pos, clock)
         return points
 
     @cached_property
@@ -188,7 +171,7 @@ class Signature:
         return signature_equal(self, other)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.nodes))
+        return hash(self._key)
 
 
 def _check(sig: Signature) -> Signature:
@@ -304,5 +287,11 @@ def signature_compose(sp: Signature, sq: Signature) -> Signature:
 
 
 def signature_equal(a: Signature, b: Signature) -> bool:
-    """Exact equality under canonical node identity."""
-    return a.n == b.n and a.nodes == b.nodes and a.edges == b.edges
+    """True when the two signatures have the same nodes and the same edges.
+
+    The ranked clocks fix the edges: a node on process k precedes another
+    exactly when the other's ranked entry k reaches the node's own rank; and
+    the edges fix the ranked clocks, as counts of predecessors per process.
+    O(|sig| n log n) the first time a signature is compared or hashed, and
+    O(|sig| n) after that."""
+    return a._key == b._key

@@ -3,10 +3,13 @@
 Before vector clocks, a signature was read off the transitive closure of
 the explicit program graph, and composition glued two signatures as a
 tagged graph and closed it again. All three are restated here, the graph
-with its own send/receive pairing, so that the clock-based
-:func:`compute_signature` and :func:`signature_compose` can be required to
-equal them exactly without sharing code with them. A reference signature
-is a triple ``(n, nodes, edges)``.
+with its own send/receive pairing and its own node types, so that the
+clock-based :func:`compute_signature` and :func:`signature_compose` can be
+required to equal them exactly without sharing code with them. A reference
+signature is a triple ``(n, nodes, edges)``; :func:`by_name` and
+:func:`listed` put it and a library signature in the same terms, node
+names. :func:`edge_sets` keeps the comparison ``signature_equal`` made
+before signatures were compared by their ranked clocks.
 """
 
 from __future__ import annotations
@@ -17,11 +20,8 @@ from typing import Hashable, Iterable, TypeVar
 from layerseal import (
     Channel,
     CyclicGraph,
-    FirstSend,
-    FstDummy,
-    LastRecv,
-    LstDummy,
     Program,
+    Signature,
     StmtKind,
     Unbalanced,
 )
@@ -30,8 +30,45 @@ N = TypeVar("N", bound=Hashable)
 
 
 @dataclass(frozen=True)
+class FstDummy:
+    proc: int
+
+    @property
+    def name(self) -> str:
+        return f"fst_{self.proc}"
+
+
+@dataclass(frozen=True)
+class LstDummy:
+    proc: int
+
+    @property
+    def name(self) -> str:
+        return f"lst_{self.proc}"
+
+
+@dataclass(frozen=True)
+class FirstSend:
+    channel: Channel
+
+    @property
+    def name(self) -> str:
+        return f"snd:{self.channel.src}>{self.channel.dst}"
+
+
+@dataclass(frozen=True)
+class LastRecv:
+    channel: Channel
+
+    @property
+    def name(self) -> str:
+        return f"rcv:{self.channel.dst}<{self.channel.src}"
+
+
+@dataclass(frozen=True, eq=False)
 class Event:
-    """The statement at 0-based ``index`` of process ``proc``."""
+    """The statement at 0-based ``index`` of process ``proc``. Each graph
+    builds every event once, so events compare and hash by identity."""
 
     proc: int
     index: int
@@ -202,3 +239,20 @@ def closure_compose(sp: RefSignature, sq: RefSignature) -> RefSignature:
     out_nodes = frozenset(v for _, v in survivors)
     out_edges = frozenset((a[1], b[1]) for a, b in closed if a in survivors and b in survivors)
     return n, out_nodes, out_edges
+
+
+def by_name(ref: RefSignature) -> RefSignature:
+    """A reference signature with every node replaced by its name."""
+    n, nodes, edges = ref
+    return n, frozenset(v.name for v in nodes), frozenset((a.name, b.name) for a, b in edges)
+
+
+def listed(sig: Signature) -> RefSignature:
+    """A library signature's node and edge listing, by name."""
+    return by_name((sig.n, sig.nodes, sig.edges))
+
+
+def edge_sets(sig: Signature) -> RefSignature:
+    """A signature as its materialised node set and edge set; two
+    signatures were equal when these were."""
+    return sig.n, sig.nodes, sig.edges

@@ -12,9 +12,9 @@ import time
 from layerseal import (
     BudgetExceeded,
     Channel,
-    LastRecv,
     ParseError,
     ParseErrorKind,
+    SigNode,
     Unsealable,
     channels_of,
     closed_channels,
@@ -120,7 +120,7 @@ def test_criterion_3_open_channels_match_oracle():
     for p in _enum_programs():
         sig = compute_signature(p)
         for ch in channels_of(p.n):
-            static = LastRecv(ch) in sig.nodes
+            static = SigNode(f"rcv:{ch.dst}<{ch.src}") in sig.nodes
             dynamic = oracle_channel_open(p, ch)
             checked += 1
             if static != dynamic:

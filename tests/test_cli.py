@@ -149,6 +149,13 @@ def test_expand_process_count_limit(tmp_path, capsys):
         assert "error: argument -n/--processes: must be at" in capsys.readouterr().err
 
 
+def test_expand_refuses_a_long_number_with_its_plan_line(tmp_path):
+    plan = tmp_path / "long.plan"
+    plan.write_text("1 -> 2\n# many digits\n2 -> " + "9" * 5000 + "\n")
+    res = run(["expand", str(plan), "-n", "2"])
+    assert res == CliResult(2, f"error: plan line 3: process id with 5000 digits exceeds {MAX_PROCESSES}\n")
+
+
 def test_seal_unsealable(tmp_path):
     res = run(["seal", _write(tmp_path, "x.lsl", crossed_exchange())])
     assert res.exit_code == 1

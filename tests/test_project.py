@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
+
+import layerseal
 
 PROJECT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +43,20 @@ def test_readme_python_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_exported_name_resolves():
+    # A name left in ``__all__`` after its definition is gone fails here,
+    # the oracle's names through the package's lazy ``__getattr__``.
+    modules = [layerseal] + [
+        importlib.import_module(f"layerseal.{path.stem}")
+        for path in sorted((PROJECT / "src" / "layerseal").glob("*.py"))
+        if not path.stem.startswith("_")
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert missing == []

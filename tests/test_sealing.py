@@ -213,6 +213,11 @@ def test_parse_plan_errors():
         parse_plan("2 => 1\n")
     with pytest.raises(ValueError):
         parse_plan("2 -> 1 [sideways]\n")
+    # A number is judged by its length before ``int`` sees it.
+    for digits in (7, 5000):
+        with pytest.raises(ValueError, match=f"^plan line 2: process id with {digits} digits"):
+            parse_plan("1 -> 2\n" + "9" * digits + " -> 1\n")
+    assert parse_plan("000100000 -> 1\n").transmissions == ((100000, 1),)
 
 
 def test_sealing_composes_with_extra_layers():

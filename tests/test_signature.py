@@ -8,12 +8,9 @@ import pytest
 from layerseal import (
     Channel,
     CyclicGraph,
-    FirstSend,
-    FstDummy,
     InvariantViolation,
-    LastRecv,
-    LstDummy,
     ProcessCountMismatch,
+    SigNode,
     Unbalanced,
     compute_signature,
     empty_program,
@@ -35,6 +32,23 @@ from progsets import (
 )
 
 
+def fst(k):
+    return SigNode(f"fst_{k}")
+
+
+def lst(k):
+    return SigNode(f"lst_{k}")
+
+
+def snd(i, j):
+    return SigNode(f"snd:{i}>{j}")
+
+
+def rcv(i, j):
+    """The last receive on channel i->j, which process j makes."""
+    return SigNode(f"rcv:{j}<{i}")
+
+
 def test_signature_requires_balance_and_acyclicity():
     with pytest.raises(Unbalanced):
         compute_signature(program("p", 2, {1: [send(2)]}))
@@ -46,34 +60,27 @@ def test_signature_requires_balance_and_acyclicity():
 
 def test_empty_signature_is_dummies_only():
     sig = compute_signature(empty_program(3))
-    assert sig.nodes == frozenset(
-        {FstDummy(i) for i in (1, 2, 3)} | {LstDummy(i) for i in (1, 2, 3)}
-    )
-    assert sig.edges == frozenset(
-        {(FstDummy(i), LstDummy(i)) for i in (1, 2, 3)}
-    )
+    assert sig.nodes == frozenset({fst(i) for i in (1, 2, 3)} | {lst(i) for i in (1, 2, 3)})
+    assert sig.edges == frozenset({(fst(i), lst(i)) for i in (1, 2, 3)})
     assert sig.open_channels() == []
 
 
 def test_message_transmit_signature_frozen():
     sig = compute_signature(message_transmit(1, 2, 2))
-    snd = FirstSend(Channel(1, 2))
-    rcv_node = LastRecv(Channel(1, 2))
-    assert sig.nodes == frozenset(
-        {FstDummy(1), FstDummy(2), LstDummy(1), LstDummy(2), snd, rcv_node}
-    )
+    s, r = snd(1, 2), rcv(1, 2)
+    assert sig.nodes == frozenset({fst(1), fst(2), lst(1), lst(2), s, r})
     assert sig.edges == frozenset(
         {
-            (FstDummy(1), LstDummy(1)),
-            (FstDummy(1), LstDummy(2)),
-            (FstDummy(1), snd),
-            (FstDummy(1), rcv_node),
-            (FstDummy(2), LstDummy(2)),
-            (FstDummy(2), rcv_node),
-            (snd, LstDummy(1)),
-            (snd, LstDummy(2)),
-            (snd, rcv_node),
-            (rcv_node, LstDummy(2)),
+            (fst(1), lst(1)),
+            (fst(1), lst(2)),
+            (fst(1), s),
+            (fst(1), r),
+            (fst(2), lst(2)),
+            (fst(2), r),
+            (s, lst(1)),
+            (s, lst(2)),
+            (s, r),
+            (r, lst(2)),
         }
     )
     assert sig.open_channels() == [Channel(1, 2)]
@@ -86,8 +93,8 @@ def test_acknowledged_transmit_closes_the_channel():
     # 1->2 can reach it; 1's receive ends the program, so 2->1 stays open.
     assert not sig.leaves_open(Channel(1, 2))
     assert sig.leaves_open(Channel(2, 1))
-    assert LastRecv(Channel(1, 2)) not in sig.nodes
-    assert FirstSend(Channel(1, 2)) in sig.nodes
+    assert rcv(1, 2) not in sig.nodes
+    assert snd(1, 2) in sig.nodes
 
 
 def test_first_send_dropped_when_receiver_precedes_it():
@@ -95,8 +102,8 @@ def test_first_send_dropped_when_receiver_precedes_it():
     # already happens-before 1's send: the send is not externally visible.
     p = program("p", 2, {1: [recv(2), send(2)], 2: [send(1), recv(1)]})
     sig = compute_signature(p)
-    assert FirstSend(Channel(1, 2)) not in sig.nodes
-    assert FirstSend(Channel(2, 1)) in sig.nodes
+    assert snd(1, 2) not in sig.nodes
+    assert snd(2, 1) in sig.nodes
 
 
 def test_crossed_exchange_keeps_both_channels_open():
@@ -191,6 +198,19 @@ def test_distinct_programs_can_share_a_signature():
     assert signature_equal(a, b)
     assert a == b and hash(a) == hash(b)
     assert a != compute_signature(message_transmit(2, 1, 2))
+
+
+def test_equality_and_hash_list_no_nodes_or_edges():
+    n = 5
+    p = gather_phase(n)
+    direct = compute_signature(layer(p, p))
+    composed = signature_compose(compute_signature(p), compute_signature(p))
+    other = compute_signature(empty_program(n))
+    assert direct == composed and hash(direct) == hash(composed)
+    assert signature_equal(direct, composed) and direct != other
+    assert {direct, composed, other} == {direct, other}
+    for sig in (direct, composed, other):
+        assert not {"nodes", "edges", "_points"} & sig.__dict__.keys()
 
 
 def test_signature_node_names():
