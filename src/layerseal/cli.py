@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 from .errors import (
@@ -28,18 +28,14 @@ from .errors import (
     Unbalanced,
     Unsealable,
 )
-from .graph import deadlock_free, program_graph
 from .model import Program, Record, channels_of, setfield
 from .parser import MAX_PROCESSES, ParseError, format_program, parse
-from .sealing import (
-    expand_plan,
-    format_plan,
-    is_seal,
-    is_sealable,
-    parse_plan,
-    seal_signature,
-)
-from .signature import Signature, compute_signature
+
+if TYPE_CHECKING:
+    from .signature import Signature
+
+# Each command imports the analyses it runs: a call loads, and where no
+# bytecode is cached compiles, only those.
 
 __all__ = ["CliResult", "main", "run"]
 
@@ -113,6 +109,7 @@ def _dot_signature(sig: Signature) -> str:
 
 
 def _cmd_check(ns: argparse.Namespace) -> CliResult:
+    from .graph import deadlock_free
     try:
         free = deadlock_free(_load_program(ns.file))
     except Unbalanced:
@@ -122,6 +119,7 @@ def _cmd_check(ns: argparse.Namespace) -> CliResult:
 
 
 def _cmd_graph(ns: argparse.Namespace) -> CliResult:
+    from .graph import program_graph
     nodes, edges = program_graph(_load_program(ns.file))
     if ns.dot:
         return CliResult(0, _dot("program_graph", nodes, edges))
@@ -132,6 +130,7 @@ def _cmd_graph(ns: argparse.Namespace) -> CliResult:
 
 
 def _cmd_sig(ns: argparse.Namespace) -> CliResult:
+    from .signature import compute_signature
     sig = compute_signature(_load_program(ns.file))
     if ns.dot:
         return CliResult(0, _dot_signature(sig))
@@ -143,6 +142,7 @@ def _cmd_sig(ns: argparse.Namespace) -> CliResult:
 
 
 def _cmd_channels(ns: argparse.Namespace) -> CliResult:
+    from .signature import compute_signature
     sig = compute_signature(_load_program(ns.file))
     procs = range(1, sig.n + 1)
     closed = [(i, j) for i in procs for j in procs if i != j and (i, j) not in sig.recvs]
@@ -154,11 +154,13 @@ def _cmd_channels(ns: argparse.Namespace) -> CliResult:
 
 
 def _cmd_sealable(ns: argparse.Namespace) -> CliResult:
+    from .sealing import is_sealable
     ok = is_sealable(_load_program(ns.file))
     return CliResult(0 if ok else 1, f"sealable: {'true' if ok else 'false'}\n")
 
 
 def _cmd_is_seal(ns: argparse.Namespace) -> CliResult:
+    from .sealing import is_seal
     p = _load_program(ns.program)
     q = _load_program(ns.candidate)
     ok = is_seal(p, q)
@@ -166,6 +168,8 @@ def _cmd_is_seal(ns: argparse.Namespace) -> CliResult:
 
 
 def _cmd_seal(ns: argparse.Namespace) -> CliResult:
+    from .sealing import format_plan, seal_signature
+    from .signature import compute_signature
     sig = compute_signature(_load_program(ns.file))
     open_count = len(sig.recvs)
     try:
@@ -181,14 +185,15 @@ def _cmd_seal(ns: argparse.Namespace) -> CliResult:
 
 
 def _cmd_expand(ns: argparse.Namespace) -> CliResult:
+    from .sealing import expand_plan, parse_plan
     plan = parse_plan(Path(ns.plan).read_text(encoding="utf-8"))
     return CliResult(0, format_program(expand_plan(plan, ns.processes)))
 
 
 def _cmd_verify(ns: argparse.Namespace) -> CliResult:
-    # The oracle is loaded here alone, so that no other command pays for it.
     from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_channel_open, oracle_seals, oracle_tcc
-
+    from .sealing import is_seal
+    from .signature import compute_signature
     budget = DEFAULT_BUDGET
     if ns.budget is not None:
         budget = OracleBudget(max_matchings=ns.budget, max_events=DEFAULT_BUDGET.max_events)
@@ -215,17 +220,12 @@ def _cmd_verify(ns: argparse.Namespace) -> CliResult:
     elif ns.mode == "is-seal":
         if len(ns.files) != 2:
             raise ValueError("verify is-seal takes two program files")
-        p = _load_program(ns.files[0])
-        q = _load_program(ns.files[1])
-        static = is_seal(p, q)
-        dynamic = oracle_seals(p, q, budget)
-        agree = static == dynamic
-        lines.append(f"static: {'true' if static else 'false'}")
-        lines.append(f"oracle: {'true' if dynamic else 'false'}")
+        p, q = map(_load_program, ns.files)
+        static, dynamic = is_seal(p, q), oracle_seals(p, q, budget)
     else:  # tcc
         p = _load_program(ns.files[0])
-        static = p.event_count == 0
-        dynamic = oracle_tcc(p, budget)
+        static, dynamic = p.event_count == 0, oracle_tcc(p, budget)
+    if ns.mode != "channels":
         agree = static == dynamic
         lines.append(f"static: {'true' if static else 'false'}")
         lines.append(f"oracle: {'true' if dynamic else 'false'}")

@@ -2,6 +2,18 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "AnalysisError",
+    "BadProcessId",
+    "BudgetExceeded",
+    "CyclicGraph",
+    "InvariantViolation",
+    "ProcessCountMismatch",
+    "ShapeError",
+    "Unbalanced",
+    "Unsealable",
+]
+
 
 class AnalysisError(Exception):
     """Base class for errors raised by the static analyses and the oracle."""

@@ -85,6 +85,17 @@ class ParseError(Exception):
         self.message = message
 
 
+def natural(digits: str, what: str) -> int:
+    """The value of an ASCII digit string. One with more digits than
+    ``MAX_PROCESSES``, leading zeros aside, raises :class:`ValueError` naming
+    ``what`` before ``int`` sees it: ``int`` refuses more than 4300 digits
+    with an error that names no place."""
+    significant = digits.lstrip("0")
+    if len(significant) > len(str(MAX_PROCESSES)):
+        raise ValueError(f"{what} with {len(significant)} digits exceeds {MAX_PROCESSES}")
+    return int(significant or "0")
+
+
 # A token's text, line and column; the last token, with empty text, marks
 # the end of input. Tokens are ASCII, so ``str.isdigit`` and
 # ``str.isidentifier`` tell naturals and identifiers exactly.
@@ -126,13 +137,12 @@ class _Parser:
         self._next(repr(literal), literal.__eq__)
 
     def _nat(self, what: str, kind: ParseErrorKind) -> tuple[int, _Tok]:
-        """A natural number and its token. One with more digits than
-        ``MAX_PROCESSES`` is refused with ``kind`` before ``int`` sees it."""
+        """A natural number and its token; one too long is refused with ``kind``."""
         tok = self._next(what, str.isdigit)
-        digits = tok[0].lstrip("0")
-        if len(digits) > len(str(MAX_PROCESSES)):
-            raise self._fail(f"{what} with {len(digits)} digits exceeds {MAX_PROCESSES}", kind, tok)
-        return int(digits or "0"), tok
+        try:
+            return natural(tok[0], what), tok
+        except ValueError as exc:
+            raise self._fail(str(exc), kind, tok) from None
 
     def _block(self, item: str, parse_item: Callable[[], None]) -> None:
         """``{`` then items until the matching ``}``."""

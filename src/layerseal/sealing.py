@@ -42,7 +42,7 @@ from typing import Iterable
 
 from .errors import BadProcessId, InvariantViolation, ProcessCountMismatch, Unsealable
 from .model import Program, Record, program, recv, send, setfield
-from .parser import MAX_PROCESSES
+from .parser import natural
 from .signature import Signature, compute_signature
 
 __all__ = [
@@ -284,9 +284,9 @@ def seal_signature(sig: Signature) -> SealPlan:
     return plan
 
 
-_PLAN_LINE = re.compile(
-    r"^\s*(\d+)\s*->\s*(\d+)\s*(?:\[([a-z-]+)\])?\s*$"
-)
+# ASCII only, like the program grammar: ``\d`` and ``\s`` would take other
+# scripts' digits and blanks.
+_PLAN_LINE = re.compile(r"[ \t]*([0-9]+)[ \t]*->[ \t]*([0-9]+)[ \t]*(?:\[([a-z-]+)\])?[ \t]*")
 
 
 def format_plan(plan: SealPlan) -> str:
@@ -307,25 +307,20 @@ def parse_plan(text: str) -> SealPlan:
     tags: list[Phase] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
+        if not line.strip(" \t"):
             continue
-        m = _PLAN_LINE.match(line)
+        m = _PLAN_LINE.fullmatch(line)
         if m is None:
             raise ValueError(f"plan line {lineno}: cannot parse {raw!r}")
         src, dst, tag = m.groups()
-        # Judged by length before ``int``, which refuses a number of more
-        # than 4300 digits with an error that names no line.
-        for number in (src, dst):
-            digits = number.lstrip("0")
-            if len(digits) > len(str(MAX_PROCESSES)):
-                raise ValueError(
-                    f"plan line {lineno}: process id with {len(digits)} digits"
-                    f" exceeds {MAX_PROCESSES}"
-                )
+        try:
+            transmission = (natural(src, "process id"), natural(dst, "process id"))
+        except ValueError as exc:
+            raise ValueError(f"plan line {lineno}: {exc}") from None
         try:
             phase = Phase(tag) if tag else Phase.DIRECT_CLOSE
         except ValueError:
             raise ValueError(f"plan line {lineno}: unknown phase {tag!r}") from None
-        transmissions.append((int(src), int(dst)))
+        transmissions.append(transmission)
         tags.append(phase)
     return SealPlan(tuple(transmissions), tuple(tags))

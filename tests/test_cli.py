@@ -156,6 +156,13 @@ def test_expand_refuses_a_long_number_with_its_plan_line(tmp_path):
     assert res == CliResult(2, f"error: plan line 3: process id with 5000 digits exceeds {MAX_PROCESSES}\n")
 
 
+def test_expand_refuses_non_ascii_digits_with_its_plan_line(tmp_path):
+    plan = tmp_path / "arabic.plan"
+    plan.write_text("1 -> 2\n\u0661 -> \u0662 [broadcast]\n", encoding="utf-8")
+    res = run(["expand", str(plan), "-n", "2"])
+    assert res == CliResult(2, "error: plan line 2: cannot parse '\u0661 -> \u0662 [broadcast]'\n")
+
+
 def test_seal_unsealable(tmp_path):
     res = run(["seal", _write(tmp_path, "x.lsl", crossed_exchange())])
     assert res.exit_code == 1
@@ -263,6 +270,35 @@ def test_cli_import_leaves_the_oracle_unloaded():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_each_command_loads_only_the_modules_it_runs(mt_file):
+    # The package loads no submodule until a name is used, and each command
+    # only the analysis it runs.
+    env = dict(os.environ, PYTHONPATH=str(Path(layerseal.__file__).resolve().parents[1]))
+
+    def loaded(code: str) -> set[str]:
+        code += "\nprint(*sorted(m for m in sys.modules if m.startswith('layerseal.')))"
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys\n" + code],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return {m.removeprefix("layerseal.") for m in done.stdout.split("\n")[-2].split()}
+
+    assert loaded("import layerseal") == set()
+    analyses = {"graph", "signature", "sealing", "oracle"}
+    cases = {
+        ("--version",): analyses,
+        ("check", mt_file): {"signature", "sealing", "oracle"},
+        ("graph", mt_file): {"signature", "sealing", "oracle"},
+        ("sig", mt_file): {"sealing", "oracle"},
+        ("sig", "--dot", mt_file): {"sealing", "oracle"},
+        ("channels", mt_file): {"sealing", "oracle"},
+    }
+    for argv, unloaded in cases.items():
+        modules = loaded(f"from layerseal.cli import run\nprint(run({list(argv)!r}).stdout)")
+        assert not modules & unloaded, (argv, modules & unloaded)
 
 
 def test_star_import_gives_every_public_name():

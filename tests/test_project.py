@@ -47,7 +47,7 @@ def test_readme_python_example_runs():
 
 def test_every_exported_name_resolves():
     # A name left in ``__all__`` after its definition is gone fails here,
-    # the oracle's names through the package's lazy ``__getattr__``.
+    # the package's names through its lazy ``__getattr__``.
     modules = [layerseal] + [
         importlib.import_module(f"layerseal.{path.stem}")
         for path in sorted((PROJECT / "src" / "layerseal").glob("*.py"))
@@ -60,3 +60,14 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_every_package_name_is_its_home_modules():
+    # The package's export table names each public name's home submodule:
+    # a name that drifts from that module's ``__all__`` or definition fails.
+    drifted = []
+    for name, home in layerseal._HOME.items():
+        module = importlib.import_module(f"layerseal.{home}")
+        if name not in module.__all__ or getattr(layerseal, name) is not getattr(module, name):
+            drifted.append(f"{home}.{name}")
+    assert drifted == []

@@ -220,6 +220,14 @@ def test_parse_plan_errors():
     assert parse_plan("000100000 -> 1\n").transmissions == ((100000, 1),)
 
 
+def test_parse_plan_is_ascii_only():
+    # Like the program grammar: other scripts' digits and blanks do not parse.
+    for line in ("\u0661 -> \u0662 [broadcast]", "1 -> \uff12", "1\u3000-> 2", "\u3000", "1 -> 2\xa0"):
+        with pytest.raises(ValueError, match="^plan line 2: cannot parse "):
+            parse_plan("1 -> 2\n" + line + "\n")
+    assert parse_plan("\t1\t->\t2\t[broadcast]\t\n \t\n").transmissions == ((1, 2),)
+
+
 def test_sealing_composes_with_extra_layers():
     # Once q seals p, anything after q cannot reopen p.
     rng = random.Random(31)
