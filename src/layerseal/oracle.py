@@ -45,13 +45,24 @@ over a space-time diagram (Lamport 1978), one AND per candidate. Matchings
 stream out one at a time, so the queries stop at the first answer:
 :func:`oracle_channel_open` at the first matching that uses the probe,
 :func:`oracle_seals` at the first that serves a receive of p from outside
-p, :func:`has_rel_run` at the first matching. No state outlives a call.
+p, :func:`has_rel_run` at the first matching.
+
+One entry outlives a call: the last program that a channel query found
+well formed, with the rows, the receive count on each channel and the
+candidate count of its bare world. It is matched by identity and holds the
+program, so a run of channel queries on one ``Program`` checks it once,
+and a program that fails the check never enters it. A channel without a
+receive in p cannot take the probe: its query raises the budget refusals
+the search would raise (the world has one event more than the bare one,
+and as many candidates, since perm(s + 1, 0) = 1) and answers ``False``
+without a search.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
-from math import perm
+from math import factorial, perm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadProcessId, BudgetExceeded, CyclicGraph, ProcessCountMismatch, ShapeError
@@ -200,6 +211,18 @@ def _rows(layers: Sequence[Program], probes: Iterable[tuple[int, int]] = ()) -> 
     return rows
 
 
+def _check_size(size: int, budget: OracleBudget) -> None:
+    if size > budget.max_events:
+        raise BudgetExceeded(f"world has {size} events, budget allows {budget.max_events}")
+
+
+def _check_candidates(candidates: int, budget: OracleBudget) -> None:
+    if candidates > budget.max_matchings:
+        raise BudgetExceeded(
+            f"{candidates} candidate matchings, budget allows {budget.max_matchings}"
+        )
+
+
 def _search(
     rows: list[_Row], budget: OracleBudget, order: Sequence[tuple[int, int]] | None = None
 ) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -210,9 +233,7 @@ def _search(
     The budget refusals and :class:`ShapeError` are raised by the call
     itself, before any matching is searched for.
     """
-    size = sum(map(len, rows))
-    if size > budget.max_events:
-        raise BudgetExceeded(f"world has {size} events, budget allows {budget.max_events}")
+    _check_size(sum(map(len, rows)), budget)
     sends: dict[tuple[int, int], list[int]] = {}
     receives: list[tuple[int, tuple[int, int]]] = []
     counts: dict[tuple[int, int], int] = {}
@@ -237,10 +258,7 @@ def _search(
         if counts[ch] > n_sends:
             raise ShapeError(Channel(*ch))
         candidates *= perm(n_sends, counts[ch])
-    if candidates > budget.max_matchings:
-        raise BudgetExceeded(
-            f"{candidates} candidate matchings, budget allows {budget.max_matchings}"
-        )
+    _check_candidates(candidates, budget)
     choices = [(r, sends[ch]) for r, ch in receives]
 
     def search(k: int, reach: list[int], used: int, pairs: tuple) -> Iterator[tuple]:
@@ -265,6 +283,26 @@ def _require_well_formed(p: Program) -> None:
         raise CyclicGraph(f"{p.name!r} can deadlock")
 
 
+# The last program a channel query found well formed, as (p, the rows of
+# its bare world, their event count, its receive count on each channel that
+# has a receive, the bare world's candidate count). One tuple, read once and
+# replaced whole, so concurrent queries each use a consistent entry.
+_checked: tuple | None = None
+
+
+def _channel_facts(p: Program) -> tuple:
+    global _checked
+    facts = _checked
+    if facts is None or facts[0] is not p:
+        _require_well_formed(p)
+        rows = _rows([p])
+        takers = Counter(ch for row in rows for ch, is_send in row if not is_send)
+        # Balanced: every channel has as many sends as receives.
+        candidates = prod(map(factorial, takers.values()))
+        _checked = facts = (p, rows, sum(map(len, rows)), takers, candidates)
+    return facts
+
+
 def oracle_channel_open(
     p: Program, channel: Channel, budget: OracleBudget = DEFAULT_BUDGET
 ) -> bool:
@@ -275,10 +313,16 @@ def oracle_channel_open(
     """
     if channel.src > p.n or channel.dst > p.n:
         raise BadProcessId(f"channel {channel} outside 1..{p.n}")
-    _require_well_formed(p)
-    rows = _rows([p], [(channel.src, channel.dst)])
+    _, rows, size, takers, candidates = _channel_facts(p)
+    ch = (channel.src, channel.dst)
+    if ch not in takers:
+        _check_size(size + 1, budget)
+        _check_candidates(candidates, budget)
+        return False
     # The probe ends the row of its sender.
-    probe = sum(map(len, rows[: channel.src])) - 1
+    probe = sum(map(len, rows[: channel.src]))
+    rows = rows.copy()
+    rows[channel.src - 1] = [*rows[channel.src - 1], (ch, True)]
     return any(s == probe for pairs in _search(rows, budget) for _, s in pairs)
 
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 
+import oracle_reference as ref
 import pytest
 from layerseal import (
+    DEFAULT_BUDGET,
     BadProcessId,
     BudgetExceeded,
     Channel,
@@ -15,6 +17,7 @@ from layerseal import (
     ProcessCountMismatch,
     ShapeError,
     StmtKind,
+    Unbalanced,
     channels_of,
     compute_signature,
     deadlock_free,
@@ -215,3 +218,81 @@ def test_gather_phase_4_open_channels_match_oracle():
         assert sig.leaves_open(ch) == oracle_channel_open(p, ch), ch
     assert sig.open_channels() == [ch for ch in channels_of(4) if ch.src >= 2]
     assert len(sig.open_channels()) == 9
+
+
+# Programs the oracle refuses. All but the first have channels with no
+# receive on them, which a query on a well-formed program answers without
+# a search.
+ILL_FORMED = [
+    (deadlocked_pair(), CyclicGraph),
+    (program("stuck", 3, {1: [recv(2), send(2)], 2: [recv(1), send(1)]}), CyclicGraph),
+    (program("short", 2, {1: [send(2)], 2: [recv(1), recv(1)]}), Unbalanced),
+    (program("lost", 2, {1: [send(2)]}), Unbalanced),
+]
+
+
+@pytest.mark.parametrize("bad, error", ILL_FORMED, ids=[p.name for p, _ in ILL_FORMED])
+def test_channel_queries_on_an_ill_formed_program_always_raise(bad, error):
+    # The oracle remembers the last program a channel query found well
+    # formed; a program that fails the check must fail it in every position.
+    good = crossed_exchange(bad.n)
+    opened = {Channel(1, 2), Channel(2, 1)}
+
+    def refused_on_every_channel():
+        for ch in channels_of(bad.n):
+            with pytest.raises(error):
+                oracle_channel_open(bad, ch)
+
+    refused_on_every_channel()  # queried first
+    refused_on_every_channel()  # and again, right after itself
+    assert oracle_channel_open(good, Channel(1, 2))
+    refused_on_every_channel()  # right after a well-formed program
+    for ch in channels_of(bad.n):
+        assert oracle_channel_open(good, ch) == (ch in opened), ch
+        refused_on_every_channel()  # between two queries on one program
+
+
+def _reference_open(p, ch, budget):
+    """The reference's answer on the world of p with one probe on ch, or
+    its refusal as (type, message)."""
+    try:
+        return ref.uses_probe(ref.enumerate_matchings(_world(p, [ch]), budget))
+    except BudgetExceeded as exc:
+        return BudgetExceeded, str(exc)
+
+
+def _open(p, ch, budget):
+    try:
+        return oracle_channel_open(p, ch, budget)
+    except BudgetExceeded as exc:
+        return BudgetExceeded, str(exc)
+
+
+def test_channel_queries_interleaved_across_programs_and_budgets_match_reference():
+    two = {1: [send(2), send(2), recv(3)], 2: [recv(1), recv(1)], 3: [send(1)]}
+    a, twin = program("a", 3, two), program("a", 3, two)
+    assert a == twin and a is not twin
+    b = program(
+        "b",
+        3,
+        {1: [send(2), recv(2), recv(3)], 2: [send(1), recv(1), send(3)], 3: [send(1), recv(2)]},
+    )
+    # The tight budget refuses a's probed worlds where the probe has a
+    # taker, by their candidates, and every probed world of b, by its
+    # events, but answers a's channels without a receive.
+    tight = OracleBudget(max_matchings=2, max_events=7)
+    progs, budgets = (a, b, twin), (DEFAULT_BUDGET, tight)
+    expected = {
+        (id(p), ch, budget): _reference_open(p, ch, budget)
+        for p in progs
+        for ch in channels_of(3)
+        for budget in budgets
+    }
+    refusals = [v[1] for v in expected.values() if isinstance(v, tuple)]
+    assert {True, False} <= set(expected.values())
+    assert any("candidate" in m for m in refusals) and any("events" in m for m in refusals)
+    # Every query switches program or budget, then runs of one program.
+    interleaved = [(p, ch, bu) for ch in channels_of(3) for p in progs for bu in budgets]
+    in_a_row = [(p, ch, bu) for p in progs for bu in budgets for ch in channels_of(3)]
+    for p, ch, budget in interleaved + in_a_row:
+        assert _open(p, ch, budget) == expected[id(p), ch, budget], (p.name, ch, budget)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from layerseal import (
     DEFAULT_BUDGET,
+    OracleBudget,
     Program,
     Statement,
     channels_of,
@@ -107,3 +108,23 @@ def test_constructed_seals_pass_the_oracle(p):
     seal = expand_plan(construct_seal(p), p.n)
     assume(p.event_count + seal.event_count + p.n * (p.n - 1) <= DEFAULT_BUDGET.max_events)
     assert oracle_seals(p, seal), p
+
+
+# p then s with a probe on every channel: at most 8 + 8 + 12 events.
+WIDE = OracleBudget(max_events=28)
+
+
+@settings(max_examples=60, deadline=None)
+@given(df_pairs())
+def test_static_open_channels_match_oracle_on_drawn_programs(pq):
+    for p in pq:
+        sig = compute_signature(p)
+        for ch in channels_of(p.n):
+            assert sig.leaves_open(ch) == oracle_channel_open(p, ch), (p, ch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(df_pairs())
+def test_is_seal_matches_oracle_on_drawn_pairs(pq):
+    p, s = pq
+    assert is_seal(p, s) == oracle_seals(p, s, WIDE), (p, s)

@@ -37,6 +37,20 @@ def test_library_does_not_import_dataclasses():
     assert found == []
 
 
+def test_oracle_imports_neither_signature_nor_sealing():
+    # The oracle is the ground truth the signatures and seals are checked
+    # against, so it must share no code with them.
+    tree = ast.parse((PROJECT / "src" / "layerseal" / "oracle.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{a.name}" for a in node.names]
+    found = [name for name in imported if {"signature", "sealing"} & set(name.split("."))]
+    assert found == []
+
+
 def test_readme_python_example_runs():
     readme = (PROJECT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
