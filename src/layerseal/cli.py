@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from . import __version__
@@ -67,8 +66,13 @@ def _process_count(text: str) -> int:
     return value
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
 def _load_program(path: str) -> Program:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    return parse(_read(path))
 
 
 def _quote(name: str) -> str:
@@ -178,7 +182,8 @@ def _cmd_seal(ns: argparse.Namespace) -> CliResult:
         return CliResult(1, "sealable: false\n")
     text = format_plan(plan)
     if ns.output is not None:
-        Path(ns.output).write_text(text, encoding="utf-8")
+        with open(ns.output, "w", encoding="utf-8") as f:
+            f.write(text)
     lines = [f"open_channels: {open_count}", f"transmissions: {len(plan.transmissions)}"]
     body = "\n".join(lines) + "\n" + text
     return CliResult(0, body)
@@ -186,7 +191,7 @@ def _cmd_seal(ns: argparse.Namespace) -> CliResult:
 
 def _cmd_expand(ns: argparse.Namespace) -> CliResult:
     from .sealing import expand_plan, parse_plan
-    plan = parse_plan(Path(ns.plan).read_text(encoding="utf-8"))
+    plan = parse_plan(_read(ns.plan))
     return CliResult(0, format_program(expand_plan(plan, ns.processes)))
 
 

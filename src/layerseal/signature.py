@@ -6,9 +6,10 @@ compose safely with it: per channel, whether a receive remains exposed to
 messages sent by the future, and how the earliest send and latest receive on
 each channel relate causally to every process's entry and exit.
 
-Construction: take the vector clocks of the program graph
-(:func:`~layerseal.graph.vector_clocks`), keep the dummy nodes, the first
-send per channel, and the last receive per channel, then
+Construction: one sweep over the program graph
+(:func:`~layerseal.graph.causality_sweep`) gives the vector clocks of the
+lst dummies, the first send per channel and the last receive per channel,
+and nothing else; the fst dummies' clocks are fixed. Keep those nodes, then
 
 * drop a first send on i->j when fst_j causally precedes it (a message the
   receiver helped cause can never race ahead of the receiver's past), and
@@ -44,8 +45,8 @@ from functools import cached_property
 from operator import le
 
 from .errors import InvariantViolation, ProcessCountMismatch
-from .graph import vector_clocks
-from .model import Channel, Program, Record, StmtKind, setfield
+from .graph import Point, causality_sweep
+from .model import Channel, Program, Record, setfield
 
 __all__ = [
     "SigNode",
@@ -67,8 +68,6 @@ class SigNode(Record):
 
 
 SigEdge = tuple[SigNode, SigNode]
-# A kept node's position on its process and its vector clock.
-Point = tuple[int, tuple[int, ...]]
 
 
 def _entry_clock(n: int, proc: int) -> tuple[int, ...]:
@@ -180,26 +179,33 @@ def _check(sig: Signature) -> Signature:
     Costs O(n) per node. A violation is an implementation bug; the check
     runs on every signature returned.
     """
-    n = sig.n
-    if len(sig.exits) != n or len(sig.sends) + len(sig.recvs) > 2 * n * (n - 1):
+    n, exits, recvs = sig.n, sig.exits, sig.recvs
+    if len(exits) != n or len(sig.sends) + len(recvs) > 2 * n * (n - 1):
         raise InvariantViolation(f"signature is not O(n^2) for n = {n}")
-    middles: list[list[Point]] = [[] for _ in range(n)]
-    for (i, j), (pos, clock) in sig.sends.items():
+    chains: list[list[Point]] = [[] for _ in range(n)]
+    for (i, j), point in sig.sends.items():
+        clock = point[1]
         if clock[j - 1] >= 0:
             raise InvariantViolation(f"fst_{j} precedes snd:{i}>{j}")
-        recv = sig.recvs.get((i, j))
+        recv = recvs.get((i, j))
         if recv is not None and not all(map(le, clock, recv[1])):
             raise InvariantViolation(f"snd:{i}>{j} does not precede rcv:{j}<{i}")
-        middles[i - 1].append((pos, clock))
-    for (i, j), (pos, clock) in sig.recvs.items():
-        if sig.exits[i - 1][1][j - 1] >= pos:
+        chains[i - 1].append(point)
+    for (i, j), point in recvs.items():
+        if exits[i - 1][1][j - 1] >= point[0]:
             raise InvariantViolation(f"rcv:{j}<{i} precedes lst_{i}")
-        middles[j - 1].append((pos, clock))
-    for k, (middle, exit_point) in enumerate(zip(middles, sig.exits), start=1):
-        chain = [(0, _entry_clock(n, k)), *sorted(middle), exit_point]
-        for (x, a), (y, b) in zip(chain, chain[1:]):
+        chains[j - 1].append(point)
+    # Each chain starts after fst_k, at position 0 with every entry -1 but
+    # its own 0: the own entry of a node on the chain is its position.
+    floor = (-1,) * n
+    for k, (chain, exit_point) in enumerate(zip(chains, exits), start=1):
+        chain.sort()
+        chain.append(exit_point)
+        x, a = 0, floor
+        for y, b in chain:
             if x >= y or len(b) != n or b[k - 1] != y or not all(map(le, a, b)):
                 raise InvariantViolation(f"clocks of process {k} are not monotone at position {y}")
+            x, a = y, b
     return sig
 
 
@@ -209,26 +215,9 @@ def compute_signature(p: Program) -> Signature:
     Raises :class:`Unbalanced` or :class:`CyclicGraph` when the
     preconditions fail.
     """
-    clocks = vector_clocks(p)
-    first_send: dict[tuple[int, int], int] = {}
-    last_recv: dict[tuple[int, int], int] = {}
-    for i, seq in enumerate(p.seqs, start=1):
-        for x, stmt in enumerate(seq, start=1):
-            if stmt.kind is StmtKind.SEND:
-                first_send.setdefault((i, stmt.peer), x)
-            else:
-                last_recv[(stmt.peer, i)] = x
-    exits = tuple((len(row) - 1, tuple(row[-1])) for row in clocks)
-    sends = {
-        (i, j): (x, tuple(clocks[i - 1][x]))
-        for (i, j), x in first_send.items()
-        if clocks[i - 1][x][j - 1] < 0
-    }
-    recvs = {
-        (i, j): (x, tuple(clocks[j - 1][x]))
-        for (i, j), x in last_recv.items()
-        if exits[i - 1][1][j - 1] < x
-    }
+    exits, first_sends, last_recvs = causality_sweep(p)
+    sends = {(i, j): pt for (i, j), pt in first_sends.items() if pt[1][j - 1] < 0}
+    recvs = {(i, j): pt for (i, j), pt in last_recvs.items() if exits[i - 1][1][j - 1] < pt[0]}
     return _check(Signature(p.n, exits, sends, recvs))
 
 

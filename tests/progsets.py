@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator
 
 from layerseal import (
@@ -75,6 +75,22 @@ def all_balanced_programs(n: int, max_events: int) -> tuple[Program, ...]:
         out.extend(_programs_for_counts(n, chans, counts))
     assert all(is_balanced(p) for p in out)
     return tuple(out)
+
+
+def all_programs(n: int, max_stmts: int) -> Iterator[Program]:
+    """Every program over n processes with at most max_stmts statements in
+    all, balanced or not."""
+
+    def rec(i: int, rows: tuple[tuple[Statement, ...], ...], left: int) -> Iterator[Program]:
+        if i > n:
+            yield Program("any", n, rows)
+            return
+        alphabet = [make(j) for j in range(1, n + 1) if j != i for make in (send, recv)]
+        for length in range(left + 1):
+            for seq in product(alphabet, repeat=length):
+                yield from rec(i + 1, rows + (seq,), left - length)
+
+    yield from rec(1, (), max_stmts)
 
 
 @lru_cache(maxsize=None)

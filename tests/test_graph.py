@@ -1,21 +1,34 @@
-"""Tests for the program graph, its send/receive pairing, and the closure
-reference in ``closure_reference.py``."""
+"""Tests for the program graph, its send/receive pairing, the causality
+sweep, and the closure reference in ``closure_reference.py``."""
 
 from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closure_reference import close_edges, closure, explicit_graph
+from closure_reference import (
+    Event,
+    FstDummy,
+    LstDummy,
+    by_name,
+    close_edges,
+    closure,
+    closure_signature,
+    explicit_graph,
+    listed,
+)
 from layerseal import (
     Channel,
     CyclicGraph,
+    StmtKind,
     Unbalanced,
+    compute_signature,
     deadlock_free,
     empty_program,
     enumerate_matchings,
@@ -28,9 +41,9 @@ from layerseal import (
     recv,
     send,
 )
-from layerseal.graph import vector_clocks
+from layerseal.graph import causality_sweep
 from layerseal.oracle import EventWorld, Origin
-from progsets import all_balanced_df_programs, deadlocked_pair, random_balanced_df
+from progsets import all_balanced_df_programs, all_programs, deadlocked_pair, random_balanced_df
 
 
 def _names(pairs):
@@ -91,7 +104,14 @@ def test_unbalanced_rejected_with_channel():
     assert exc.value.channel == Channel(1, 2)
     # The first offending channel in canonical order is reported.
     two = program("two", 3, {2: [send(3)], 3: [recv(1)]})
-    for analysis in (pairing, program_graph, vector_clocks, deadlock_free, explicit_graph):
+    for analysis in (
+        pairing,
+        program_graph,
+        causality_sweep,
+        compute_signature,
+        deadlock_free,
+        explicit_graph,
+    ):
         with pytest.raises(Unbalanced) as exc:
             analysis(two)
         assert exc.value.channel == Channel(1, 3)
@@ -129,11 +149,124 @@ def test_program_graph_lists_in_display_order():
 
 def test_vector_clocks_of_message_transmit():
     # Positions: fst 0, the events 1.., lst last; -1 where nothing of that
-    # process precedes.
-    assert vector_clocks(message_transmit(1, 2, 2)) == [
-        [[0, -1], [1, -1], [2, -1]],
-        [[-1, 0], [1, 1], [1, 2]],
-    ]
+    # process precedes. The sweep returns lst of each process, the first
+    # send and the last receive per channel.
+    exits, sends, recvs = causality_sweep(message_transmit(1, 2, 2))
+    assert sends == {(1, 2): (1, (1, -1))}
+    assert recvs == {(1, 2): (1, (1, 1))}
+    assert exits == ((2, (2, -1)), (2, (1, 2)))
+
+
+def _outcome(analysis, p):
+    try:
+        return "ok", analysis(p)
+    except Unbalanced as exc:
+        return "unbalanced", exc.channel
+    except CyclicGraph:
+        return "cyclic", None
+
+
+def _reference_sweep(p):
+    """What :func:`causality_sweep` returns, read off the closure of the
+    explicit graph: a node's clock entry k is the largest position on
+    process k among the node and its predecessors."""
+    nodes, edges = explicit_graph(p)
+
+    def place(v):
+        if isinstance(v, FstDummy):
+            return v.proc, 0
+        if isinstance(v, LstDummy):
+            return v.proc, len(p.seqs[v.proc - 1]) + 1
+        return v.proc, v.index + 1
+
+    clocks = {}
+    for v in nodes:
+        i, x = place(v)
+        clocks[v] = [-1] * p.n
+        clocks[v][i - 1] = x
+    for a, b in close_edges(nodes, edges):
+        k, x = place(a)
+        clocks[b][k - 1] = max(clocks[b][k - 1], x)
+
+    def point(v):
+        return place(v)[1], tuple(clocks[v])
+
+    sends, recvs = {}, {}
+    for v in nodes:
+        if isinstance(v, Event):
+            ch = (v.channel.src, v.channel.dst)
+            if v.kind is StmtKind.SEND:
+                sends.setdefault(ch, point(v))
+            else:
+                recvs[ch] = point(v)
+    return tuple(point(LstDummy(i)) for i in range(1, p.n + 1)), sends, recvs
+
+
+def _short_of_sends(p):
+    """True when some channel has more receives than sends, so that a
+    receive waits forever."""
+    sends, recvs = Counter(), Counter()
+    for i, seq in enumerate(p.seqs, start=1):
+        for stmt in seq:
+            if stmt.kind is StmtKind.SEND:
+                sends[(i, stmt.peer)] += 1
+            else:
+                recvs[(stmt.peer, i)] += 1
+    return any(count > sends[ch] for ch, count in recvs.items())
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [
+        # a lonely receive blocks its process: unbalanced
+        (program("lonely", 2, {1: [recv(2)]}), ("unbalanced", Channel(2, 1))),
+        # an extra send leaves every process finished: unbalanced
+        (
+            program("extra", 2, {1: [send(2), send(2)], 2: [recv(1)]}),
+            ("unbalanced", Channel(1, 2)),
+        ),
+        # both, and the extra send is on the first channel
+        (program("both", 3, {1: [send(2)], 2: [recv(3)]}), ("unbalanced", Channel(1, 2))),
+        # balanced and cyclic
+        (deadlocked_pair(), ("cyclic", None)),
+    ],
+    ids=["lonely-receive", "extra-send", "both", "cyclic"],
+)
+def test_error_precedence(p, expected):
+    assert _outcome(causality_sweep, p) == expected
+    assert _outcome(compute_signature, p) == expected
+    freedom = expected if expected[0] == "unbalanced" else ("ok", False)
+    assert _outcome(deadlock_free, p) == freedom
+
+
+def test_errors_and_clocks_match_pairing_and_closure_on_every_small_program():
+    """Every program with n <= 3 and at most 4 statements, balanced or not:
+    the sweep, the signature and ``deadlock_free`` raise what ``pairing``
+    and the closure reference raise, naming the same channel, and the
+    sweep's clocks are the closure's."""
+    cases = Counter()
+    for n in (1, 2, 3):
+        for p in all_programs(n, 4):
+            kind, ref = _outcome(closure_signature, p)
+            if kind == "ok":
+                cases[kind] += 1
+                pairing(p)
+                assert listed(compute_signature(p)) == by_name(ref), p
+                assert causality_sweep(p) == _reference_sweep(p), p
+                assert deadlock_free(p), p
+                continue
+            if kind == "unbalanced":
+                cases["receive short" if _short_of_sends(p) else "sends over"] += 1
+                assert _outcome(pairing, p) == (kind, ref), p
+                freedom = (kind, ref)
+            else:
+                cases[kind] += 1
+                pairing(p)
+                freedom = ("ok", False)
+            assert _outcome(causality_sweep, p) == (kind, ref), p
+            assert _outcome(compute_signature, p) == (kind, ref), p
+            assert _outcome(deadlock_free, p) == freedom, p
+    assert len(cases) == 4, cases
 
 
 def test_deadlock_detection():

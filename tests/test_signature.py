@@ -240,6 +240,10 @@ def test_check_rejects_inconsistent_clocks():
         Signature(2, sig.exits, sig.sends, {(1, 2): (1, (1, 0))}),
         # fewer exits than processes
         Signature(2, sig.exits[:1], sig.sends, sig.recvs),
+        # the first kept node of process 1 has an entry below -1
+        Signature(2, sig.exits, {(1, 2): (1, (1, -2))}, sig.recvs),
+        # the first kept node of process 2 sits at fst_2's position
+        Signature(2, sig.exits, sig.sends, {(1, 2): (0, (1, 0))}),
     ]
     for bad in broken:
         with pytest.raises(InvariantViolation):
