@@ -23,8 +23,7 @@ _EXPORTS = {
     "graph": "deadlock_free program_graph",
     "model": "Channel Program Statement StmtKind channels_of empty_program is_balanced layer"
     " message_transmit pairing program recv send",
-    "oracle": "DEFAULT_BUDGET EventWorld Matching OracleBudget enumerate_matchings has_rel_run"
-    " oracle_channel_open oracle_seals oracle_tcc",
+    "oracle": "DEFAULT_BUDGET OracleBudget oracle_channel_open oracle_seals oracle_tcc",
     "parser": "ParseError ParseErrorKind SourceSpan format_program parse",
     "sealing": "ClosedChannelGraph Phase SealPlan closed_channels construct_seal expand_plan"
     " format_plan is_seal is_sealable parse_plan plan_seal seal_signature",

@@ -28,18 +28,19 @@ process i at position x precedes a different node b exactly when
 ``clock_b[i] >= x``, so every reachability query costs O(1). The sweep
 keeps only the clocks a signature reads. :func:`deadlock_free` runs the
 same pass with a count per channel in place of the queue, and no clocks.
-Both decide balance at the end of the pass, and build the pairing
-(:func:`~layerseal.model.pairing`) only when a process is left blocked, to
-tell an unbalanced channel from a cycle. :func:`program_graph` reads the
-pairing to list the nodes and edges, for display only.
+Both decide balance at the end of the pass, and count each channel's
+sends and receives (:func:`~layerseal.model.channel_balance`) only when a
+process is left blocked, to tell an unbalanced channel from a cycle.
+:func:`program_graph` reads the pairing to list the nodes and edges, for
+display only.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .errors import CyclicGraph, Unbalanced
-from .model import Channel, Program, StmtKind, pairing
+from .errors import CyclicGraph
+from .model import Program, StmtKind, channel_balance, pairing, require_balanced
 
 __all__ = ["Point", "causality_sweep", "deadlock_free", "program_graph"]
 
@@ -176,17 +177,15 @@ def _finished(
     """True when a Kahn pass that ran ``done`` events per process ran them
     all, False when a cycle blocked it.
 
-    Raises :class:`Unbalanced` naming the first unbalanced channel in
-    canonical order, like :func:`~layerseal.model.pairing`. When a process
-    is blocked, ``pairing`` decides whether that is the cause. When every
-    process finished, every receive took a send, so the unbalanced channels
-    are those left with messages sent and never received: a nonzero count,
-    or a non-empty queue, in ``pending``.
+    Raises :class:`Unbalanced` like
+    :func:`~layerseal.model.require_balanced`. When a process is blocked,
+    the count of sends minus receives on each channel decides whether that
+    is the cause. When every process finished, every receive took a send,
+    so the unbalanced channels are those left with messages sent and never
+    received: a nonzero count, or a non-empty queue, in ``pending``.
     """
     if done != list(map(len, p.seqs)):
-        pairing(p)
+        require_balanced(channel_balance(p))
         return False
-    extra = [ch for ch, queue in pending.items() if queue]
-    if extra:
-        raise Unbalanced(Channel(*min(extra)))
+    require_balanced(pending)
     return True

@@ -29,6 +29,7 @@ __all__ = [
     "Program",
     "Statement",
     "StmtKind",
+    "channel_balance",
     "channels_of",
     "empty_program",
     "is_balanced",
@@ -37,8 +38,8 @@ __all__ = [
     "pairing",
     "program",
     "recv",
+    "require_balanced",
     "send",
-    "statement_channel",
 ]
 
 
@@ -206,10 +207,23 @@ def layer(p: Program, q: Program, name: str | None = None) -> Program:
     return Program(name, p.n, rows)
 
 
-def statement_channel(proc: int, stmt: Statement) -> Channel:
-    if stmt.kind is StmtKind.SEND:
-        return Channel(proc, stmt.peer)
-    return Channel(stmt.peer, proc)
+def channel_balance(p: Program) -> dict[tuple[int, int], int]:
+    """Sends minus receives on every channel ``(src, dst)`` that p uses."""
+    balance: dict[tuple[int, int], int] = {}
+    for i, seq in enumerate(p.seqs, start=1):
+        for stmt in seq:
+            ch, step = ((i, stmt.peer), 1) if stmt.kind is StmtKind.SEND else ((stmt.peer, i), -1)
+            balance[ch] = balance.get(ch, 0) + step
+    return balance
+
+
+def require_balanced(balance: Mapping[tuple[int, int], object]) -> None:
+    """Raise :class:`Unbalanced` naming the first channel, in canonical
+    order, whose entry in ``balance`` is true: a nonzero count of sends
+    minus receives, or a non-empty queue of messages never received."""
+    unbalanced = [ch for ch, left in balance.items() if left]
+    if unbalanced:
+        raise Unbalanced(Channel(*min(unbalanced)))
 
 
 def pairing(p: Program) -> dict[tuple[int, int], tuple[int, int]]:
@@ -217,9 +231,9 @@ def pairing(p: Program) -> dict[tuple[int, int], tuple[int, int]]:
 
     Maps the (process, position) of the k'th receive on every channel to the
     (process, position) of the k'th send on it; positions count a process's
-    events from 1. Raises :class:`Unbalanced` naming the first channel, in
-    canonical order, whose send and receive counts differ.
+    events from 1. Raises :class:`Unbalanced` like :func:`require_balanced`.
     """
+    require_balanced(channel_balance(p))
     sends: dict[tuple[int, int], list[tuple[int, int]]] = {}
     recvs: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i, seq in enumerate(p.seqs, start=1):
@@ -228,13 +242,6 @@ def pairing(p: Program) -> dict[tuple[int, int], tuple[int, int]]:
                 sends.setdefault((i, stmt.peer), []).append((i, x))
             else:
                 recvs.setdefault((stmt.peer, i), []).append((i, x))
-    unbalanced = [
-        key
-        for key in sends.keys() | recvs.keys()
-        if len(sends.get(key, ())) != len(recvs.get(key, ()))
-    ]
-    if unbalanced:
-        raise Unbalanced(Channel(*min(unbalanced)))
     return {r: s for key, rs in recvs.items() for r, s in zip(rs, sends[key])}
 
 
@@ -243,11 +250,7 @@ def is_balanced(p: Program) -> bool:
 
     For straight-line programs this static count decides balance exactly.
     """
-    try:
-        pairing(p)
-    except Unbalanced:
-        return False
-    return True
+    return not any(channel_balance(p).values())
 
 
 def channels_of(n: int) -> list[Channel]:

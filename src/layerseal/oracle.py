@@ -28,14 +28,13 @@ refusal errs toward caution even though cycle pruning might have kept the
 actual count lower.
 
 Results are deterministic: matchings appear in lexicographic order of send
-choices along receives sorted by (process, position).
+choices along receives in index order.
 
 The queries build their world straight from the programs' statement
 sequences, as per-process rows of ``((src, dst), is_send)`` pairs with the
 probe sends at the ends of the rows, and number its events row by row
-0..N-1, so a probe or an event of p is told by its place in the rows.
-:class:`WorldEvent` and :class:`EventWorld` serve :func:`enumerate_matchings`
-alone, which converts a world's rows the same way. The search keeps, for
+0..N-1, so index order is (process, position) order and a probe or an
+event of p is told by its place in the rows. The search keeps, for
 every event x, an int bitset ``reach[x]`` of the events x reaches, x
 included: at first along its row only. Choosing send s for receive r
 closes a cycle exactly when bit s of ``reach[r]`` is set; otherwise the
@@ -45,7 +44,7 @@ over a space-time diagram (Lamport 1978), one AND per candidate. Matchings
 stream out one at a time, so the queries stop at the first answer:
 :func:`oracle_channel_open` at the first matching that uses the probe,
 :func:`oracle_seals` at the first that serves a receive of p from outside
-p, :func:`has_rel_run` at the first matching.
+p.
 
 One entry outlives a call: the last program that a channel query found
 well formed, with the rows, the receive count on each channel and the
@@ -61,48 +60,20 @@ without a search.
 from __future__ import annotations
 
 from collections import Counter
-from enum import Enum
 from math import factorial, perm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadProcessId, BudgetExceeded, CyclicGraph, ProcessCountMismatch, ShapeError
 from .graph import deadlock_free
-from .model import Channel, Program, Record, StmtKind, empty_program, setfield, statement_channel
+from .model import Channel, Program, Record, StmtKind, empty_program, setfield
 
 __all__ = [
     "DEFAULT_BUDGET",
-    "EventWorld",
-    "Matching",
     "OracleBudget",
-    "Origin",
-    "WorldEvent",
-    "enumerate_matchings",
-    "has_rel_run",
     "oracle_channel_open",
     "oracle_seals",
     "oracle_tcc",
 ]
-
-
-class Origin(Enum):
-    LAYER_P = "p"
-    LAYER_S = "s"
-    PROBE = "probe"
-
-
-class WorldEvent(Record):
-    """One event in the world: position ``pos`` within process ``proc``."""
-
-    __slots__ = ("proc", "pos", "kind", "channel", "origin")
-
-    def __init__(
-        self, proc: int, pos: int, kind: StmtKind, channel: Channel, origin: Origin
-    ) -> None:
-        setfield(self, "proc", proc)
-        setfield(self, "pos", pos)
-        setfield(self, "kind", kind)
-        setfield(self, "channel", channel)
-        setfield(self, "origin", origin)
 
 
 class OracleBudget(Record):
@@ -114,80 +85,6 @@ class OracleBudget(Record):
 
 
 DEFAULT_BUDGET = OracleBudget()
-
-
-class EventWorld(Record):
-    """Per-process event sequences drawn from one or more layered programs."""
-
-    __slots__ = ("n", "events")
-
-    def __init__(self, n: int, events: tuple[tuple[WorldEvent, ...], ...]) -> None:
-        setfield(self, "n", n)
-        setfield(self, "events", events)
-
-    @classmethod
-    def from_layers(
-        cls,
-        layers: Sequence[tuple[Program, Origin]],
-        probe_channels: Iterable[Channel] = (),
-    ) -> EventWorld:
-        if not layers:
-            raise ValueError("at least one layer required")
-        n = layers[0][0].n
-        for prog, _ in layers:
-            if prog.n != n:
-                raise ProcessCountMismatch(n, prog.n)
-        rows: list[list[WorldEvent]] = [[] for _ in range(n)]
-        for prog, origin in layers:
-            for proc in range(1, n + 1):
-                for stmt in prog.statements(proc):
-                    rows[proc - 1].append(
-                        WorldEvent(
-                            proc,
-                            len(rows[proc - 1]),
-                            stmt.kind,
-                            statement_channel(proc, stmt),
-                            origin,
-                        )
-                    )
-        for ch in probe_channels:
-            row = rows[ch.src - 1]
-            row.append(WorldEvent(ch.src, len(row), StmtKind.SEND, ch, Origin.PROBE))
-        return cls(n, tuple(tuple(row) for row in rows))
-
-    def all_events(self) -> list[WorldEvent]:
-        return [ev for row in self.events for ev in row]
-
-    @property
-    def event_count(self) -> int:
-        return sum(len(row) for row in self.events)
-
-
-class Matching(Record):
-    """Receive-to-send assignment, in canonical receive order."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: tuple[tuple[WorldEvent, WorldEvent], ...]) -> None:
-        setfield(self, "pairs", pairs)
-
-
-def enumerate_matchings(
-    world: EventWorld, budget: OracleBudget = DEFAULT_BUDGET
-) -> list[Matching]:
-    """All acyclic, injective, receive-total, per-channel matchings.
-
-    Raises :class:`ShapeError` when some channel has more receives than
-    sends and :class:`BudgetExceeded` when the world or the candidate count
-    is over budget.
-    """
-    events = world.all_events()
-    rows = [
-        [((ev.channel.src, ev.channel.dst), ev.kind is StmtKind.SEND) for ev in row]
-        for row in world.events
-    ]
-    matchings = _search(rows, budget, [(ev.proc, ev.pos) for ev in events])
-    return [Matching(tuple((events[r], events[s]) for r, s in pairs)) for pairs in matchings]
 
 
 # A world's events, row by row: the channel as (src, dst), and whether the
@@ -223,12 +120,9 @@ def _check_candidates(candidates: int, budget: OracleBudget) -> None:
         )
 
 
-def _search(
-    rows: list[_Row], budget: OracleBudget, order: Sequence[tuple[int, int]] | None = None
-) -> Iterator[tuple[tuple[int, int], ...]]:
+def _search(rows: list[_Row], budget: OracleBudget) -> Iterator[tuple[tuple[int, int], ...]]:
     """The matchings of the world of ``rows``, each as (receive, send) pairs
-    of event indices, in the order of the module docstring. Receives are
-    taken in index order, or by ``order[x]`` when given.
+    of event indices, in the order of the module docstring.
 
     The budget refusals and :class:`ShapeError` are raised by the call
     itself, before any matching is searched for.
@@ -250,8 +144,6 @@ def _search(
                 counts[ch] = counts.get(ch, 0) + 1
             reach.append(end - (1 << x))
             x += 1
-    if order is not None:
-        receives.sort(key=lambda rc: order[rc[0]])
     candidates = 1
     for ch in sorted(counts):
         n_sends = len(sends.get(ch, ()))
@@ -357,12 +249,3 @@ def oracle_tcc(p: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
     rely on may leak across the cut.
     """
     return oracle_seals(p, empty_program(p.n), budget)
-
-
-def has_rel_run(p: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
-    """Does the bare program admit any acyclic receive-total matching?
-
-    Exposed separately so the graph-based deadlock check can be compared
-    with the run-level notion on small inputs.
-    """
-    return next(_search(_rows([p]), budget), None) is not None

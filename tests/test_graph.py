@@ -31,7 +31,6 @@ from layerseal import (
     compute_signature,
     deadlock_free,
     empty_program,
-    enumerate_matchings,
     is_balanced,
     layer,
     message_transmit,
@@ -42,7 +41,7 @@ from layerseal import (
     send,
 )
 from layerseal.graph import causality_sweep
-from layerseal.oracle import EventWorld, Origin
+from layerseal.oracle import DEFAULT_BUDGET, _rows, _search
 from progsets import all_balanced_df_programs, all_programs, deadlocked_pair, random_balanced_df
 
 
@@ -359,20 +358,20 @@ def test_graph_edges_hold_in_every_run():
     receive before that send.
     """
     for p in all_balanced_df_programs(2, 4) + all_balanced_df_programs(3, 4)[:20]:
-        # (process, position) from pairing; the world counts positions from 0.
-        static = {((i, x - 1), (j, y - 1)) for (j, y), (i, x) in pairing(p).items()}
+        # (process, position) from pairing, positions counting from 1; the
+        # world numbers the events row by row from 0.
+        starts = [0]
+        for seq in p.seqs:
+            starts.append(starts[-1] + len(seq))
+        static = {
+            (starts[i - 1] + x - 1, starts[j - 1] + y - 1) for (j, y), (i, x) in pairing(p).items()
+        }
         if not static:
             continue
-        world = EventWorld.from_layers([(p, Origin.LAYER_P)], probe_channels=[])
-        key = {(e.proc, e.pos): e for e in world.all_events()}
-        for matching in enumerate_matchings(world):
-            # Order induced by the matching: process chains plus matched pairs.
-            edges = set()
-            for events in world.events:
-                for a, b in zip(events, events[1:]):
-                    edges.add((a, b))
-            for r, s in matching.pairs:
-                edges.add((s, r))
-            closed = close_edges(world.all_events(), edges)
+        # Order induced by a matching: process chains plus matched pairs.
+        chains = {(x, x + 1) for a, b in zip(starts, starts[1:]) for x in range(a, b - 1)}
+        for matching in _search(_rows([p]), DEFAULT_BUDGET):
+            edges = chains | {(s, r) for r, s in matching}
+            closed = close_edges(range(starts[-1]), edges)
             for a, b in static:
-                assert (key[b], key[a]) not in closed, (p, a, b)
+                assert (b, a) not in closed, (p, a, b)

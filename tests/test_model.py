@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from layerseal import (
     Channel,
     ClosedChannelGraph,
-    EventWorld,
-    Matching,
     OracleBudget,
     Phase,
     ProcessCountMismatch,
@@ -35,7 +33,6 @@ from layerseal import (
     send,
 )
 from layerseal.cli import CliResult
-from layerseal.oracle import Origin, WorldEvent
 
 
 def test_channel_validation():
@@ -179,8 +176,6 @@ def test_event_count():
     assert p.event_count == 4
 
 
-_EVENT = WorldEvent(1, 0, StmtKind.SEND, Channel(1, 2), Origin.PROBE)
-
 # Every value class of the package: its fields in order, and for the ones
 # that validate their fields, a field value that must raise ValueError.
 RECORDS = [
@@ -192,11 +187,7 @@ RECORDS = [
     (ClosedChannelGraph, {"n": 2, "edges": frozenset({(2, 1)})}, None),
     (SealPlan, {"transmissions": ((1, 2),), "phase_tags": (Phase.BROADCAST,)}, {"phase_tags": ()}),
     (CliResult, {"exit_code": 1, "stdout": "seals: false\n"}, None),
-    (WorldEvent, {"proc": 1, "pos": 0, "kind": StmtKind.SEND, "channel": Channel(1, 2),
-                  "origin": Origin.PROBE}, None),
     (OracleBudget, {"max_matchings": 6, "max_events": 5}, None),
-    (EventWorld, {"n": 2, "events": ((_EVENT,), ())}, None),
-    (Matching, {"pairs": ((_EVENT, _EVENT),)}, None),
 ]
 
 

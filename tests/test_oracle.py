@@ -12,18 +12,14 @@ from layerseal import (
     BudgetExceeded,
     Channel,
     CyclicGraph,
-    EventWorld,
     OracleBudget,
     ProcessCountMismatch,
     ShapeError,
-    StmtKind,
     Unbalanced,
     channels_of,
     compute_signature,
     deadlock_free,
     empty_program,
-    enumerate_matchings,
-    has_rel_run,
     layer,
     message_transmit,
     oracle_channel_open,
@@ -33,7 +29,7 @@ from layerseal import (
     recv,
     send,
 )
-from layerseal.oracle import Origin, WorldEvent
+from layerseal.oracle import _rows, _search
 from progsets import (
     all_balanced_programs,
     crossed_exchange,
@@ -43,39 +39,37 @@ from progsets import (
 )
 
 
-def _world(p, probes=()):
-    return EventWorld.from_layers([(p, Origin.LAYER_P)], probe_channels=probes)
+def _matchings(p, budget=DEFAULT_BUDGET):
+    """The matchings of the bare world of p, as (receive, send) index pairs."""
+    return list(_search(_rows([p]), budget))
 
 
 def test_matching_count_single_transmit():
-    ms = enumerate_matchings(_world(message_transmit(1, 2, 2)))
-    assert len(ms) == 1
-    ((r, s),) = ms[0].pairs
-    assert s.kind is StmtKind.SEND and r.kind is StmtKind.RECV
-    assert s.proc == 1 and r.proc == 2
+    ms = _matchings(message_transmit(1, 2, 2))
+    # Process 1's send is event 0, process 2's receive event 1.
+    assert ms == [((1, 0),)]
 
 
 def test_matching_count_two_parallel_sends():
     # Two messages from 1 to 2: either receive may take either message.
     p = program("two", 2, {1: [send(2), send(2)], 2: [recv(1), recv(1)]})
-    assert len(enumerate_matchings(_world(p))) == 2
+    assert len(_matchings(p)) == 2
 
 
 def test_matching_count_crossed_exchange():
     # One message each way; only one assignment per channel exists, and it
     # is acyclic because both sends come first.
-    assert len(enumerate_matchings(_world(crossed_exchange()))) == 1
+    assert len(_matchings(crossed_exchange())) == 1
 
 
 def test_cycle_pruning_rejects_deadlock():
-    assert enumerate_matchings(_world(deadlocked_pair())) == []
-    assert not has_rel_run(deadlocked_pair())
+    assert _matchings(deadlocked_pair()) == []
 
 
 def test_deadlock_freedom_matches_oracle_exhaustively():
     for n, cap in ((2, 4), (3, 4)):
         for p in all_balanced_programs(n, cap):
-            assert deadlock_free(p) == has_rel_run(p), p
+            assert deadlock_free(p) == bool(_matchings(p)), p
 
 
 def test_matchings_are_valid_and_deterministic():
@@ -84,35 +78,30 @@ def test_matchings_are_valid_and_deterministic():
         3,
         {1: [send(2), send(2)], 2: [recv(1), recv(1), send(3)], 3: [recv(2)]},
     )
-    world = _world(p)
-    first = enumerate_matchings(world)
-    second = enumerate_matchings(world)
-    assert first == second
+    events = [ev for row in _rows([p]) for ev in row]
+    first = _matchings(p)
+    second = _matchings(p)
+    assert first == second and len(first) == 2
     for m in first:
-        recvs = [r for r, _ in m.pairs]
-        sends = [s for _, s in m.pairs]
+        recvs = [r for r, _ in m]
+        sends = [s for _, s in m]
         assert len(set(recvs)) == len(recvs)
         assert len(set(sends)) == len(sends)
-        for r, s in m.pairs:
-            assert r.channel == s.channel
+        for r, s in m:
+            assert events[r] == (events[s][0], False) and events[s][1]
 
 
 def test_shape_error_when_receives_outnumber_sends():
-    row1 = (WorldEvent(1, 0, StmtKind.SEND, Channel(1, 2), Origin.LAYER_P),)
-    row2 = (
-        WorldEvent(2, 0, StmtKind.RECV, Channel(1, 2), Origin.LAYER_P),
-        WorldEvent(2, 1, StmtKind.RECV, Channel(1, 2), Origin.LAYER_P),
-    )
-    world = EventWorld(2, (row1, row2))
+    rows = [[((1, 2), True)], [((1, 2), False), ((1, 2), False)]]
     with pytest.raises(ShapeError) as exc:
-        enumerate_matchings(world)
+        _search(rows, DEFAULT_BUDGET)
     assert exc.value.channel == Channel(1, 2)
 
 
 def test_budget_exceeded_on_too_many_events():
     p = message_transmit(1, 2, 2)
     with pytest.raises(BudgetExceeded):
-        enumerate_matchings(_world(p), OracleBudget(max_events=1))
+        _matchings(p, budget=OracleBudget(max_events=1))
 
 
 def test_budget_exceeded_on_too_many_matchings():
@@ -124,13 +113,13 @@ def test_budget_exceeded_on_too_many_matchings():
         {1: [send(2)] * 10, 2: [recv(1)] * 10},
     )
     with pytest.raises(BudgetExceeded):
-        enumerate_matchings(_world(p))
+        _matchings(p)
 
 
 def test_matching_count_parallel_factorial():
     # Six parallel transmissions: every permutation is acyclic, 6! in all.
     p = program("six", 2, {1: [send(2)] * 6, 2: [recv(1)] * 6})
-    assert len(enumerate_matchings(_world(p))) == 720
+    assert len(_matchings(p)) == 720
 
 
 def test_oracle_channel_open_fixtures():
@@ -174,30 +163,29 @@ def test_oracle_tcc_fixtures():
 
 
 def test_probe_worlds_include_probe_sends():
-    world = EventWorld.from_layers(
-        [(empty_program(2), Origin.LAYER_P)], probe_channels=[Channel(1, 2)]
-    )
-    assert world.event_count == 1
-    (probe,) = world.all_events()
-    assert probe.origin is Origin.PROBE
-    assert probe.kind is StmtKind.SEND
+    assert _rows([empty_program(2)], [(1, 2)]) == [[((1, 2), True)], []]
+    # Probes end their senders' rows, in the order given.
+    assert _rows([message_transmit(1, 2, 3)], [(2, 1), (1, 3), (1, 2)]) == [
+        [((1, 2), True), ((1, 3), True), ((1, 2), True)],
+        [((1, 2), False), ((2, 1), True)],
+        [],
+    ]
 
 
 def test_world_positions_run_per_process():
     p = program("p", 2, {1: [send(2), send(2)], 2: [recv(1), recv(1)]})
-    world = EventWorld.from_layers(
-        [(p, Origin.LAYER_P), (message_transmit(2, 1, 2), Origin.LAYER_S)]
-    )
-    assert [ev.pos for ev in world.events[0]] == [0, 1, 2]
-    assert [ev.origin for ev in world.events[0]] == [
-        Origin.LAYER_P,
-        Origin.LAYER_P,
-        Origin.LAYER_S,
+    rows = _rows([p, message_transmit(2, 1, 2)])
+    # Layers concatenate per process.
+    assert rows == [
+        [((1, 2), True), ((1, 2), True), ((2, 1), False)],
+        [((1, 2), False), ((1, 2), False), ((2, 1), True)],
     ]
-    with pytest.raises(ValueError, match="at least one layer"):
-        EventWorld.from_layers([])
-    with pytest.raises(ProcessCountMismatch):
-        EventWorld.from_layers([(p, Origin.LAYER_P), (empty_program(3), Origin.LAYER_S)])
+    # Events are numbered row by row: 0-2 on process 1, 3-5 on process 2,
+    # and receives are taken in that order.
+    assert list(_search(rows, DEFAULT_BUDGET)) == [
+        ((2, 5), (3, 0), (4, 1)),
+        ((2, 5), (3, 1), (4, 0)),
+    ]
 
 
 def test_oracle_results_stable_across_calls():
@@ -255,8 +243,9 @@ def test_channel_queries_on_an_ill_formed_program_always_raise(bad, error):
 def _reference_open(p, ch, budget):
     """The reference's answer on the world of p with one probe on ch, or
     its refusal as (type, message)."""
+    world = ref.rows([p], [ch])
     try:
-        return ref.uses_probe(ref.enumerate_matchings(_world(p, [ch]), budget))
+        return ref.uses_probe(ref.enumerate_matchings(world, budget), world, ch)
     except BudgetExceeded as exc:
         return BudgetExceeded, str(exc)
 

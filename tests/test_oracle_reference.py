@@ -1,6 +1,8 @@
-"""Differential tests: the indexed oracle search equals the depth-first
-reference in ``oracle_reference.py``: the same matchings in the same order,
-the same answers, and the same refusals with the same messages."""
+"""Differential tests: the oracle's indexed search equals the depth-first
+reference in ``oracle_reference.py`` on the same rows: the same matchings
+in the same order, and the same refusals with the same messages. The
+oracle's queries give the answers the reference reads off its matchings,
+and the oracle builds the same rows from the same programs."""
 
 from __future__ import annotations
 
@@ -16,17 +18,13 @@ from layerseal import (
     BudgetExceeded,
     Channel,
     CyclicGraph,
-    EventWorld,
     OracleBudget,
     ProcessCountMismatch,
     Program,
     ShapeError,
-    StmtKind,
     channels_of,
     deadlock_free,
     empty_program,
-    enumerate_matchings,
-    has_rel_run,
     message_transmit,
     oracle_channel_open,
     oracle_seals,
@@ -35,10 +33,8 @@ from layerseal import (
     recv,
     send,
 )
-from layerseal.oracle import Origin
+from layerseal.oracle import _rows, _search
 from progsets import all_balanced_programs, crossed_exchange, deadlocked_pair, random_balanced_df
-
-P, S = Origin.LAYER_P, Origin.LAYER_S
 
 
 def _outcome(fn, *args):
@@ -48,11 +44,23 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _check_world(world: EventWorld, budget: OracleBudget = DEFAULT_BUDGET):
-    """Requires the same outcome on ``world`` as the reference; returns it:
+def _matchings(rows, budget: OracleBudget = DEFAULT_BUDGET) -> list:
+    return list(_search(rows, budget))
+
+
+def _world(layers: list[Program], probes=()) -> list:
+    """The reference's rows of ``layers`` with a probe on each channel of
+    ``probes``, which the oracle's encoder must build alike."""
+    rows = ref.rows(layers, probes)
+    assert _rows(layers, [(ch.src, ch.dst) for ch in probes]) == rows, (layers, probes)
+    return rows
+
+
+def _check_world(rows, budget: OracleBudget = DEFAULT_BUDGET):
+    """Requires the same outcome on ``rows`` as the reference; returns it:
     the list of matchings, or the type and message of the refusal."""
-    expected = _outcome(ref.enumerate_matchings, world, budget)
-    assert _outcome(enumerate_matchings, world, budget) == expected, world
+    expected = _outcome(ref.enumerate_matchings, rows, budget)
+    assert _outcome(_matchings, rows, budget) == expected, rows
     return expected
 
 
@@ -64,18 +72,23 @@ def _answer(query, expected):
 def _check_program(p: Program, s: Program | None = None) -> None:
     """Every world the oracle builds for p, and for p then s (by default
     the empty program): the bare world, p with one probe on each channel,
-    and p then s with a probe on every channel."""
+    and p then s with a probe on every channel. p is deadlock free exactly
+    when its bare world has a matching."""
     s = s or empty_program(p.n)
     well_formed = deadlock_free(p)
-    bare = _check_world(EventWorld.from_layers([(p, P)]))
-    assert _outcome(has_rel_run, p) == _answer(bool, bare), p
+    bare = _check_world(_world([p]))
+    assert isinstance(bare, list) and bool(bare) == well_formed, p
     for ch in channels_of(p.n):
-        probed = _check_world(EventWorld.from_layers([(p, P)], [ch]))
+        world = _world([p], [ch])
+        probed = _check_world(world)
         if well_formed:
-            assert _outcome(oracle_channel_open, p, ch) == _answer(ref.uses_probe, probed), (p, ch)
-    pair = _check_world(EventWorld.from_layers([(p, P), (s, S)], channels_of(p.n)))
+            answer = _answer(lambda ms: ref.uses_probe(ms, world, ch), probed)
+            assert _outcome(oracle_channel_open, p, ch) == answer, (p, ch)
+    world = _world([p, s], channels_of(p.n))
+    pair = _check_world(world)
     if well_formed and deadlock_free(s):
-        assert _outcome(oracle_seals, p, s) == _answer(ref.keeps_p_inside, pair), (p, s)
+        answer = _answer(lambda ms: ref.keeps_p_inside(ms, world, p), pair)
+        assert _outcome(oracle_seals, p, s) == answer, (p, s)
 
 
 def test_matches_reference_on_enumerated_scopes():
@@ -97,12 +110,6 @@ def test_matches_reference_on_fixtures():
     for p in (deadlocked_pair(), crossed_exchange(), crossed_exchange(3)):
         _check_program(p)
         _check_program(p, crossed_exchange(p.n))
-    # A world built by hand, its rows out of (process, position) order:
-    # receives are still taken by (process, position), the order along a
-    # row is still the row's.
-    rows = EventWorld.from_layers([(crossed_exchange(3), P)], channels_of(3)).events
-    shuffled = tuple(tuple(reversed(row)) for row in reversed(rows))
-    assert isinstance(_check_world(EventWorld(3, shuffled)), list)
 
 
 def _grid_programs() -> list[Program]:
@@ -122,29 +129,30 @@ def _budget_grid(events: int) -> list[OracleBudget]:
 
 def test_refusals_match_reference():
     progs = _grid_programs()
-    worlds = [EventWorld.from_layers([(p, P)], channels_of(p.n)) for p in progs[:-1]]
-    worlds.append(EventWorld.from_layers([(progs[-1], P)], [Channel(1, 2)]))
+    worlds = [_world([p], channels_of(p.n)) for p in progs[:-1]]
+    worlds.append(_world([progs[-1]], [Channel(1, 2)]))
     for world in worlds:
-        for budget in _budget_grid(world.event_count):
+        for budget in _budget_grid(sum(map(len, world))):
             _check_world(world, budget)
 
 
 def test_query_refusals_match_reference():
-    # The queries build their worlds from the programs, not as EventWorlds:
-    # each must answer, or refuse with the same type and message, as the
-    # reference does on the world it stands for.
+    # The search on the bare world, and the queries, which build their
+    # worlds from the programs, under every budget: each must answer, or
+    # refuse with the same type and message, as the reference does on the
+    # world it stands for.
     outcomes: dict = {}
 
     def expected(query, world, budget):
         # Budgets that admit the world's events and candidates admit it
         # alike: the reference enumerates it once for all of them.
-        sends = Counter(ev.channel for row in world.events for ev in row if ev.kind is StmtKind.SEND)
-        recvs = Counter(ev.channel for row in world.events for ev in row if ev.kind is StmtKind.RECV)
+        sends = Counter(ch for row in world for ch, is_send in row if is_send)
+        recvs = Counter(ch for row in world for ch, is_send in row if not is_send)
         candidates = prod(perm(sends[ch], k) for ch, k in recvs.items())
         key = (
             id(world),
             min(budget.max_matchings, candidates),
-            min(budget.max_events, world.event_count),
+            min(budget.max_events, sum(map(len, world))),
         )
         if key not in outcomes:
             outcomes[key] = _check_world(world, OracleBudget(*key[1:]))
@@ -153,15 +161,15 @@ def test_query_refusals_match_reference():
     for p in _grid_programs():
         outcomes.clear()  # keyed by id: the worlds of this program only
         s = message_transmit(2, 1, p.n)
-        bare = EventWorld.from_layers([(p, P)])
-        probed = {ch: EventWorld.from_layers([(p, P)], [ch]) for ch in channels_of(p.n)}
-        pair = EventWorld.from_layers([(p, P), (s, S)], channels_of(p.n))
-        for budget in _budget_grid(pair.event_count):
-            assert _outcome(has_rel_run, p, budget) == expected(bool, bare, budget), (p, budget)
+        bare = _world([p])
+        probed = {ch: _world([p], [ch]) for ch in channels_of(p.n)}
+        pair = _world([p, s], channels_of(p.n))
+        for budget in _budget_grid(sum(map(len, pair))):
+            assert _outcome(_matchings, bare, budget) == expected(list, bare, budget), (p, budget)
             for ch, world in probed.items():
-                answer = expected(ref.uses_probe, world, budget)
+                answer = expected(lambda ms: ref.uses_probe(ms, world, ch), world, budget)
                 assert _outcome(oracle_channel_open, p, ch, budget) == answer, (p, ch, budget)
-            answer = expected(ref.keeps_p_inside, pair, budget)
+            answer = expected(lambda ms: ref.keeps_p_inside(ms, pair, p), pair, budget)
             assert _outcome(oracle_seals, p, s, budget) == answer, (p, budget)
 
 
@@ -184,10 +192,6 @@ def test_input_errors_come_before_budget_refusals():
         oracle_seals(p, stuck, tight)
     with pytest.raises(CyclicGraph):
         oracle_tcc(stuck, tight)
-    # has_rel_run takes deadlocking programs: only the budget refuses it.
-    with pytest.raises(BudgetExceeded):
-        has_rel_run(stuck, tight)
-    assert not has_rel_run(stuck)
 
 
 def test_shape_errors_match_reference():
@@ -197,7 +201,7 @@ def test_shape_errors_match_reference():
     late = program(
         "late", 3, {1: [send(2)] * 9, 2: [recv(1)] * 9 + [recv(3)], 3: []}
     )
-    worlds = [EventWorld.from_layers([(p, P)]) for p in (short, late)]
+    worlds = [_world([p]) for p in (short, late)]
     rng = random.Random(4444)
     for _ in range(100):
         n = rng.randint(2, 4)
@@ -206,9 +210,9 @@ def test_shape_errors_match_reference():
                 for _ in range(rng.randint(0, 3))]
             for i in range(1, n + 1)
         }
-        worlds.append(EventWorld.from_layers([(program("u", n, seqs), P)]))
+        worlds.append(_world([program("u", n, seqs)]))
     for world in worlds:
         for budget in (DEFAULT_BUDGET, OracleBudget(max_matchings=1)):
             _check_world(world, budget)
-    assert isinstance(_outcome(enumerate_matchings, worlds[0]), tuple)
-    assert _outcome(enumerate_matchings, worlds[1])[0] is ShapeError
+    assert isinstance(_outcome(_matchings, worlds[0]), tuple)
+    assert _outcome(_matchings, worlds[1])[0] is ShapeError

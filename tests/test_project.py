@@ -51,6 +51,26 @@ def test_oracle_imports_neither_signature_nor_sealing():
     assert found == []
 
 
+def test_oracle_reference_shares_no_code_with_the_oracle():
+    # The reference in ``tests/oracle_reference.py`` checks the oracle's
+    # search, so it may take public types and errors from the package but
+    # nothing from the oracle's module and no private name.
+    tree = ast.parse((PROJECT / "tests" / "oracle_reference.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{a.name}" for a in node.names]
+    found = [
+        name
+        for name in imported
+        if name.split(".")[0] == "layerseal"
+        and any(part == "oracle" or part.startswith("_") for part in name.split("."))
+    ]
+    assert imported and found == []
+
+
 def test_readme_python_example_runs():
     readme = (PROJECT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
