@@ -291,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("mode", choices=["channels", "is-seal", "tcc"])
     s.add_argument("files", nargs="+")
-    s.add_argument("--budget", type=_positive, help="cap on enumerated matchings")
+    s.add_argument("--budget", type=_positive, help="cap on candidate matchings")
     s.set_defaults(handler=_cmd_verify)
 
     return top

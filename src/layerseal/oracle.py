@@ -2,13 +2,13 @@
 
 The static analyses in this package answer questions of the form "can any
 continuation of this program interfere with it". This module answers the
-same questions by exhaustive enumeration, so the two can be checked against
-each other on small inputs.
+same questions by exhaustive search, so the two can be checked against each
+other on small inputs.
 
 A run assigns every receive event the send event whose message it consumed:
 an injective, per-channel matching, total on receives, whose induced order
-(process order plus matched-send-before-receive) is acyclic. The oracle
-enumerates every such matching of a finite event world.
+(process order plus matched-send-before-receive) is acyclic. A query asks
+whether such a matching of a finite event world holds a pair answering it.
 
 Finite worlds suffice. A continuation of a balanced program can interfere
 only through the messages it sends, and a single extra send per channel (a
@@ -20,41 +20,43 @@ run in which the processes simply stop afterwards; unmatched probe sends
 stay in flight forever, which reliability permits since only finitely many
 sends follow them.
 
-Budgets are explicit: enumeration refuses, with :class:`BudgetExceeded`,
-rather than silently truncating, when the world has more events than
-``max_events`` or the per-channel injection count product exceeds
-``max_matchings``. The product bound is computed before searching, so the
-refusal errs toward caution even though cycle pruning might have kept the
-actual count lower.
-
-Results are deterministic: matchings appear in lexicographic order of send
-choices along receives in index order.
+Budgets are explicit: a query refuses with :class:`BudgetExceeded`, rather
+than truncating, when the world has more events than ``max_events`` or more
+candidate matchings, the per-channel injection count product, than
+``max_matchings``. Both are counted before any search, so a refusal errs
+toward caution: cycle pruning might have kept the actual count lower.
 
 The queries build their world straight from the programs' statement
 sequences, as per-process rows of ``((src, dst), is_send)`` pairs with the
 probe sends at the ends of the rows, and number its events row by row
-0..N-1, so index order is (process, position) order and a probe or an
-event of p is told by its place in the rows. The search keeps, for
-every event x, an int bitset ``reach[x]`` of the events x reaches, x
-included: at first along its row only. Choosing send s for receive r
-closes a cycle exactly when bit s of ``reach[r]`` is set; otherwise the
-edge s -> r adds ``reach[r]`` to every bitset that holds s, in a new list,
-so backtracking drops nothing but a reference. This is happened-before
-over a space-time diagram (Lamport 1978), one AND per candidate. Matchings
-stream out one at a time, so the queries stop at the first answer:
-:func:`oracle_channel_open` at the first matching that uses the probe,
-:func:`oracle_seals` at the first that serves a receive of p from outside
-p.
+0..N-1, so index order is (process, position) order and a probe or an event
+of p is told by its place in the rows. The search takes the receives in
+index order and keeps, for each receive still to match, an int bitset of
+the events it reaches, itself included: at first along its row only. Send
+s closes a cycle for receive r exactly when bit s of r's bitset is set;
+otherwise the edge s -> r adds r's bitset to every bitset that holds s, in
+a new list, so backtracking drops nothing but a reference. This is
+happened-before over a space-time diagram (Lamport 1978), one AND per
+candidate. :func:`_search` lists matchings in lexicographic order of send
+choices along receives in index order.
 
-One entry outlives a call: the last program that a channel query found
-well formed, with the rows, the receive count on each channel and the
-candidate count of its bare world. It is matched by identity and holds the
-program, so a run of channel queries on one ``Program`` checks it once,
-and a program that fails the check never enters it. A channel without a
-receive in p cannot take the probe: its query raises the budget refusals
-the search would raise (the world has one event more than the bare one,
-and as many candidates, since perm(s + 1, 0) = 1) and answers ``False``
-without a search.
+A query gives each receive a goal, the bitset of the sends whose choice
+answers it: for :func:`oracle_seals` the sends outside p, on p's receives;
+for :func:`oracle_channel_open` the probe, on its channel's receives. The
+search returns at the first complete matching holding a goal pair, and
+prunes a branch once the last receive with a goal is matched without one.
+:func:`_search` is the same search with no goal and a collecting visitor.
+
+One entry outlives a call: the last program that a channel query found well
+formed, with the counts of its bare world, and that world built for the
+search once a query gets past the budget refusals. Matched by identity, it
+lets a run of channel queries on one ``Program`` check and build it once; a
+program that fails the check never enters it. A query adds its probe as one
+event more, numbered after p's (only its bit matters, and it is its
+channel's last send either way): to the channel's sends, to the bitsets of
+the receives on its sender's row, and to the candidates, as (k + 1)! for
+the channel's k!. A channel with no receive in p answers ``False`` after
+the budget refusals, without a search.
 """
 
 from __future__ import annotations
@@ -120,54 +122,79 @@ def _check_candidates(candidates: int, budget: OracleBudget) -> None:
         )
 
 
-def _search(rows: list[_Row], budget: OracleBudget) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The matchings of the world of ``rows``, each as (receive, send) pairs
-    of event indices, in the order of the module docstring.
-
-    The budget refusals and :class:`ShapeError` are raised by the call
-    itself, before any matching is searched for.
-    """
+def _world(rows: list[_Row], budget: OracleBudget) -> tuple:
+    """The world of ``rows`` as :func:`_first` searches it: the sends on
+    each channel, and the channel, index and reach bitset of each receive,
+    all in index order. Refuses by events before building, then raises
+    :class:`ShapeError` on the first channel in sorted order with more
+    receives than sends, then refuses by candidates."""
     _check_size(sum(map(len, rows)), budget)
     sends: dict[tuple[int, int], list[int]] = {}
-    receives: list[tuple[int, tuple[int, int]]] = []
-    counts: dict[tuple[int, int], int] = {}
-    # Along its row alone, an event reaches itself and the events after it.
-    reach: list[int] = []
+    chans, indices, reach = [], [], []
     x = 0
     for row in rows:
+        # Along its row alone, a receive reaches itself and the events after it.
         end = 1 << (x + len(row))
         for ch, is_send in row:
             if is_send:
                 sends.setdefault(ch, []).append(x)
             else:
-                receives.append((x, ch))
-                counts[ch] = counts.get(ch, 0) + 1
-            reach.append(end - (1 << x))
+                chans.append(ch)
+                indices.append(x)
+                reach.append(end - (1 << x))
             x += 1
     candidates = 1
-    for ch in sorted(counts):
+    for ch, k in sorted(Counter(chans).items()):
         n_sends = len(sends.get(ch, ()))
-        if counts[ch] > n_sends:
+        if k > n_sends:
             raise ShapeError(Channel(*ch))
-        candidates *= perm(n_sends, counts[ch])
+        candidates *= perm(n_sends, k)
     _check_candidates(candidates, budget)
-    choices = [(r, sends[ch]) for r, ch in receives]
+    return sends, chans, indices, reach
 
-    def search(k: int, reach: list[int], used: int, pairs: tuple) -> Iterator[tuple]:
-        if k == len(choices):
-            yield pairs
-            return
-        r, senders = choices[k]
-        from_r = reach[r]
-        for s in senders:
+
+def _first(senders: list, goals: list[int], reach: list[int], visit=None) -> bool:
+    """Is there a complete matching with a goal pair, receive k matched to a
+    send in ``goals[k]``? Receive k takes a send of ``senders[k]`` and starts
+    with bitset ``reach[k]``. With a ``visit``, each matching, as the sends
+    chosen, goes to it instead, until it returns a true value."""
+    n = len(senders)
+    # Past the last receive with a goal, a branch without a goal pair has none.
+    stop = -1 if visit else n
+    while stop > 0 and not goals[stop - 1]:
+        stop -= 1
+    chosen = [0] * n
+
+    def search(k: int, reach: list[int], used: int, hit: bool) -> bool:
+        if k == stop and not hit:
+            return False
+        if k == n:
+            return visit is None or visit(chosen)
+        from_r, rest = reach[0], reach[1:]
+        goal = goals[k]
+        for s in senders[k]:
             # Skip a used send, and one that r already reaches: the edge
             # s -> r would close a cycle, and edges only accumulate.
             if (used | from_r) >> s & 1:
                 continue
-            grown = [v | from_r if v >> s & 1 else v for v in reach]
-            yield from search(k + 1, grown, used | 1 << s, pairs + ((r, s),))
+            chosen[k] = s
+            grown = [v | from_r if v >> s & 1 else v for v in rest]
+            if search(k + 1, grown, used | 1 << s, hit or goal >> s & 1):
+                return True
+        return False
 
-    return search(0, reach, 0, ())
+    return search(0, reach, 0, False)
+
+
+def _search(rows: list[_Row], budget: OracleBudget) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The matchings of the world of ``rows``, as (receive, send) index
+    pairs, in the order of the module docstring. The refusals and
+    :class:`ShapeError` are raised by the call, before any search."""
+    sends, chans, indices, reach = _world(rows, budget)
+    found: list[tuple[tuple[int, int], ...]] = []
+    _first([sends[ch] for ch in chans], [0] * len(chans), reach,
+           lambda chosen: found.append(tuple(zip(indices, chosen))))
+    return iter(found)
 
 
 def _require_well_formed(p: Program) -> None:
@@ -175,24 +202,12 @@ def _require_well_formed(p: Program) -> None:
         raise CyclicGraph(f"{p.name!r} can deadlock")
 
 
-# The last program a channel query found well formed, as (p, the rows of
-# its bare world, their event count, its receive count on each channel that
-# has a receive, the bare world's candidate count). One tuple, read once and
-# replaced whole, so concurrent queries each use a consistent entry.
+# The last program a channel query found well formed, as (p, its bare
+# world's rows, event count, receive count on each channel with a receive
+# and candidate count, and that world from _world, or None until a query
+# gets past the budget refusals). One tuple, read once and replaced whole,
+# so concurrent queries each use a consistent entry.
 _checked: tuple | None = None
-
-
-def _channel_facts(p: Program) -> tuple:
-    global _checked
-    facts = _checked
-    if facts is None or facts[0] is not p:
-        _require_well_formed(p)
-        rows = _rows([p])
-        takers = Counter(ch for row in rows for ch, is_send in row if not is_send)
-        # Balanced: every channel has as many sends as receives.
-        candidates = prod(map(factorial, takers.values()))
-        _checked = facts = (p, rows, sum(map(len, rows)), takers, candidates)
-    return facts
 
 
 def oracle_channel_open(
@@ -203,19 +218,32 @@ def oracle_channel_open(
     Appends one probe send on ``channel`` and checks whether any matching
     hands it to one of p's receives.
     """
+    global _checked
     if channel.src > p.n or channel.dst > p.n:
         raise BadProcessId(f"channel {channel} outside 1..{p.n}")
-    _, rows, size, takers, candidates = _channel_facts(p)
+    entry = _checked
+    if entry is None or entry[0] is not p:
+        _require_well_formed(p)
+        rows = _rows([p])
+        takers = Counter(ch for row in rows for ch, is_send in row if not is_send)
+        # Balanced: every channel has as many sends as receives.
+        candidates = prod(map(factorial, takers.values()))
+        _checked = entry = (p, rows, sum(map(len, rows)), takers, candidates, None)
+    _, rows, size, takers, candidates, world = entry
     ch = (channel.src, channel.dst)
-    if ch not in takers:
-        _check_size(size + 1, budget)
-        _check_candidates(candidates, budget)
+    k = takers.get(ch, 0)
+    _check_size(size + 1, budget)
+    _check_candidates(candidates * (k + 1), budget)
+    if not k:
         return False
-    # The probe ends the row of its sender.
-    probe = sum(map(len, rows[: channel.src]))
-    rows = rows.copy()
-    rows[channel.src - 1] = [*rows[channel.src - 1], (ch, True)]
-    return any(s == probe for pairs in _search(rows, budget) for _, s in pairs)
+    if world is None:
+        world = _world(rows, budget)  # fits, since the probed world does
+        _checked = (*entry[:5], world)
+    sends, chans, _, reach = world
+    probed, bit = [*sends[ch], size], 1 << size  # the probe is event number size
+    return _first([probed if c == ch else sends[c] for c in chans],
+                  [bit if c == ch else 0 for c in chans],
+                  [v | bit if c[1] == ch[0] else v for c, v in zip(chans, reach)])
 
 
 def oracle_seals(p: Program, s: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
@@ -232,14 +260,14 @@ def oracle_seals(p: Program, s: Program, budget: OracleBudget = DEFAULT_BUDGET) 
     _require_well_formed(s)
     n = p.n
     rows = _rows([p, s], [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j])
+    sends, chans, indices, reach = _world(rows, budget)
     # The events of p open every row: a bitset of their indices.
     in_p = start = 0
     for seq, row in zip(p.seqs, rows):
         in_p |= ((1 << len(seq)) - 1) << start
         start += len(row)
-    return not any(
-        in_p >> r & 1 and not in_p >> x & 1 for pairs in _search(rows, budget) for r, x in pairs
-    )
+    goals = [~in_p if in_p >> x & 1 else 0 for x in indices]
+    return not _first([sends[ch] for ch in chans], goals, reach)
 
 
 def oracle_tcc(p: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:

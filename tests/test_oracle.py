@@ -162,6 +162,19 @@ def test_oracle_tcc_fixtures():
     assert not oracle_tcc(crossed_exchange())
 
 
+def test_queries_search_for_a_witness_without_listing_matchings(monkeypatch):
+    # Each query stops at its first witness: none lists the matchings of
+    # its world to filter them, so the fixture answers hold without the
+    # listing search.
+    def listing(*args):
+        raise AssertionError("a query listed the matchings of its world")
+
+    monkeypatch.setattr("layerseal.oracle._search", listing)
+    test_oracle_channel_open_fixtures()
+    test_oracle_seals_fixtures()
+    test_oracle_tcc_fixtures()
+
+
 def test_probe_worlds_include_probe_sends():
     assert _rows([empty_program(2)], [(1, 2)]) == [[((1, 2), True)], []]
     # Probes end their senders' rows, in the order given.

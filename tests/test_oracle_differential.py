@@ -51,6 +51,14 @@ def test_is_seal_matches_oracle_on_all_pairs_of_two_processes():
             assert is_seal(p, s) == oracle_seals(p, s), (p, s)
 
 
+def test_is_seal_matches_oracle_on_all_pairs_of_three_processes():
+    progs = all_balanced_df_programs(3, 4)
+    assert len(progs) ** 2 == 2116
+    for p in progs:
+        for s in progs:
+            assert is_seal(p, s) == oracle_seals(p, s), (p, s)
+
+
 def test_is_seal_matches_oracle_on_sampled_pairs_of_four_processes():
     # Every world has at most 4 + 4 events and 12 probes, within budget.
     progs = all_balanced_df_programs(4, 4)

@@ -116,14 +116,21 @@ def _grid_programs() -> list[Program]:
     """The programs whose worlds the budget grids run over."""
     rng = random.Random(4343)
     progs = [random_balanced_df(rng, n, 4) for n in (2, 3, 4)]
-    return progs + [program("six", 2, {1: [send(2)] * 6, 2: [recv(1)] * 6})]
+    # Two channels with a taker: 3! * 2! candidates bare, 4! * 2! with a
+    # probe on 1->2 and 3! * 3! with one on 2->1.
+    both = program(
+        "both", 2, {1: [send(2)] * 3 + [recv(2)] * 2, 2: [recv(1)] * 3 + [send(1)] * 2}
+    )
+    return progs + [both, program("six", 2, {1: [send(2)] * 6, 2: [recv(1)] * 6})]
 
 
 def _budget_grid(events: int) -> list[OracleBudget]:
     """Every event budget up to ``events``, and candidate budgets on both
-    sides of 5040, the count of ``six`` with its probe."""
+    sides of 12, 36 and 48, the counts of ``both`` bare and with a probe,
+    and of 5040, the count of ``six`` with its probe."""
     return [OracleBudget(max_events=e) for e in range(events + 1)] + [
-        OracleBudget(max_matchings=m) for m in (0, 1, 2, 6, 24, 120, 720, 5039, 5040)
+        OracleBudget(max_matchings=m)
+        for m in (0, 1, 2, 6, 11, 12, 24, 35, 36, 47, 48, 120, 720, 5039, 5040)
     ]
 
 
