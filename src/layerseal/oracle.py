@@ -37,26 +37,27 @@ s closes a cycle for receive r exactly when bit s of r's bitset is set;
 otherwise the edge s -> r adds r's bitset to every bitset that holds s, in
 a new list, so backtracking drops nothing but a reference. This is
 happened-before over a space-time diagram (Lamport 1978), one AND per
-candidate. :func:`_search` lists matchings in lexicographic order of send
-choices along receives in index order.
+candidate. The search keeps its branch as an explicit stack of frames, one
+per receive, so a world of any size fits, and yields matchings in
+lexicographic order of send choices along receives in index order.
 
 A query gives each receive a goal, the bitset of the sends whose choice
 answers it: for :func:`oracle_seals` the sends outside p, on p's receives;
 for :func:`oracle_channel_open` the probe, on its channel's receives. The
 search returns at the first complete matching holding a goal pair, and
 prunes a branch once the last receive with a goal is matched without one.
-:func:`_search` is the same search with no goal and a collecting visitor.
+:func:`_search` is the same search with no goal, and streams every matching.
 
-One entry outlives a call: the last program that a channel query found well
-formed, with the counts of its bare world, and that world built for the
-search once a query gets past the budget refusals. Matched by identity, it
-lets a run of channel queries on one ``Program`` check and build it once; a
-program that fails the check never enters it. A query adds its probe as one
-event more, numbered after p's (only its bit matters, and it is its
-channel's last send either way): to the channel's sends, to the bitsets of
-the receives on its sender's row, and to the candidates, as (k + 1)! for
-the channel's k!. A channel with no receive in p answers ``False`` after
-the budget refusals, without a search.
+One entry outlives a call: the last program a query found well formed, with
+the counts of its bare world, and that world built for the search once a
+channel query gets past the budget refusals. Matched by identity, it lets
+:func:`oracle_seals` and a run of channel queries on one ``Program`` check
+it once and build it once; a program that fails the check never enters it.
+A channel query adds its probe as one event more, numbered after p's (only
+its bit matters, and it is its channel's last send either way): to the
+channel's sends, to the bitsets of the receives on its sender's row, and to
+the candidates, as (k + 1)! for the channel's k!. A channel with no receive
+in p answers ``False`` after the budget refusals, without a search.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _check_candidates(candidates: int, budget: OracleBudget) -> None:
 
 
 def _world(rows: list[_Row], budget: OracleBudget) -> tuple:
-    """The world of ``rows`` as :func:`_first` searches it: the sends on
+    """The world of ``rows`` as :func:`_matchings` searches it: the sends on
     each channel, and the channel, index and reach bitset of each receive,
     all in index order. Refuses by events before building, then raises
     :class:`ShapeError` on the first channel in sorted order with more
@@ -153,37 +154,47 @@ def _world(rows: list[_Row], budget: OracleBudget) -> tuple:
     return sends, chans, indices, reach
 
 
-def _first(senders: list, goals: list[int], reach: list[int], visit=None) -> bool:
-    """Is there a complete matching with a goal pair, receive k matched to a
-    send in ``goals[k]``? Receive k takes a send of ``senders[k]`` and starts
-    with bitset ``reach[k]``. With a ``visit``, each matching, as the sends
-    chosen, goes to it instead, until it returns a true value."""
+def _matchings(senders: list, reach: list[int], goals: list | None = None) -> Iterator[list[int]]:
+    """The complete matchings, as the sends chosen for the receives in index
+    order, in lexicographic order; with ``goals``, only those with a goal
+    pair, receive k matched to a send in ``goals[k]``. Receive k takes a
+    send of ``senders[k]`` and starts with bitset ``reach[k]``. One list
+    holds every matching, changed in place for the next."""
     n = len(senders)
+    hit = goals is None
+    goals = goals or [0] * n
     # Past the last receive with a goal, a branch without a goal pair has none.
-    stop = -1 if visit else n
-    while stop > 0 and not goals[stop - 1]:
+    stop = n
+    while stop and not goals[stop - 1]:
         stop -= 1
     chosen = [0] * n
-
-    def search(k: int, reach: list[int], used: int, hit: bool) -> bool:
-        if k == stop and not hit:
-            return False
+    # One frame per receive on the branch: the sends left for it to try, the
+    # bitsets of it and the receives after it, the sends it may not take
+    # (used ones, and those it already reaches: the edge s -> r would close
+    # a cycle, and edges only accumulate), the sends used before it, and
+    # whether a goal pair was hit before it.
+    frames: list[tuple[Iterator[int], list[int], int, int, int]] = []
+    used = 0
+    while True:
+        k = len(frames)
         if k == n:
-            return visit is None or visit(chosen)
-        from_r, rest = reach[0], reach[1:]
-        goal = goals[k]
-        for s in senders[k]:
-            # Skip a used send, and one that r already reaches: the edge
-            # s -> r would close a cycle, and edges only accumulate.
-            if (used | from_r) >> s & 1:
-                continue
-            chosen[k] = s
-            grown = [v | from_r if v >> s & 1 else v for v in rest]
-            if search(k + 1, grown, used | 1 << s, hit or goal >> s & 1):
-                return True
-        return False
-
-    return search(0, reach, 0, False)
+            if hit:
+                yield chosen
+        elif k != stop or hit:
+            frames.append((iter(senders[k]), reach, used | reach[0], used, hit))
+        while frames:
+            choices, reach, blocked, used, hit = frames[-1]
+            s = next(choices, None)
+            if s is None:
+                frames.pop()
+            elif not blocked >> s & 1:
+                break
+        else:
+            return
+        k = len(frames) - 1
+        chosen[k], from_r = s, reach[0]
+        reach = [v | from_r if v >> s & 1 else v for v in reach[1:]]
+        used, hit = used | 1 << s, hit or goals[k] >> s & 1
 
 
 def _search(rows: list[_Row], budget: OracleBudget) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -191,10 +202,7 @@ def _search(rows: list[_Row], budget: OracleBudget) -> Iterator[tuple[tuple[int,
     pairs, in the order of the module docstring. The refusals and
     :class:`ShapeError` are raised by the call, before any search."""
     sends, chans, indices, reach = _world(rows, budget)
-    found: list[tuple[tuple[int, int], ...]] = []
-    _first([sends[ch] for ch in chans], [0] * len(chans), reach,
-           lambda chosen: found.append(tuple(zip(indices, chosen))))
-    return iter(found)
+    return (tuple(zip(indices, m)) for m in _matchings([sends[ch] for ch in chans], reach))
 
 
 def _require_well_formed(p: Program) -> None:
@@ -202,12 +210,27 @@ def _require_well_formed(p: Program) -> None:
         raise CyclicGraph(f"{p.name!r} can deadlock")
 
 
-# The last program a channel query found well formed, as (p, its bare
-# world's rows, event count, receive count on each channel with a receive
-# and candidate count, and that world from _world, or None until a query
-# gets past the budget refusals). One tuple, read once and replaced whole,
-# so concurrent queries each use a consistent entry.
+# The last program a query found well formed, as (p, its bare world's rows,
+# event count, receive count on each channel with a receive and candidate
+# count, and that world from _world, or None until a channel query gets
+# past the budget refusals). One tuple, read once and replaced whole, so
+# concurrent queries each use a consistent entry.
 _checked: tuple | None = None
+
+
+def _entry(p: Program) -> tuple:
+    """The entry of p, checking p and filling ``_checked`` when it is not
+    the last program a query found well formed."""
+    global _checked
+    entry = _checked
+    if entry is None or entry[0] is not p:
+        _require_well_formed(p)
+        rows = _rows([p])
+        takers = Counter(ch for row in rows for ch, is_send in row if not is_send)
+        # Balanced: every channel has as many sends as receives.
+        candidates = prod(map(factorial, takers.values()))
+        _checked = entry = (p, rows, sum(map(len, rows)), takers, candidates, None)
+    return entry
 
 
 def oracle_channel_open(
@@ -221,15 +244,7 @@ def oracle_channel_open(
     global _checked
     if channel.src > p.n or channel.dst > p.n:
         raise BadProcessId(f"channel {channel} outside 1..{p.n}")
-    entry = _checked
-    if entry is None or entry[0] is not p:
-        _require_well_formed(p)
-        rows = _rows([p])
-        takers = Counter(ch for row in rows for ch, is_send in row if not is_send)
-        # Balanced: every channel has as many sends as receives.
-        candidates = prod(map(factorial, takers.values()))
-        _checked = entry = (p, rows, sum(map(len, rows)), takers, candidates, None)
-    _, rows, size, takers, candidates, world = entry
+    _, rows, size, takers, candidates, world = entry = _entry(p)
     ch = (channel.src, channel.dst)
     k = takers.get(ch, 0)
     _check_size(size + 1, budget)
@@ -241,9 +256,10 @@ def oracle_channel_open(
         _checked = (*entry[:5], world)
     sends, chans, _, reach = world
     probed, bit = [*sends[ch], size], 1 << size  # the probe is event number size
-    return _first([probed if c == ch else sends[c] for c in chans],
-                  [bit if c == ch else 0 for c in chans],
-                  [v | bit if c[1] == ch[0] else v for c, v in zip(chans, reach)])
+    found = _matchings([probed if c == ch else sends[c] for c in chans],
+                       [v | bit if c[1] == ch[0] else v for c, v in zip(chans, reach)],
+                       [bit if c == ch else 0 for c in chans])
+    return next(found, None) is not None
 
 
 def oracle_seals(p: Program, s: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
@@ -256,7 +272,7 @@ def oracle_seals(p: Program, s: Program, budget: OracleBudget = DEFAULT_BUDGET) 
     """
     if p.n != s.n:
         raise ProcessCountMismatch(p.n, s.n)
-    _require_well_formed(p)
+    _entry(p)
     _require_well_formed(s)
     n = p.n
     rows = _rows([p, s], [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j])
@@ -267,7 +283,7 @@ def oracle_seals(p: Program, s: Program, budget: OracleBudget = DEFAULT_BUDGET) 
         in_p |= ((1 << len(seq)) - 1) << start
         start += len(row)
     goals = [~in_p if in_p >> x & 1 else 0 for x in indices]
-    return not _first([sends[ch] for ch in chans], goals, reach)
+    return next(_matchings([sends[ch] for ch in chans], reach, goals), None) is None
 
 
 def oracle_tcc(p: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:

@@ -201,6 +201,38 @@ def test_world_positions_run_per_process():
     ]
 
 
+def test_seal_and_channel_queries_check_each_program_once(monkeypatch):
+    # oracle_seals checks p and s; the channel queries that follow on the
+    # same p find it already checked.
+    checked = []
+
+    def counting(p):
+        checked.append(p)
+        return deadlock_free(p)
+
+    monkeypatch.setattr("layerseal.oracle.deadlock_free", counting)
+    p = layer(message_transmit(1, 2, 3), message_transmit(2, 3, 3))
+    s = message_transmit(3, 1, 3)
+    oracle_seals(p, s)
+    for ch in channels_of(3):
+        oracle_channel_open(p, ch)
+    assert checked == [p, s]
+
+
+def test_search_depth_is_not_bounded_by_recursion():
+    # A relay through 1100 processes: 1099 receives on the branch of its one
+    # candidate matching, past the interpreter's recursion limit.
+    n = 1100
+    p = program("relay", n, {
+        i: ([recv(i - 1)] if i > 1 else []) + ([send(i + 1)] if i < n else [])
+        for i in range(1, n + 1)
+    })
+    budget = OracleBudget(max_events=3000)
+    sig = compute_signature(p)
+    for ch in (Channel(n - 1, n), Channel(1, 2)):
+        assert oracle_channel_open(p, ch, budget) == sig.leaves_open(ch), ch
+
+
 def test_oracle_results_stable_across_calls():
     rng = random.Random(41)
     for _ in range(10):
