@@ -67,7 +67,8 @@ def _process_count(text: str) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
+    # ``utf-8-sig`` drops a byte-order mark that some editors write first.
+    with open(path, encoding="utf-8-sig") as f:
         return f.read()
 
 

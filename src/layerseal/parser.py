@@ -15,6 +15,11 @@ Process blocks may appear in any order; processes without a block are empty.
 The program name may not be a keyword, which ``format_program`` could not
 print.
 
+:func:`parse` scans the whole source once, with one regular expression,
+into a flat run of token strings, and walks that run by index. A token
+keeps no position: only when an error is raised is the source scanned again
+to the offending token, and its line and column counted from its offset.
+
 :func:`parse` raises :class:`ParseError` with a source span and a kind:
 
 * ``SYNTAX``: token-level or structural violations of the grammar.
@@ -36,7 +41,8 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Callable
+from itertools import islice
+from operator import itemgetter
 
 from .model import Program, Record, Statement, StmtKind, program, setfield
 
@@ -50,10 +56,15 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# Blanks and an optional comment, then one token (group 1) or one stray
-# character (group 2); matches nothing more at the end of a line.
-_TOKEN_RE = re.compile(r"[ \t\r]*(?:#.*)?(?:([{};]|[0-9]+|" + _IDENT_RE.pattern + r")|(.))?")
+# Blanks, newlines and comments, then one token (group 1) or one stray
+# character (group 2); matches nothing more at the end of the source.
+# Tokens are ASCII, so ``str.isdigit`` and ``str.isidentifier`` tell
+# naturals and identifiers exactly.
+_SCAN = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:([{};]|[0-9]+|" + _IDENT_RE.pattern + r")|(.))?"
+)
 _KEYWORDS = frozenset({"processes", "program", "process", "send", "recv", "assign"})
+_STMT_KINDS = {"send": StmtKind.SEND, "recv": StmtKind.RECV}
 
 # The largest process count a program may declare.
 MAX_PROCESSES = 100_000
@@ -96,113 +107,95 @@ def natural(digits: str, what: str) -> int:
     return int(significant or "0")
 
 
-# A token's text, line and column; the last token, with empty text, marks
-# the end of input. Tokens are ASCII, so ``str.isdigit`` and
-# ``str.isidentifier`` tell naturals and identifiers exactly.
-_Tok = tuple[str, int, int]
+def _error(
+    source: str, at: int, message: str, kind: ParseErrorKind = ParseErrorKind.SYNTAX
+) -> ParseError:
+    """The error at the ``at``'th match of the scan of ``source``: at its
+    token or stray, or, at a match without either, at the end of input."""
+    m = next(islice(_SCAN.finditer(source), at, None))
+    offset = m.start(m.lastindex) if m.lastindex else m.end()
+    column = offset - source.rfind("\n", 0, offset)
+    return ParseError(kind, SourceSpan(source.count("\n", 0, offset) + 1, column), message)
 
 
-class _Parser:
-    def __init__(self, source: str) -> None:
-        self._pos = 0
-        self._tokens: list[_Tok] = []
-        lines = source.split("\n")
-        for line, text in enumerate(lines, start=1):
-            for m in _TOKEN_RE.finditer(text):
-                token, stray = m.groups()
-                if token:
-                    self._tokens.append((token, line, m.start(1) + 1))
-                elif stray:
-                    at = (stray, line, m.start(2) + 1)
-                    raise self._fail(f"unexpected character {stray!r}", tok=at)
-        self._tokens.append(("", len(lines), len(lines[-1]) + 1))
+def _expected(source: str, toks: list[str], at: int, what: str) -> ParseError:
+    found = repr(toks[at]) if toks[at] else "end of input"
+    return _error(source, at, f"expected {what}, found {found}")
 
-    def _fail(
-        self, message: str, kind: ParseErrorKind = ParseErrorKind.SYNTAX, tok: _Tok | None = None
-    ) -> ParseError:
-        """The error at ``tok``, by default the next token."""
-        _, line, column = tok or self._tokens[self._pos]
-        return ParseError(kind, SourceSpan(line, column), message)
 
-    def _next(self, expected: str, accept: Callable[[str], bool]) -> _Tok:
-        tok = self._tokens[self._pos]
-        if not tok[0]:
-            raise self._fail(f"expected {expected}, found end of input")
-        if not accept(tok[0]):
-            raise self._fail(f"expected {expected}, found {tok[0]!r}")
-        self._pos += 1
-        return tok
-
-    def _expect(self, literal: str) -> None:
-        self._next(repr(literal), literal.__eq__)
-
-    def _nat(self, what: str, kind: ParseErrorKind) -> tuple[int, _Tok]:
-        """A natural number and its token; one too long is refused with ``kind``."""
-        tok = self._next(what, str.isdigit)
-        try:
-            return natural(tok[0], what), tok
-        except ValueError as exc:
-            raise self._fail(str(exc), kind, tok) from None
-
-    def _block(self, item: str, parse_item: Callable[[], None]) -> None:
-        """``{`` then items until the matching ``}``."""
-        self._expect("{")
-        while (text := self._tokens[self._pos][0]) != "}":
-            if not text:
-                raise self._fail(f"expected {item} or '}}', found end of input")
-            parse_item()
-        self._pos += 1
-
-    def parse_file(self) -> Program:
-        self._expect("processes")
-        n, tok = self._nat("process count", ParseErrorKind.TOO_MANY_PROCESSES)
-        if n > MAX_PROCESSES:
-            raise self._fail(
-                f"process count {n} exceeds {MAX_PROCESSES}", ParseErrorKind.TOO_MANY_PROCESSES, tok
-            )
-        self._expect(";")
-        self._expect("program")
-        name = self._next(
-            "program name", lambda text: text.isidentifier() and text not in _KEYWORDS
-        )[0]
-        seqs: dict[int, list[Statement]] = {}
-        self._block("'process'", lambda: self._parse_proc(n, seqs))
-        if trailing := self._tokens[self._pos][0]:
-            raise self._fail(f"trailing input after program: {trailing!r}")
-        return program(name, n, seqs)
-
-    def _parse_proc(self, n: int, seqs: dict[int, list[Statement]]) -> None:
-        self._expect("process")
-        pid, tok = self._nat("process id", ParseErrorKind.BAD_PROCESS_ID)
-        if not 1 <= pid <= n:
-            raise self._fail(f"process id {pid} outside 1..{n}", ParseErrorKind.BAD_PROCESS_ID, tok)
-        if pid in seqs:
-            raise self._fail(
-                f"duplicate block for process {pid}", ParseErrorKind.DUPLICATE_PROCESS, tok
-            )
-        out = seqs[pid] = []
-        self._block("statement", lambda: self._parse_stmt(pid, n, out))
-
-    def _parse_stmt(self, pid: int, n: int, out: list[Statement]) -> None:
-        keyword = self._next(
-            "'send', 'recv' or 'assign'", ("send", "recv", "assign").__contains__
-        )[0]
-        if keyword == "assign":
-            self._next("variable name", str.isidentifier)
-            self._expect(";")
-            return
-        peer, tok = self._nat("peer id", ParseErrorKind.BAD_PROCESS_ID)
-        if not 1 <= peer <= n:
-            raise self._fail(f"peer {peer} outside 1..{n}", ParseErrorKind.BAD_PROCESS_ID, tok)
-        if peer == pid:
-            raise self._fail(f"process {pid} addresses itself", ParseErrorKind.SELF_CHANNEL, tok)
-        self._expect(";")
-        out.append(Statement(StmtKind.SEND if keyword == "send" else StmtKind.RECV, peer))
+def _number(source: str, toks: list[str], at: int, what: str, kind: ParseErrorKind) -> int:
+    """The natural number at token ``at``; one too long is refused with ``kind``."""
+    if not toks[at].isdigit():
+        raise _expected(source, toks, at, what)
+    try:
+        return natural(toks[at], what)
+    except ValueError as exc:
+        raise _error(source, at, str(exc), kind) from None
 
 
 def parse(source: str) -> Program:
     """Parse DSL text into a :class:`Program`. Raises :class:`ParseError`."""
-    return _Parser(source).parse_file()
+    found = _SCAN.findall(source)
+    if any(map(itemgetter(1), found)):
+        at, stray = next((k, stray) for k, (_, stray) in enumerate(found) if stray)
+        raise _error(source, at, f"unexpected character {stray!r}")
+    toks = list(map(itemgetter(0), found))
+    # Every check below refuses the empty token that ends ``toks``, so no
+    # index runs past it.
+    if toks[0] != "processes":
+        raise _expected(source, toks, 0, "'processes'")
+    n = _number(source, toks, 1, "process count", ParseErrorKind.TOO_MANY_PROCESSES)
+    if n > MAX_PROCESSES:
+        message = f"process count {n} exceeds {MAX_PROCESSES}"
+        raise _error(source, 1, message, ParseErrorKind.TOO_MANY_PROCESSES)
+    for at, literal in ((2, ";"), (3, "program")):
+        if toks[at] != literal:
+            raise _expected(source, toks, at, repr(literal))
+    name = toks[4]
+    if not name.isidentifier() or name in _KEYWORDS:
+        raise _expected(source, toks, 4, "program name")
+    if toks[5] != "{":
+        raise _expected(source, toks, 5, "'{'")
+    seqs: dict[int, list[Statement]] = {}
+    i = 6
+    while (tok := toks[i]) != "}":
+        if tok != "process":
+            raise _expected(source, toks, i, "'process'" if tok else "'process' or '}'")
+        pid = _number(source, toks, i + 1, "process id", ParseErrorKind.BAD_PROCESS_ID)
+        if not 1 <= pid <= n:
+            message = f"process id {pid} outside 1..{n}"
+            raise _error(source, i + 1, message, ParseErrorKind.BAD_PROCESS_ID)
+        if pid in seqs:
+            message = f"duplicate block for process {pid}"
+            raise _error(source, i + 1, message, ParseErrorKind.DUPLICATE_PROCESS)
+        if toks[i + 2] != "{":
+            raise _expected(source, toks, i + 2, "'{'")
+        out = seqs[pid] = []
+        i += 3
+        while (tok := toks[i]) != "}":
+            kind = _STMT_KINDS.get(tok)
+            if kind is not None:
+                peer = _number(source, toks, i + 1, "peer id", ParseErrorKind.BAD_PROCESS_ID)
+                if not 1 <= peer <= n:
+                    message = f"peer {peer} outside 1..{n}"
+                    raise _error(source, i + 1, message, ParseErrorKind.BAD_PROCESS_ID)
+                if peer == pid:
+                    message = f"process {pid} addresses itself"
+                    raise _error(source, i + 1, message, ParseErrorKind.SELF_CHANNEL)
+                out.append(Statement(kind, peer))
+            elif tok == "assign":
+                if not toks[i + 1].isidentifier():
+                    raise _expected(source, toks, i + 1, "variable name")
+            else:
+                what = "'send', 'recv' or 'assign'" if tok else "statement or '}'"
+                raise _expected(source, toks, i, what)
+            if toks[i + 2] != ";":
+                raise _expected(source, toks, i + 2, "';'")
+            i += 3
+        i += 1
+    if trailing := toks[i + 1]:
+        raise _error(source, i + 1, f"trailing input after program: {trailing!r}")
+    return program(name, n, seqs)
 
 
 def format_program(p: Program) -> str:

@@ -308,6 +308,26 @@ def test_star_import_gives_every_public_name():
     assert names["DEFAULT_BUDGET"] is layerseal.oracle.DEFAULT_BUDGET
 
 
+def test_byte_order_mark_is_dropped_from_files(tmp_path):
+    # Some editors start a UTF-8 file with a byte-order mark; it changes no
+    # output, not even the position of a parse error.
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    bad = "processes 2;\nprogram p {\n  process 3 { }\n}\n"
+    plan = "2 -> 1 [converge-cast]\n1 -> 2 [broadcast]\n"
+    for text, command, code in (
+        (MT, ["check"], 0),
+        (MT, ["sig"], 0),
+        (bad, ["check"], 2),
+        (plan, ["expand", "-n", "2"], 0),
+    ):
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want = run([command[0], str(plain), *command[1:]])
+        assert want.exit_code == code
+        assert run([command[0], str(marked), *command[1:]]) == want
+
+
 def test_missing_file_is_input_error():
     res = run(["check", "/nonexistent/no.lsl"])
     assert res.exit_code == 2

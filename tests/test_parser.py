@@ -19,6 +19,7 @@ from layerseal import (
     send,
 )
 from layerseal.parser import MAX_PROCESSES
+from parser_reference import parse as reference_parse
 from progsets import random_balanced_df
 
 GOOD = """\
@@ -89,36 +90,36 @@ def test_zero_process_program():
     assert p.event_count == 0
 
 
-@pytest.mark.parametrize(
-    "src,kind,line,col",
-    [
-        ("processes 2;\nprogram p {\n  process 3 { }\n}\n", ParseErrorKind.BAD_PROCESS_ID, 3, 11),
-        ("processes 2;\nprogram p {\n  process 1 { send 5; }\n}\n", ParseErrorKind.BAD_PROCESS_ID, 3, 20),
-        ("processes 2;\nprogram p {\n  process 1 { send 1; }\n}\n", ParseErrorKind.SELF_CHANNEL, 3, 20),
-        ("processes 2;\nprogram p {\n  process 1 { recv 1; }\n}\n", ParseErrorKind.SELF_CHANNEL, 3, 20),
-        (
-            "processes 2;\nprogram p {\n  process 1 { }\n  process 1 { }\n}\n",
-            ParseErrorKind.DUPLICATE_PROCESS,
-            4,
-            11,
-        ),
-        # \r\n line endings, tabs (one column each) and comments right
-        # after a token leave the span where it would be without them.
-        (
-            "processes 2;\r\nprogram p {\r\n  process 3 { }\r\n}\r\n",
-            ParseErrorKind.BAD_PROCESS_ID,
-            3,
-            11,
-        ),
-        ("processes 2;\nprogram p {\n\t\tprocess 3 { }\n}\n", ParseErrorKind.BAD_PROCESS_ID, 3, 11),
-        (
-            "processes 2;\nprogram p {# open\n  process 3 { }#x\n}\n",
-            ParseErrorKind.BAD_PROCESS_ID,
-            3,
-            11,
-        ),
-    ],
-)
+SEMANTIC_ERRORS = [
+    ("processes 2;\nprogram p {\n  process 3 { }\n}\n", ParseErrorKind.BAD_PROCESS_ID, 3, 11),
+    ("processes 2;\nprogram p {\n  process 1 { send 5; }\n}\n", ParseErrorKind.BAD_PROCESS_ID, 3, 20),
+    ("processes 2;\nprogram p {\n  process 1 { send 1; }\n}\n", ParseErrorKind.SELF_CHANNEL, 3, 20),
+    ("processes 2;\nprogram p {\n  process 1 { recv 1; }\n}\n", ParseErrorKind.SELF_CHANNEL, 3, 20),
+    (
+        "processes 2;\nprogram p {\n  process 1 { }\n  process 1 { }\n}\n",
+        ParseErrorKind.DUPLICATE_PROCESS,
+        4,
+        11,
+    ),
+    # \r\n line endings, tabs (one column each) and comments right
+    # after a token leave the span where it would be without them.
+    (
+        "processes 2;\r\nprogram p {\r\n  process 3 { }\r\n}\r\n",
+        ParseErrorKind.BAD_PROCESS_ID,
+        3,
+        11,
+    ),
+    ("processes 2;\nprogram p {\n\t\tprocess 3 { }\n}\n", ParseErrorKind.BAD_PROCESS_ID, 3, 11),
+    (
+        "processes 2;\nprogram p {# open\n  process 3 { }#x\n}\n",
+        ParseErrorKind.BAD_PROCESS_ID,
+        3,
+        11,
+    ),
+]
+
+
+@pytest.mark.parametrize("src,kind,line,col", SEMANTIC_ERRORS)
 def test_semantic_errors_carry_kind_and_span(src, kind, line, col):
     with pytest.raises(ParseError) as exc:
         parse(src)
@@ -127,49 +128,51 @@ def test_semantic_errors_carry_kind_and_span(src, kind, line, col):
     assert exc.value.span.column == col
 
 
-@pytest.mark.parametrize(
-    "src",
-    [
-        "",
-        "processes;",
-        "processes 2",
-        "processes 2; program { }",
-        "processes 2; program 9 { }",
-        "processes 2; program p { process 1 { send 2 } }",
-        "processes 2; program p { process 1 { emit 2; } }",
-        "processes 2; program p { process 1 { assign 3; } }",
-        "processes 2; program p { } extra",
-        "processes 2; program p { process 1 {",
-        "processes 2; program p { process 1 { send 2; ",
-        "processes 2; program p $ }",
-    ],
-)
+SYNTAX_ERRORS = [
+    "",
+    "processes;",
+    "processes 2",
+    "processes 2; program { }",
+    "processes 2; program 9 { }",
+    "processes 2; program p { process 1 { send 2 } }",
+    "processes 2; program p { process 1 { emit 2; } }",
+    "processes 2; program p { process 1 { assign 3; } }",
+    "processes 2; program p { } extra",
+    "processes 2; program p { process 1 {",
+    "processes 2; program p { process 1 { send 2; ",
+    "processes 2; program p $ }",
+]
+
+
+@pytest.mark.parametrize("src", SYNTAX_ERRORS)
 def test_syntax_errors(src):
     with pytest.raises(ParseError) as exc:
         parse(src)
     assert exc.value.kind is ParseErrorKind.SYNTAX
 
 
+SYNTAX_SPANS = [
+    ("processes 2;\nprogram p {\n  process 1 { emit 2; }\n}\n", 3, 15),
+    ("processes 2;\r\nprogram p {\r\n  process 1 { emit 2; }\r\n}\r\n", 3, 15),
+    ("processes 2;\nprogram p {\n\tprocess 1 {\temit 2; }\n}\n", 3, 14),
+    ("processes 2;#c\nprogram p {#\n  process 1 { emit 2; }#x\n}\n", 3, 15),
+    # A letter outside ASCII ends the identifier and is itself the error.
+    ("processes 2;\nprogram p {\n  process 1 { sénd 2; }\n}\n", 3, 16),
+    # End of input, after a comment with no final newline.
+    ("processes 2;\nprogram p {\n  process 1 { send 2; } # end", 3, 30),
+    # A block left open: the span lies past the last line.
+    ("processes 2;\nprogram p {\n  process 1 {\n", 4, 1),
+    ("processes 2;\r\nprogram p {\r\n  process 1 {\r\n", 4, 1),
+    # A keyword is no program name: format_program could not print it.
+    *(
+        (f"processes 1;\nprogram {kw} {{ }}\n", 2, 9)
+        for kw in ("assign", "process", "processes", "program", "recv", "send")
+    ),
+]
+
+
 def test_syntax_error_spans_point_at_offender():
-    cases = [
-        ("processes 2;\nprogram p {\n  process 1 { emit 2; }\n}\n", 3, 15),
-        ("processes 2;\r\nprogram p {\r\n  process 1 { emit 2; }\r\n}\r\n", 3, 15),
-        ("processes 2;\nprogram p {\n\tprocess 1 {\temit 2; }\n}\n", 3, 14),
-        ("processes 2;#c\nprogram p {#\n  process 1 { emit 2; }#x\n}\n", 3, 15),
-        # A letter outside ASCII ends the identifier and is itself the error.
-        ("processes 2;\nprogram p {\n  process 1 { sénd 2; }\n}\n", 3, 16),
-        # End of input, after a comment with no final newline.
-        ("processes 2;\nprogram p {\n  process 1 { send 2; } # end", 3, 30),
-        # A block left open: the span lies past the last line.
-        ("processes 2;\nprogram p {\n  process 1 {\n", 4, 1),
-        ("processes 2;\r\nprogram p {\r\n  process 1 {\r\n", 4, 1),
-        # A keyword is no program name: format_program could not print it.
-        *(
-            (f"processes 1;\nprogram {kw} {{ }}\n", 2, 9)
-            for kw in ("assign", "process", "processes", "program", "recv", "send")
-        ),
-    ]
-    for src, line, col in cases:
+    for src, line, col in SYNTAX_SPANS:
         with pytest.raises(ParseError) as exc:
             parse(src)
         assert exc.value.kind is ParseErrorKind.SYNTAX
@@ -264,3 +267,92 @@ def test_round_trip_property(data):
         seqs[proc] = stmts
     p = program("prop", n, seqs)
     assert parse(format_program(p)) == p
+
+
+def _outcome(src):
+    """``parse(src)`` in the reference's plain tuples, with the error's ``str``."""
+    try:
+        p = parse(src)
+    except ParseError as exc:
+        return (exc.kind.value, exc.span.line, exc.span.column, exc.message), str(exc)
+    return (p.name, p.n, tuple(tuple((s.kind.value, s.peer) for s in seq) for seq in p.seqs)), None
+
+
+def _reference_outcome(src):
+    got = reference_parse(src)
+    if len(got) == 4:
+        kind, line, col, message = got
+        return got, f"line {line} col {col}: {message}"
+    return got, None
+
+
+# What a single edit inserts or puts in place of a character: the grammar's
+# punctuation, blanks, characters that are no blank, digits, keywords, and
+# numbers past the limit or with leading zeros.
+_EDITS = [
+    *"{};# \t\n\r\x0b@0123456789",
+    *("processes", "program", "process", "send", "recv", "assign"),
+    *("9999999", "000001"),
+]
+
+
+def test_parse_matches_reference_on_error_tables_and_mutants():
+    rng = random.Random(2026)
+    texts = [format_program(random_balanced_df(rng, rng.randint(1, 5), 6)) for _ in range(60)]
+    sources = [src for src, *_ in SEMANTIC_ERRORS] + SYNTAX_ERRORS + [src for src, *_ in SYNTAX_SPANS]
+    sources += texts
+    for _ in range(3000):
+        text = rng.choice(texts)
+        at = rng.randrange(len(text) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:at] + rng.choice(_EDITS) + text[at:]
+        elif edit == 1:
+            text = text[:at] + text[at + rng.randint(1, 3) :]
+        else:
+            text = text[:at] + rng.choice(_EDITS) + text[at + 1 :]
+        sources.append(text)
+    for src in sources:
+        assert _outcome(src) == _reference_outcome(src), repr(src)
+
+
+def test_byte_order_mark_in_text_is_a_stray():
+    # Files are read with the mark dropped; text handed to ``parse`` keeps it.
+    with pytest.raises(ParseError) as exc:
+        parse("\ufeffprocesses 1;\nprogram p { }\n")
+    assert str(exc.value) == "line 1 col 1: unexpected character '\\ufeff'"
+
+
+# Two processes and one message from 1 to 2 per pair of statements; each
+# statement line is followed by a comment line and a blank line. With k
+# statements a process the source has 6k + 7 lines: line 6k + 3 holds the
+# last statement and line 6k + 7 the final ``}``.
+_STATEMENTS = 33_332
+
+
+def _long_source(last_peer=1):
+    k = _STATEMENTS
+    return (
+        "processes 2;\nprogram long {\n  process 1 {\n"
+        + "    send 2;\n    # to 2\n\n" * k
+        + "  }\n  process 2 {\n"
+        + "    recv 1;\n    # from 1\n\n" * (k - 1)
+        + f"    recv {last_peer};\n    # from 1\n\n  }}\n}}\n"
+    )
+
+
+def test_spans_on_a_long_source():
+    # A position is found only for the error, by one more scan of the
+    # source, so each case costs about two scans.
+    k = _STATEMENTS
+    source = _long_source()
+    assert source.count("\n") == 6 * k + 7 == 199_999
+    cases = [
+        (_long_source(last_peer=3), 6 * k + 3, 10, "peer 3 outside 1..2"),
+        (source + "  @", 6 * k + 8, 3, "unexpected character '@'"),
+        (source[: -len("}\n")], 6 * k + 7, 1, "expected 'process' or '}', found end of input"),
+    ]
+    for src, line, col, message in cases:
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert (exc.value.span.line, exc.value.span.column, exc.value.message) == (line, col, message)

@@ -37,16 +37,21 @@ def test_library_does_not_import_dataclasses():
     assert found == []
 
 
-def test_oracle_imports_neither_signature_nor_sealing():
-    # The oracle is the ground truth the signatures and seals are checked
-    # against, so it must share no code with them.
-    tree = ast.parse((PROJECT / "src" / "layerseal" / "oracle.py").read_text(encoding="utf-8"))
+def _imported(path: Path) -> list[str]:
+    """Every name a module imports, dotted after its module's name."""
     imported = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             imported += [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
             imported += [f"{node.module or ''}.{a.name}" for a in node.names]
+    return imported
+
+
+def test_oracle_imports_neither_signature_nor_sealing():
+    # The oracle is the ground truth the signatures and seals are checked
+    # against, so it must share no code with them.
+    imported = _imported(PROJECT / "src" / "layerseal" / "oracle.py")
     found = [name for name in imported if {"signature", "sealing"} & set(name.split("."))]
     assert found == []
 
@@ -55,19 +60,21 @@ def test_oracle_reference_shares_no_code_with_the_oracle():
     # The reference in ``tests/oracle_reference.py`` checks the oracle's
     # search, so it may take public types and errors from the package but
     # nothing from the oracle's module and no private name.
-    tree = ast.parse((PROJECT / "tests" / "oracle_reference.py").read_text(encoding="utf-8"))
-    imported = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported += [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            imported += [f"{node.module or ''}.{a.name}" for a in node.names]
+    imported = _imported(PROJECT / "tests" / "oracle_reference.py")
     found = [
         name
         for name in imported
         if name.split(".")[0] == "layerseal"
         and any(part == "oracle" or part.startswith("_") for part in name.split("."))
     ]
+    assert imported and found == []
+
+
+def test_parser_reference_shares_no_code_with_the_package():
+    # The parser in ``tests/parser_reference.py`` checks ``parse``, so it
+    # imports nothing from the package: not even its error kinds.
+    imported = _imported(PROJECT / "tests" / "parser_reference.py")
+    found = [name for name in imported if name.split(".")[0] in ("layerseal", "")]
     assert imported and found == []
 
 
