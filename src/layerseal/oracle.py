@@ -34,12 +34,13 @@ of p is told by its place in the rows. The search takes the receives in
 index order and keeps, for each receive still to match, an int bitset of
 the events it reaches, itself included: at first along its row only. Send
 s closes a cycle for receive r exactly when bit s of r's bitset is set;
-otherwise the edge s -> r adds r's bitset to every bitset that holds s, in
-a new list, so backtracking drops nothing but a reference. This is
-happened-before over a space-time diagram (Lamport 1978), one AND per
-candidate. The search keeps its branch as an explicit stack of frames, one
-per receive, so a world of any size fits, and yields matchings in
-lexicographic order of send choices along receives in index order.
+otherwise the edge s -> r adds r's bitset to every later bitset that holds
+s, in a new list; frames share one list until then, so backtracking drops
+nothing but a reference. This is happened-before over a space-time diagram
+(Lamport 1978), one AND per candidate. The search keeps its branch as an
+explicit stack of frames, one per receive, so a world of any size fits, and
+yields matchings in lexicographic order of send choices along receives in
+index order.
 
 A query gives each receive a goal, the bitset of the sends whose choice
 answers it: for :func:`oracle_seals` the sends outside p, on p's receives;
@@ -48,22 +49,23 @@ search returns at the first complete matching holding a goal pair, and
 prunes a branch once the last receive with a goal is matched without one.
 :func:`_search` is the same search with no goal, and streams every matching.
 
-One entry outlives a call: the last program a query found well formed, with
-the counts of its bare world, and that world built for the search once a
-channel query gets past the budget refusals. Matched by identity, it lets
-:func:`oracle_seals` and a run of channel queries on one ``Program`` check
-it once and build it once; a program that fails the check never enters it.
-A channel query adds its probe as one event more, numbered after p's (only
-its bit matters, and it is its channel's last send either way): to the
-channel's sends, to the bitsets of the receives on its sender's row, and to
-the candidates, as (k + 1)! for the channel's k!. A channel with no receive
-in p answers ``False`` after the budget refusals, without a search.
+One entry outlives a call: the last program a query found well formed, and
+its bare world once a channel query has built it. Matched by identity, it
+lets :func:`oracle_seals` and the channel queries on one ``Program`` check
+it once and build its world once; a program that fails the check never
+enters it. A channel query adds its probe to that world as one event more,
+numbered after p's (only its bit matters, and it is its channel's last send
+either way): to the channel's sends, to the bitsets of the receives on its
+sender's row, and to the candidates, as (k + 1)! for the channel's k!. A
+channel with no receive in p answers ``False`` after the budget refusals.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from math import factorial, perm, prod
+from itertools import accumulate
+from math import perm
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadProcessId, BudgetExceeded, CyclicGraph, ProcessCountMismatch, ShapeError
@@ -123,13 +125,12 @@ def _check_candidates(candidates: int, budget: OracleBudget) -> None:
         )
 
 
-def _world(rows: list[_Row], budget: OracleBudget) -> tuple:
+def _world(rows: list[_Row]) -> tuple:
     """The world of ``rows`` as :func:`_matchings` searches it: the sends on
     each channel, and the channel, index and reach bitset of each receive,
-    all in index order. Refuses by events before building, then raises
+    all in index order, then its event count and candidate matchings. Raises
     :class:`ShapeError` on the first channel in sorted order with more
-    receives than sends, then refuses by candidates."""
-    _check_size(sum(map(len, rows)), budget)
+    receives than sends."""
     sends: dict[tuple[int, int], list[int]] = {}
     chans, indices, reach = [], [], []
     x = 0
@@ -150,8 +151,7 @@ def _world(rows: list[_Row], budget: OracleBudget) -> tuple:
         if k > n_sends:
             raise ShapeError(Channel(*ch))
         candidates *= perm(n_sends, k)
-    _check_candidates(candidates, budget)
-    return sends, chans, indices, reach
+    return sends, chans, indices, reach, x, candidates
 
 
 def _matchings(senders: list, reach: list[int], goals: list | None = None) -> Iterator[list[int]]:
@@ -168,12 +168,14 @@ def _matchings(senders: list, reach: list[int], goals: list | None = None) -> It
     while stop and not goals[stop - 1]:
         stop -= 1
     chosen = [0] * n
+    # tails[j] is the union of the bitsets of receive j and those after it.
+    tails = [*accumulate(reversed(reach), or_, initial=0)][::-1]
     # One frame per receive on the branch: the sends left for it to try, the
-    # bitsets of it and the receives after it, the sends it may not take
+    # bitsets and tails as the branch reached it, the sends it may not take
     # (used ones, and those it already reaches: the edge s -> r would close
     # a cycle, and edges only accumulate), the sends used before it, and
     # whether a goal pair was hit before it.
-    frames: list[tuple[Iterator[int], list[int], int, int, int]] = []
+    frames: list[tuple[Iterator[int], list[int], list[int], int, int, int]] = []
     used = 0
     while True:
         k = len(frames)
@@ -181,9 +183,9 @@ def _matchings(senders: list, reach: list[int], goals: list | None = None) -> It
             if hit:
                 yield chosen
         elif k != stop or hit:
-            frames.append((iter(senders[k]), reach, used | reach[0], used, hit))
+            frames.append((iter(senders[k]), reach, tails, used | reach[k], used, hit))
         while frames:
-            choices, reach, blocked, used, hit = frames[-1]
+            choices, reach, tails, blocked, used, hit = frames[-1]
             s = next(choices, None)
             if s is None:
                 frames.pop()
@@ -192,8 +194,13 @@ def _matchings(senders: list, reach: list[int], goals: list | None = None) -> It
         else:
             return
         k = len(frames) - 1
-        chosen[k], from_r = s, reach[0]
-        reach = [v | from_r if v >> s & 1 else v for v in reach[1:]]
+        chosen[k] = s
+        # The edge s -> k adds k's bitset to every later one that holds s
+        # (and to earlier ones, which the branch no longer reads).
+        if tails[k + 1] >> s & 1:
+            from_r = reach[k]
+            reach = [v | from_r if v >> s & 1 else v for v in reach]
+            tails = [*accumulate(reversed(reach), or_, initial=0)][::-1]
         used, hit = used | 1 << s, hit or goals[k] >> s & 1
 
 
@@ -201,7 +208,9 @@ def _search(rows: list[_Row], budget: OracleBudget) -> Iterator[tuple[tuple[int,
     """The matchings of the world of ``rows``, as (receive, send) index
     pairs, in the order of the module docstring. The refusals and
     :class:`ShapeError` are raised by the call, before any search."""
-    sends, chans, indices, reach = _world(rows, budget)
+    _check_size(sum(map(len, rows)), budget)
+    sends, chans, indices, reach, _, candidates = _world(rows)
+    _check_candidates(candidates, budget)
     return (tuple(zip(indices, m)) for m in _matchings([sends[ch] for ch in chans], reach))
 
 
@@ -210,11 +219,9 @@ def _require_well_formed(p: Program) -> None:
         raise CyclicGraph(f"{p.name!r} can deadlock")
 
 
-# The last program a query found well formed, as (p, its bare world's rows,
-# event count, receive count on each channel with a receive and candidate
-# count, and that world from _world, or None until a channel query gets
-# past the budget refusals). One tuple, read once and replaced whole, so
-# concurrent queries each use a consistent entry.
+# The last program a query found well formed and its bare world, or None
+# until a channel query builds it: one tuple, read once and replaced whole,
+# so concurrent queries each use a consistent entry.
 _checked: tuple | None = None
 
 
@@ -225,11 +232,7 @@ def _entry(p: Program) -> tuple:
     entry = _checked
     if entry is None or entry[0] is not p:
         _require_well_formed(p)
-        rows = _rows([p])
-        takers = Counter(ch for row in rows for ch, is_send in row if not is_send)
-        # Balanced: every channel has as many sends as receives.
-        candidates = prod(map(factorial, takers.values()))
-        _checked = entry = (p, rows, sum(map(len, rows)), takers, candidates, None)
+        _checked = entry = (p, None)
     return entry
 
 
@@ -244,17 +247,19 @@ def oracle_channel_open(
     global _checked
     if channel.src > p.n or channel.dst > p.n:
         raise BadProcessId(f"channel {channel} outside 1..{p.n}")
-    _, rows, size, takers, candidates, world = entry = _entry(p)
-    ch = (channel.src, channel.dst)
-    k = takers.get(ch, 0)
+    _, world = _entry(p)
+    if world is None:
+        _check_size(p.event_count + 1, budget)
+        world = _world(_rows([p]))
+        _checked = (p, world)
+    sends, chans, _, reach, size, candidates = world
     _check_size(size + 1, budget)
+    ch = (channel.src, channel.dst)
+    # Balanced: the channel has k receives and k sends, k + 1 with the probe.
+    k = len(sends.get(ch, ()))
     _check_candidates(candidates * (k + 1), budget)
     if not k:
         return False
-    if world is None:
-        world = _world(rows, budget)  # fits, since the probed world does
-        _checked = (*entry[:5], world)
-    sends, chans, _, reach = world
     probed, bit = [*sends[ch], size], 1 << size  # the probe is event number size
     found = _matchings([probed if c == ch else sends[c] for c in chans],
                        [v | bit if c[1] == ch[0] else v for c, v in zip(chans, reach)],
@@ -276,7 +281,9 @@ def oracle_seals(p: Program, s: Program, budget: OracleBudget = DEFAULT_BUDGET) 
     _require_well_formed(s)
     n = p.n
     rows = _rows([p, s], [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j])
-    sends, chans, indices, reach = _world(rows, budget)
+    _check_size(sum(map(len, rows)), budget)
+    sends, chans, indices, reach, _, candidates = _world(rows)
+    _check_candidates(candidates, budget)
     # The events of p open every row: a bitset of their indices.
     in_p = start = 0
     for seq, row in zip(p.seqs, rows):

@@ -73,7 +73,8 @@ def all_balanced_programs(n: int, max_events: int) -> tuple[Program, ...]:
     out: list[Program] = []
     for counts in _count_vectors(len(chans), max_events // 2):
         out.extend(_programs_for_counts(n, chans, counts))
-    assert all(is_balanced(p) for p in out)
+    if not all(is_balanced(p) for p in out):
+        raise AssertionError(f"unbalanced program among the {len(out)} enumerated")
     return tuple(out)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import oracle_reference as ref
 import pytest
@@ -29,6 +30,7 @@ from layerseal import (
     recv,
     send,
 )
+from layerseal import oracle
 from layerseal.oracle import _rows, _search
 from progsets import (
     all_balanced_programs,
@@ -202,21 +204,35 @@ def test_world_positions_run_per_process():
 
 
 def test_seal_and_channel_queries_check_each_program_once(monkeypatch):
-    # oracle_seals checks p and s; the channel queries that follow on the
-    # same p find it already checked.
-    checked = []
+    # oracle_seals checks p and s and builds one world, of p then s and the
+    # probes; the channel queries that follow on the same p find it already
+    # checked, and build p's bare world once among them.
+    checked, rows, worlds = [], [], []
+    real_rows, real_world = oracle._rows, oracle._world
 
     def counting(p):
         checked.append(p)
         return deadlock_free(p)
 
+    def counting_rows(layers, probes=()):
+        rows.append(list(layers))
+        return real_rows(layers, probes)
+
+    def counting_world(r):
+        worlds.append(r)
+        return real_world(r)
+
     monkeypatch.setattr("layerseal.oracle.deadlock_free", counting)
+    monkeypatch.setattr("layerseal.oracle._rows", counting_rows)
+    monkeypatch.setattr("layerseal.oracle._world", counting_world)
     p = layer(message_transmit(1, 2, 3), message_transmit(2, 3, 3))
     s = message_transmit(3, 1, 3)
     oracle_seals(p, s)
+    assert checked == [p, s] and rows == [[p, s]] and len(worlds) == 1
     for ch in channels_of(3):
         oracle_channel_open(p, ch)
-    assert checked == [p, s]
+    assert checked == [p, s] and rows == [[p, s], [p]]
+    assert worlds[1:] == [real_rows([p])]
 
 
 def test_search_depth_is_not_bounded_by_recursion():
@@ -229,8 +245,17 @@ def test_search_depth_is_not_bounded_by_recursion():
     })
     budget = OracleBudget(max_events=3000)
     sig = compute_signature(p)
-    for ch in (Channel(n - 1, n), Channel(1, 2)):
-        assert oracle_channel_open(p, ch, budget) == sig.leaves_open(ch), ch
+    tracemalloc.start()
+    try:
+        for ch in (Channel(n - 1, n), Channel(1, 2)):
+            assert oracle_channel_open(p, ch, budget) == sig.leaves_open(ch), ch
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The branch's frames share the receives' bitsets, since no later
+    # receive reaches the send an earlier one takes: 1.9 MB, where a list
+    # per frame took 6.9 MB.
+    assert peak < 2_500_000, peak
 
 
 def test_oracle_results_stable_across_calls():

@@ -43,6 +43,20 @@ def test_open_channels_match_oracle_on_wide_scopes():
     assert queries == 3836
 
 
+def test_open_channels_match_oracle_on_the_widest_affordable_scopes():
+    # Every program of these scopes, with its probe, fits the default budget
+    # of 24 events; so does (4, 8), but its 289,152 queries take about five
+    # times as long as these.
+    queries = 0
+    for n, cap in ((3, 8), (4, 6), (5, 4)):
+        for p in all_balanced_df_programs(n, cap):
+            sig = compute_signature(p)
+            for ch in channels_of(n):
+                assert sig.leaves_open(ch) == oracle_channel_open(p, ch), (p, ch)
+                queries += 1
+    assert queries == 15660 + 22068 + 7420
+
+
 def test_is_seal_matches_oracle_on_all_pairs_of_two_processes():
     progs = all_balanced_df_programs(2, 6)
     assert len(progs) ** 2 == 484

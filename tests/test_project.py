@@ -56,6 +56,24 @@ def test_oracle_imports_neither_signature_nor_sealing():
     assert found == []
 
 
+def test_oracle_counts_candidates_in_one_place():
+    # The candidate matchings that a budget caps are counted by ``_world``
+    # alone: every other count of the oracle would be a second formula.
+    path = PROJECT / "src" / "layerseal" / "oracle.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callers = [
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "perm" or getattr(node.func, "attr", None) == "perm")
+    ]
+    imported = [name.rsplit(".", 1)[-1] for name in _imported(path)]
+    assert callers == ["_world"]
+    assert "factorial" not in imported and "prod" not in imported
+
+
 def test_oracle_reference_shares_no_code_with_the_oracle():
     # The reference in ``tests/oracle_reference.py`` checks the oracle's
     # search, so it may take public types and errors from the package but
