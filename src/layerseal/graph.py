@@ -27,9 +27,9 @@ process is left blocked, to tell an unbalanced channel from a cycle.
 :func:`deadlock_free` is the pass alone. :func:`causality_sweep` is the
 pass with a vector clock (Fidge 1988; Mattern 1989) on every node it
 reaches: entry k is the last position on process k that precedes or equals
-the node, -1 when none does. A node a on process i at position x precedes a
-different node b exactly when ``clock_b[i] >= x``, so every reachability
-query costs O(1). It keeps only the clocks a signature reads.
+the node, -1 when none does, so a node's own entry is its position. A node
+a on process i precedes another node b exactly when ``b[i] >= a[i]``, in
+O(1). It keeps only the clocks a signature reads.
 :func:`program_graph` reads the pairing to list the nodes and edges, for
 display only.
 """
@@ -41,12 +41,12 @@ from collections import deque
 from .errors import CyclicGraph
 from .model import Program, StmtKind, channel_balance, pairing, require_balanced
 
-__all__ = ["Point", "causality_sweep", "deadlock_free", "program_graph"]
+__all__ = ["Clock", "causality_sweep", "deadlock_free", "program_graph"]
 
 # A channel as (sender, receiver).
 Chan = tuple[int, int]
-# A node's position on its process and its vector clock.
-Point = tuple[int, tuple[int, ...]]
+# A node's vector clock; its own entry is its position on its process.
+Clock = tuple[int, ...]
 
 _SEND = StmtKind.SEND
 
@@ -76,11 +76,11 @@ def program_graph(p: Program) -> tuple[list[str], list[tuple[str, str]]]:
     return [name for row in rows for name in row], edges
 
 
-def causality_sweep(p: Program) -> tuple[tuple[Point, ...], dict[Chan, Point], dict[Chan, Point]]:
+def causality_sweep(p: Program) -> tuple[tuple[Clock, ...], dict[Chan, Clock], dict[Chan, Clock]]:
     """The clocks a signature reads, from one Kahn pass over the events.
 
     Returns lst_k of every process k, the first send on every channel that
-    has a send, and the last receive on it, each as a :data:`Point`.
+    has a send, and the last receive on it, each as its :data:`Clock`.
     Positions count fst_i as 0, the x'th event of process i as x and lst_i
     as ``len + 1``; entry k - 1 of a clock is the last position on process k
     that precedes or equals the node, or -1. Raises :class:`Unbalanced`
@@ -91,7 +91,7 @@ def causality_sweep(p: Program) -> tuple[tuple[Point, ...], dict[Chan, Point], d
         raise CyclicGraph("graph has a cycle")
     for i, (seq, clock) in enumerate(zip(p.seqs, clocks)):
         clock[i] = len(seq) + 1
-    return tuple((clock[i], tuple(clock)) for i, clock in enumerate(clocks)), sends, recvs
+    return tuple(map(tuple, clocks)), sends, recvs
 
 
 def deadlock_free(p: Program) -> bool:
@@ -109,7 +109,7 @@ def deadlock_free(p: Program) -> bool:
     return _sweep(p, False)[0]
 
 
-def _sweep(p: Program, clocked: bool) -> tuple[bool, list, dict[Chan, Point], dict[Chan, Point]]:
+def _sweep(p: Program, clocked: bool) -> tuple[bool, list, dict[Chan, Clock], dict[Chan, Clock]]:
     """One Kahn pass over the events of p: whether every process ran to its
     end, the clock of every process where it stopped, the first send on
     every channel that has a send and the last receive on it.
@@ -127,9 +127,9 @@ def _sweep(p: Program, clocked: bool) -> tuple[bool, list, dict[Chan, Point], di
     n, seqs = p.n, p.seqs
     clocks: list = [[-1] * n for _ in range(n)] if clocked else [()] * n
     done = [0] * n
-    pending: dict[Chan, deque[tuple[int, ...]]] = {}
-    sends: dict[Chan, Point] = {}
-    recvs: dict[Chan, Point] = {}
+    pending: dict[Chan, deque[Clock]] = {}
+    sends: dict[Chan, Clock] = {}
+    recvs: dict[Chan, Clock] = {}
     ready = list(range(1, n + 1))
     while ready:
         i = ready.pop()
@@ -147,7 +147,7 @@ def _sweep(p: Program, clocked: bool) -> tuple[bool, list, dict[Chan, Point], di
                 if queue is None:
                     pending[ch] = queue = deque()
                     if clocked:
-                        sends[ch] = (x, sent)
+                        sends[ch] = sent
                 queue.append(sent)
                 ready.append(stmt.peer)
             else:
@@ -160,7 +160,7 @@ def _sweep(p: Program, clocked: bool) -> tuple[bool, list, dict[Chan, Point], di
                 if clocked:
                     clock = list(map(max, clock, sent))
                     clock[i - 1] = x
-                    recvs[ch] = (x, tuple(clock))
+                    recvs[ch] = tuple(clock)
         done[i - 1], clocks[i - 1] = x, clock
     finished = done == list(map(len, seqs))
     require_balanced(pending if finished else channel_balance(p))

@@ -138,9 +138,10 @@ def _seals(sp: Signature, sq: Signature) -> bool:
     # precedes lst_k in p and fst_k precedes the target in q: entry j of
     # lst_k's clock reaches the receive, entry k of the target's clock is
     # not -1.
-    for (i, j), (pos, _) in sp.recvs.items():
-        _, target = sq.sends.get((i, j)) or sq.exits[i - 1]
-        if not any(clock[j - 1] >= pos and c >= 0 for (_, clock), c in zip(sp.exits, target)):
+    for (i, j), recv in sp.recvs.items():
+        pos = recv[j - 1]
+        target = sq.sends.get((i, j)) or sq.exits[i - 1]
+        if not any(clock[j - 1] >= pos and c >= 0 for clock, c in zip(sp.exits, target)):
             return False
     return True
 

@@ -18,8 +18,8 @@ and nothing else; the fst dummies' clocks are fixed. Keep those nodes, then
   consumed by it).
 
 A channel i->j is left open exactly when its last-receive node survives.
-Each kept node carries its process, its position there and its clock, which
-is all any later question needs. The identity of a signature is its ranked
+Each kept node is its clock, which is all any later question needs; its
+own entry is its position. The identity of a signature is its ranked
 clocks: every entry k of a kept node's clock replaced by its rank among the
 kept positions on process k. Two signatures have the same edges, the causal
 order restricted to their kept nodes, exactly when their kept channels and
@@ -28,10 +28,10 @@ and edge sets are read off the clocks on first use, for listing only.
 
 Signatures compose: :func:`signature_compose` computes the signature of a
 layered program from the two signatures alone, without revisiting the
-programs. The clocks of the first layer carry over unchanged. A node of the
-second layer moves up by the first layer's event count on its process, and
-for every fst_k that precedes it in its own layer it inherits the clock of
-the first layer's lst_k, which the gluing of lst_k to fst_k puts before it.
+programs. The clocks of the first layer carry over unchanged. A second-layer
+clock moves up by the first layer's event count on each process it reaches,
+and for every fst_k that precedes the node in its own layer it inherits the
+clock of the first layer's lst_k, which the gluing puts before it.
 
 Every node is a :class:`SigNode` known by a stable name: fst_i / lst_i for
 the dummies, snd:i>j for a surviving first send, rcv:j<i for a surviving
@@ -45,7 +45,7 @@ from functools import cached_property
 from operator import le
 
 from .errors import InvariantViolation, ProcessCountMismatch
-from .graph import Point, causality_sweep
+from .graph import Clock, causality_sweep
 from .model import Channel, Program, Record, setfield
 
 __all__ = [
@@ -70,16 +70,17 @@ class SigNode(Record):
 SigEdge = tuple[SigNode, SigNode]
 
 
-def _entry_clock(n: int, proc: int) -> tuple[int, ...]:
+def _entry_clock(n: int, proc: int) -> Clock:
     return tuple(0 if k == proc else -1 for k in range(1, n + 1))
 
 
 class Signature:
-    """The kept nodes of a program, each as a :data:`Point`.
+    """The kept nodes of a program, each as its :data:`Clock`.
 
     ``exits[k - 1]`` is lst_k. ``sends[(i, j)]`` is the kept first send on
     i->j, on process i, and ``recvs[(i, j)]`` the kept last receive on it,
-    on process j. fst_k is implicit: position 0, clock -1 but for its own 0.
+    on process j. A node's own entry is its position there. fst_k is
+    implicit: clock -1 but for its own 0.
 
     ``nodes`` and ``edges`` are derived on first use and then kept, for
     listing only; ``edges`` holds every causally ordered pair of distinct
@@ -89,9 +90,9 @@ class Signature:
     def __init__(
         self,
         n: int,
-        exits: tuple[Point, ...],
-        sends: dict[tuple[int, int], Point],
-        recvs: dict[tuple[int, int], Point],
+        exits: tuple[Clock, ...],
+        sends: dict[tuple[int, int], Clock],
+        recvs: dict[tuple[int, int], Clock],
     ) -> None:
         self.n = n
         self.exits = exits
@@ -105,36 +106,34 @@ class Signature:
         positions on process k, which counts the kept nodes of k at or
         before the node. fst_k's clock is the same in every signature over
         n processes, so it is left out."""
-        kept = [[0, pos] for pos, _ in self.exits]
-        for (i, _), (pos, _) in self.sends.items():
-            kept[i - 1].append(pos)
-        for (_, j), (pos, _) in self.recvs.items():
-            kept[j - 1].append(pos)
+        kept = [[0, clock[k]] for k, clock in enumerate(self.exits)]
+        for (i, _), clock in self.sends.items():
+            kept[i - 1].append(clock[i - 1])
+        for (_, j), clock in self.recvs.items():
+            kept[j - 1].append(clock[j - 1])
         for positions in kept:
             positions.sort()
 
-        def rank(clock: tuple[int, ...]) -> tuple[int, ...]:
+        def rank(clock: Clock) -> Clock:
             return tuple(map(bisect_right, kept, clock))
 
-        exits = tuple(rank(clock) for _, clock in self.exits)
-        sends = tuple(sorted((ch, rank(clock)) for ch, (_, clock) in self.sends.items()))
-        recvs = tuple(sorted((ch, rank(clock)) for ch, (_, clock) in self.recvs.items()))
+        exits = tuple(map(rank, self.exits))
+        sends = tuple(sorted((ch, rank(clock)) for ch, clock in self.sends.items()))
+        recvs = tuple(sorted((ch, rank(clock)) for ch, clock in self.recvs.items()))
         return self.n, exits, sends, recvs
 
     @cached_property
-    def _points(self) -> dict[SigNode, tuple[int, int, tuple[int, ...]]]:
-        """Every node with its process, position and clock, in print order:
-        fst and then lst by process, first sends and then last receives by
+    def _points(self) -> dict[SigNode, tuple[int, Clock]]:
+        """Every node with its process and clock, in print order: fst and
+        then lst by process, first sends and then last receives by
         channel."""
-        points = {
-            SigNode(f"fst_{k}"): (k, 0, _entry_clock(self.n, k)) for k in range(1, self.n + 1)
-        }
-        for k, (pos, clock) in enumerate(self.exits, start=1):
-            points[SigNode(f"lst_{k}")] = (k, pos, clock)
-        for (i, j), (pos, clock) in sorted(self.sends.items()):
-            points[SigNode(f"snd:{i}>{j}")] = (i, pos, clock)
-        for (i, j), (pos, clock) in sorted(self.recvs.items()):
-            points[SigNode(f"rcv:{j}<{i}")] = (j, pos, clock)
+        points = {SigNode(f"fst_{k}"): (k, _entry_clock(self.n, k)) for k in range(1, self.n + 1)}
+        for k, clock in enumerate(self.exits, start=1):
+            points[SigNode(f"lst_{k}")] = (k, clock)
+        for (i, j), clock in sorted(self.sends.items()):
+            points[SigNode(f"snd:{i}>{j}")] = (i, clock)
+        for (i, j), clock in sorted(self.recvs.items()):
+            points[SigNode(f"rcv:{j}<{i}")] = (j, clock)
         return points
 
     @cached_property
@@ -156,7 +155,7 @@ class Signature:
 
     def sorted_edges(self) -> list[SigEdge]:
         """The edges, ordered by source and then target in print order."""
-        points = [(v, proc - 1, pos, clock) for v, (proc, pos, clock) in self._points.items()]
+        points = [(v, proc - 1, clock[proc - 1], clock) for v, (proc, clock) in self._points.items()]
         return [
             (a, b)
             for a, i, x, _ in points
@@ -182,28 +181,30 @@ def _check(sig: Signature) -> Signature:
     n, exits, recvs = sig.n, sig.exits, sig.recvs
     if len(exits) != n or len(sig.sends) + len(recvs) > 2 * n * (n - 1):
         raise InvariantViolation(f"signature is not O(n^2) for n = {n}")
-    chains: list[list[Point]] = [[] for _ in range(n)]
-    for (i, j), point in sig.sends.items():
-        clock = point[1]
+    if not {n}.issuperset(map(len, (*exits, *sig.sends.values(), *recvs.values()))):
+        raise InvariantViolation(f"a clock does not have {n} entries")
+    chains: list[list[Clock]] = [[] for _ in range(n)]
+    for (i, j), clock in sig.sends.items():
         if clock[j - 1] >= 0:
             raise InvariantViolation(f"fst_{j} precedes snd:{i}>{j}")
         recv = recvs.get((i, j))
-        if recv is not None and not all(map(le, clock, recv[1])):
+        if recv is not None and not all(map(le, clock, recv)):
             raise InvariantViolation(f"snd:{i}>{j} does not precede rcv:{j}<{i}")
-        chains[i - 1].append(point)
-    for (i, j), point in recvs.items():
-        if exits[i - 1][1][j - 1] >= point[0]:
+        chains[i - 1].append(clock)
+    for (i, j), clock in recvs.items():
+        if exits[i - 1][j - 1] >= clock[j - 1]:
             raise InvariantViolation(f"rcv:{j}<{i} precedes lst_{i}")
-        chains[j - 1].append(point)
-    # Each chain starts after fst_k, at position 0 with every entry -1 but
-    # its own 0: the own entry of a node on the chain is its position.
+        chains[j - 1].append(clock)
+    # fst_k heads each chain: position 0, every other entry -1. Tuple order
+    # sorts a chain by position, as a chain is ordered entry by entry.
     floor = (-1,) * n
-    for k, (chain, exit_point) in enumerate(zip(chains, exits), start=1):
+    for k, (chain, exit_clock) in enumerate(zip(chains, exits), start=1):
         chain.sort()
-        chain.append(exit_point)
+        chain.append(exit_clock)
         x, a = 0, floor
-        for y, b in chain:
-            if x >= y or len(b) != n or b[k - 1] != y or not all(map(le, a, b)):
+        for b in chain:
+            y = b[k - 1]
+            if x >= y or not all(map(le, a, b)):
                 raise InvariantViolation(f"clocks of process {k} are not monotone at position {y}")
             x, a = y, b
     return sig
@@ -216,8 +217,8 @@ def compute_signature(p: Program) -> Signature:
     preconditions fail.
     """
     exits, first_sends, last_recvs = causality_sweep(p)
-    sends = {(i, j): pt for (i, j), pt in first_sends.items() if pt[1][j - 1] < 0}
-    recvs = {(i, j): pt for (i, j), pt in last_recvs.items() if exits[i - 1][1][j - 1] < pt[0]}
+    sends = {(i, j): c for (i, j), c in first_sends.items() if c[j - 1] < 0}
+    recvs = {(i, j): c for (i, j), c in last_recvs.items() if exits[i - 1][j - 1] < c[j - 1]}
     return _check(Signature(p.n, exits, sends, recvs))
 
 
@@ -231,47 +232,45 @@ def signature_compose(sp: Signature, sq: Signature) -> Signature:
     if sp.n != sq.n:
         raise ProcessCountMismatch(sp.n, sq.n)
     n = sp.n
-    shift = [pos - 1 for pos, _ in sp.exits]
+    shift = [clock[k] - 1 for k, clock in enumerate(sp.exits)]
     # What a node of q inherits from p depends only on which fst_k precede
     # it, so it is computed once per such set.
     inherited: dict[tuple[bool, ...], list[int]] = {}
 
-    def glue(point: Point, proc: int) -> Point:
+    def glue(clock: Clock) -> Clock:
         # fst_k precedes the node in q exactly where its clock is not -1,
         # and lst_k of p then precedes it too. Where q itself reaches
-        # process k, its own entry, moved up by p's events on k, dominates:
+        # process k, its entry k, moved up by p's events on k, dominates:
         # no node of p lies after p's last event on k.
-        pos, clock = point
         reached = tuple(c >= 0 for c in clock)
         base = inherited.get(reached)
         if base is None:
             base = [-1] * n
             for k in range(n):
                 if reached[k]:
-                    base = list(map(max, base, sp.exits[k][1]))
+                    base = list(map(max, base, sp.exits[k]))
             inherited[reached] = base
-        glued = tuple(c + s if c >= 0 else b for c, s, b in zip(clock, shift, base))
-        return (pos + shift[proc - 1], glued)
+        return tuple(c + s if c >= 0 else b for c, s, b in zip(clock, shift, base))
 
-    exits = tuple(glue(point, k) for k, point in enumerate(sq.exits, start=1))
+    exits = tuple(map(glue, sq.exits))
     sends = dict(sp.sends)
-    for (i, j), point in sq.sends.items():
+    for (i, j), clock in sq.sends.items():
         # A first send of the later layer is shadowed by one on the same
         # channel in the earlier layer, and dropped when the gluing puts
         # fst_j before it.
         if (i, j) not in sends:
-            glued = glue(point, i)
-            if glued[1][j - 1] < 0:
+            glued = glue(clock)
+            if glued[j - 1] < 0:
                 sends[(i, j)] = glued
     # A last receive of the earlier layer is shadowed by one in the later
     # layer, and dropped when the gluing puts it before lst of its sender.
     recvs = {
-        (i, j): point
-        for (i, j), point in sp.recvs.items()
-        if (i, j) not in sq.recvs and exits[i - 1][1][j - 1] < point[0]
+        (i, j): clock
+        for (i, j), clock in sp.recvs.items()
+        if (i, j) not in sq.recvs and exits[i - 1][j - 1] < clock[j - 1]
     }
-    for (i, j), point in sq.recvs.items():
-        recvs[(i, j)] = glue(point, j)
+    for ch, clock in sq.recvs.items():
+        recvs[ch] = glue(clock)
     return _check(Signature(n, exits, sends, recvs))
 
 

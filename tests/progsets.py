@@ -122,6 +122,15 @@ def random_balanced_df(
             return candidate
 
 
+def rename(p: Program, perm: tuple[int, ...]) -> Program:
+    """p with every process i renamed to ``perm[i - 1]``, where perm is a
+    permutation of 1..n."""
+    rows: list[tuple[Statement, ...]] = [()] * p.n
+    for i, seq in enumerate(p.seqs, start=1):
+        rows[perm[i - 1] - 1] = tuple(Statement(stmt.kind, perm[stmt.peer - 1]) for stmt in seq)
+    return Program(p.name, p.n, tuple(rows))
+
+
 def gather_phase(n: int) -> Program:
     """The all-to-all exchange that ends with everyone reporting to process 1.
 

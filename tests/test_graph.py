@@ -148,12 +148,13 @@ def test_program_graph_lists_in_display_order():
 
 def test_vector_clocks_of_message_transmit():
     # Positions: fst 0, the events 1.., lst last; -1 where nothing of that
-    # process precedes. The sweep returns lst of each process, the first
-    # send and the last receive per channel.
+    # process precedes, and a node's own entry is its position. The sweep
+    # returns lst of each process, the first send and the last receive per
+    # channel.
     exits, sends, recvs = causality_sweep(message_transmit(1, 2, 2))
-    assert sends == {(1, 2): (1, (1, -1))}
-    assert recvs == {(1, 2): (1, (1, 1))}
-    assert exits == ((2, (2, -1)), (2, (1, 2)))
+    assert sends == {(1, 2): (1, -1)}
+    assert recvs == {(1, 2): (1, 1)}
+    assert exits == ((2, -1), (1, 2))
 
 
 def _outcome(analysis, p):
@@ -188,7 +189,7 @@ def _reference_sweep(p):
         clocks[b][k - 1] = max(clocks[b][k - 1], x)
 
     def point(v):
-        return place(v)[1], tuple(clocks[v])
+        return tuple(clocks[v])
 
     sends, recvs = {}, {}
     for v in nodes:

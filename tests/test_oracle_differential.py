@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from layerseal import (
     DEFAULT_BUDGET,
+    Channel,
     OracleBudget,
     Program,
     Statement,
@@ -29,7 +30,7 @@ from layerseal import (
     send,
     signature_compose,
 )
-from progsets import all_balanced_df_programs
+from progsets import all_balanced_df_programs, rename
 
 
 def test_open_channels_match_oracle_on_wide_scopes():
@@ -150,3 +151,44 @@ def test_static_open_channels_match_oracle_on_drawn_programs(pq):
 def test_is_seal_matches_oracle_on_drawn_pairs(pq):
     p, s = pq
     assert is_seal(p, s) == oracle_seals(p, s, WIDE), (p, s)
+
+
+def _renamed_clocks(sig, perm):
+    """The clocks of sig with process k renamed to ``perm[k - 1]``: a clock
+    moves to the renamed node and its entry k to entry ``perm[k - 1]``."""
+    inv = [0] * sig.n
+    for k, target in enumerate(perm):
+        inv[target - 1] = k
+
+    def clock(c):
+        return tuple(c[k] for k in inv)
+
+    exits = tuple(clock(sig.exits[k]) for k in inv)
+    sends = {(perm[i - 1], perm[j - 1]): clock(c) for (i, j), c in sig.sends.items()}
+    recvs = {(perm[i - 1], perm[j - 1]): clock(c) for (i, j), c in sig.recvs.items()}
+    return exits, sends, recvs
+
+
+@st.composite
+def renamed_pairs(draw) -> tuple[Program, Program, tuple[int, ...]]:
+    p, s = draw(df_pairs())
+    return p, s, tuple(draw(st.permutations(range(1, p.n + 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(renamed_pairs())
+def test_renaming_processes_permutes_every_answer(case):
+    """Renaming the processes permutes the signature, the static answers
+    and the oracle's answers alike: what a reduction to one program per
+    renaming orbit relies on."""
+    p, s, perm = case
+    rp, rs = rename(p, perm), rename(s, perm)
+    for a, ra in ((p, rp), (s, rs)):
+        sig = compute_signature(ra)
+        expected = _renamed_clocks(compute_signature(a), perm)
+        assert (sig.exits, sig.sends, sig.recvs) == expected, (a, perm)
+    assert is_seal(rp, rs) == is_seal(p, s), (p, s, perm)
+    for ch in channels_of(p.n):
+        renamed = Channel(perm[ch.src - 1], perm[ch.dst - 1])
+        assert oracle_channel_open(rp, renamed) == oracle_channel_open(p, ch), (p, ch, perm)
+    assert oracle_seals(rp, rs, WIDE) == oracle_seals(p, s, WIDE), (p, s, perm)

@@ -151,12 +151,19 @@ def test_compose_rejects_mismatched_counts():
         )
 
 
+def _clocks(sig):
+    return sig.exits, sig.sends, sig.recvs
+
+
 def test_compose_matches_direct_on_exhaustive_pairs():
+    # Clock for clock, not only up to the ranked key: a shift that keeps
+    # the order of positions but moves them fails here.
     progs = all_balanced_df_programs(2, 4)
     for p, q in [(a, b) for a in progs for b in progs]:
         direct = compute_signature(layer(p, q))
         composed = signature_compose(compute_signature(p), compute_signature(q))
         assert signature_equal(direct, composed), (p, q)
+        assert _clocks(composed) == _clocks(direct), (p, q)
 
 
 def test_compose_matches_direct_on_random_pairs():
@@ -168,6 +175,7 @@ def test_compose_matches_direct_on_random_pairs():
         direct = compute_signature(layer(p, q))
         composed = signature_compose(compute_signature(p), compute_signature(q))
         assert signature_equal(direct, composed), (p, q)
+        assert _clocks(composed) == _clocks(direct), (p, q)
 
 
 def test_compose_is_associative_via_direct():
@@ -225,25 +233,25 @@ def test_check_rejects_inconsistent_clocks():
     # MT(1->2): the send is at position 1 of process 1 with clock (1, -1),
     # the receive at position 1 of process 2 with clock (1, 1).
     sig = compute_signature(message_transmit(1, 2, 2))
-    assert sig.sends == {(1, 2): (1, (1, -1))}
-    assert sig.recvs == {(1, 2): (1, (1, 1))}
+    assert sig.sends == {(1, 2): (1, -1)}
+    assert sig.recvs == {(1, 2): (1, 1)}
     broken = [
         # the receive does not see the send
-        Signature(2, sig.exits, sig.sends, {(1, 2): (1, (-1, 1))}),
+        Signature(2, sig.exits, sig.sends, {(1, 2): (-1, 1)}),
         # fst_2 precedes the kept first send
-        Signature(2, sig.exits, {(1, 2): (1, (1, 0))}, sig.recvs),
+        Signature(2, sig.exits, {(1, 2): (1, 0)}, sig.recvs),
         # the kept last receive precedes lst_1
-        Signature(2, ((2, (2, 1)), sig.exits[1]), sig.sends, sig.recvs),
+        Signature(2, ((2, 1), sig.exits[1]), sig.sends, sig.recvs),
         # lst_2 sees less than the receive before it
-        Signature(2, (sig.exits[0], (2, (-1, 2))), sig.sends, sig.recvs),
-        # a clock whose own entry is not its position
-        Signature(2, sig.exits, sig.sends, {(1, 2): (1, (1, 0))}),
+        Signature(2, (sig.exits[0], (-1, 2)), sig.sends, sig.recvs),
         # fewer exits than processes
         Signature(2, sig.exits[:1], sig.sends, sig.recvs),
+        # a clock with fewer entries than processes
+        Signature(2, sig.exits, {(1, 2): (1,)}, sig.recvs),
         # the first kept node of process 1 has an entry below -1
-        Signature(2, sig.exits, {(1, 2): (1, (1, -2))}, sig.recvs),
+        Signature(2, sig.exits, {(1, 2): (1, -2)}, sig.recvs),
         # the first kept node of process 2 sits at fst_2's position
-        Signature(2, sig.exits, sig.sends, {(1, 2): (0, (1, 0))}),
+        Signature(2, sig.exits, sig.sends, {(1, 2): (1, 0)}),
     ]
     for bad in broken:
         with pytest.raises(InvariantViolation):

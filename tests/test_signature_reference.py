@@ -130,25 +130,24 @@ def test_deadlock_freedom_matches_closure():
 
 
 def _variants(sig):
-    """Copies of sig with one clock entry moved by one, one kept first send or
-    last receive dropped, or one moved by a position, that pass ``_check``.
-    An own-process entry always equals the node's position there."""
+    """Copies of sig with one clock entry moved by one, or one kept first
+    send or last receive dropped, that pass ``_check``. Moving a node's own
+    entry moves its position."""
     n = sig.n
     out = []
-    for k, (pos, clock) in enumerate(sig.exits):
+    for k, clock in enumerate(sig.exits):
         for e in range(n):
             for step in (-1, 1):
                 moved = tuple(c + step if x == e else c for x, c in enumerate(clock))
-                exits = sig.exits[:k] + ((pos + step if e == k else pos, moved),) + sig.exits[k + 1 :]
+                exits = sig.exits[:k] + (moved,) + sig.exits[k + 1 :]
                 out.append(Signature(n, exits, sig.sends, sig.recvs))
     for is_send, table in ((True, sig.sends), (False, sig.recvs)):
-        for (i, j), (pos, clock) in table.items():
-            own = (i if is_send else j) - 1
+        for (i, j), clock in table.items():
             changed = [{c: p for c, p in table.items() if c != (i, j)}]
             for e in range(n):
                 for step in (-1, 1):
                     moved = tuple(c + step if x == e else c for x, c in enumerate(clock))
-                    changed.append({**table, (i, j): (pos + step if e == own else pos, moved)})
+                    changed.append({**table, (i, j): moved})
             for t in changed:
                 sends, recvs = (t, sig.recvs) if is_send else (sig.sends, t)
                 out.append(Signature(n, sig.exits, sends, recvs))
