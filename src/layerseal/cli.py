@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import filterfalse, permutations
 from typing import TYPE_CHECKING, Callable
 
 from . import __version__
@@ -149,8 +150,7 @@ def _cmd_sig(ns: argparse.Namespace) -> CliResult:
 def _cmd_channels(ns: argparse.Namespace) -> CliResult:
     from .signature import compute_signature
     sig = compute_signature(_load_program(ns.file))
-    procs = range(1, sig.n + 1)
-    closed = [(i, j) for i in procs for j in procs if i != j and (i, j) not in sig.recvs]
+    closed = list(filterfalse(sig.recvs.__contains__, permutations(range(1, sig.n + 1), 2)))
     opened = sorted(sig.recvs)
     lines = [f"closed: {i}->{j}" for i, j in closed] + [f"open: {i}->{j}" for i, j in opened]
     lines.append(f"closed_count: {len(closed)}")

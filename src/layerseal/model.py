@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import total_ordering
+from itertools import permutations
 from operator import attrgetter
 from typing import Mapping, Sequence
 
@@ -255,4 +256,4 @@ def is_balanced(p: Program) -> bool:
 
 def channels_of(n: int) -> list[Channel]:
     """All n*(n-1) directed channels in canonical order."""
-    return [Channel(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    return [Channel(i, j) for i, j in permutations(range(1, n + 1), 2)]

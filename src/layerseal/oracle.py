@@ -63,7 +63,7 @@ channel with no receive in p answers ``False`` after the budget refusals.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, permutations
 from math import perm
 from operator import or_
 from typing import Iterable, Iterator, Sequence
@@ -279,8 +279,7 @@ def oracle_seals(p: Program, s: Program, budget: OracleBudget = DEFAULT_BUDGET) 
         raise ProcessCountMismatch(p.n, s.n)
     _entry(p)
     _require_well_formed(s)
-    n = p.n
-    rows = _rows([p, s], [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j])
+    rows = _rows([p, s], permutations(range(1, p.n + 1), 2))
     _check_size(sum(map(len, rows)), budget)
     sends, chans, indices, reach, _, candidates = _world(rows)
     _check_candidates(candidates, budget)

@@ -12,9 +12,11 @@ that guards the channel in q: q's own first send on i->j when q sends on it,
 otherwise lst_i, which bounds every send a later layer could add.
 
 Construction works on the closed-channel graph: the directed graph over
-processes with an edge (i, j) exactly when p closes channel i->j. A seal
-exists if and only if the undirected version is connected. The synthesized
-plan is a sequence of single-message transmissions in three phases:
+processes with an edge (i, j) exactly when p closes channel i->j, that is,
+every channel outside the open set of p's signature. One spanning search
+from process 1 over its edges taken both ways decides sealability (a seal
+exists if and only if it reaches every process) and roots the plan, a
+sequence of single-message transmissions in three phases:
 
 a. direct closes: for spanning-tree edges pointing away from the centre
    whose reverse channel is still open, one transmission along the tree
@@ -38,12 +40,15 @@ from __future__ import annotations
 import re
 from collections import deque
 from enum import Enum
-from typing import Iterable
+from itertools import filterfalse, permutations
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import BadProcessId, InvariantViolation, ProcessCountMismatch, Unsealable
 from .model import Program, Record, program, recv, send, setfield
 from .parser import natural
-from .signature import Signature, compute_signature
+
+if TYPE_CHECKING:
+    from .signature import Signature
 
 __all__ = [
     "ClosedChannelGraph",
@@ -76,11 +81,8 @@ class ClosedChannelGraph(Record):
         setfield(self, "n", n)
         setfield(self, "edges", edges)
 
-    def undirected_adjacency(self) -> dict[int, list[int]]:
-        return _undirected(self.n, self.edges)
-
     def undirected_connected(self) -> bool:
-        return self.n <= 1 or len(_bfs(self.undirected_adjacency(), 1)) == self.n
+        return len(_spanning(self)) == self.n
 
 
 class SealPlan(Record):
@@ -100,17 +102,21 @@ class SealPlan(Record):
 def closed_channels(p: Program) -> ClosedChannelGraph:
     """Which channels p closes: every channel its signature leaves open
     is open, every other one is closed."""
-    return _closed(compute_signature(p))
+    return _closed(_compute_signature(p))
+
+
+def _compute_signature(p: Program) -> Signature:
+    """compute_signature, imported on the first call and kept: expanding a
+    plan loads no causality analysis, and a fresh import of the package
+    later in the process does not mix its modules into this copy's."""
+    global _compute_signature
+    from .signature import compute_signature as _compute_signature
+    return _compute_signature(p)
 
 
 def _closed(sig: Signature) -> ClosedChannelGraph:
-    edges = frozenset(
-        (i, j)
-        for i in range(1, sig.n + 1)
-        for j in range(1, sig.n + 1)
-        if i != j and (i, j) not in sig.recvs
-    )
-    return ClosedChannelGraph(sig.n, edges)
+    pairs = permutations(range(1, sig.n + 1), 2)
+    return ClosedChannelGraph(sig.n, frozenset(filterfalse(sig.recvs.__contains__, pairs)))
 
 
 def is_sealable(p: Program) -> bool:
@@ -126,8 +132,8 @@ def is_seal(p: Program, q: Program) -> bool:
     the layered graph adds no edge from the later layer back into the
     earlier one.
     """
-    sp = compute_signature(p)
-    sq = compute_signature(q)
+    sp = _compute_signature(p)
+    sq = _compute_signature(q)
     if sp.n != sq.n:
         raise ProcessCountMismatch(sp.n, sq.n)
     return _seals(sp, sq)
@@ -179,22 +185,32 @@ def _bfs(adj: dict[int, list[int]], root: int) -> dict[int, tuple[int, int]]:
 
 
 def _undirected(n: int, pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
-    """Ascending neighbours of each of 1..n, every pair taken both ways."""
+    """Ascending neighbours of each of 1..n, every pair taken both ways;
+    raises :class:`BadProcessId` for a pair that is not a channel of 1..n."""
     adj: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
     for i, j in pairs:
+        if i == j or i not in adj or j not in adj:
+            raise BadProcessId(f"closed channel {i}->{j} is not a channel of 1..{n}")
         adj[i].add(j)
         adj[j].add(i)
     return {i: sorted(peers) for i, peers in adj.items()}
 
 
-def _centre(tree: dict[int, list[int]]) -> int:
-    """Vertex of minimum eccentricity in a tree, the smallest id on ties.
+def _spanning(closed: ClosedChannelGraph) -> dict[int, tuple[int, int]]:
+    """Breadth-first search from 1 over the closed channels taken both ways:
+    it spans exactly when p is sealable, and the plan casts over its tree."""
+    adj = _undirected(closed.n, closed.edges)
+    return _bfs(adj, 1) if adj else {}
+
+
+def _centre(tree: dict[int, list[int]], first: dict[int, tuple[int, int]]) -> int:
+    """Vertex of minimum eccentricity in a tree, the smallest id on ties,
+    given ``first``, a breadth-first search of the tree from any vertex.
 
     In a tree, the farthest vertex from any vertex is an end of a longest
     path, and every vertex's eccentricity is its larger distance to the two
-    ends of one longest path, so three searches give them all.
+    ends of one longest path, so two more searches give them all.
     """
-    first = _bfs(tree, 1)
     from_a = _bfs(tree, max(first, key=lambda v: first[v][1]))
     from_b = _bfs(tree, max(from_a, key=lambda v: from_a[v][1]))
     return min(tree, key=lambda v: (max(from_a[v][1], from_b[v][1]), v))
@@ -225,41 +241,25 @@ def _orders(tree: dict[int, list[int]], root: int) -> tuple[list[int], list[int]
 def plan_seal(closed: ClosedChannelGraph) -> SealPlan:
     """The three-phase plan over a closed-channel graph, as described in
     the module docstring. Raises :class:`Unsealable` when the graph is
-    disconnected."""
+    disconnected and :class:`BadProcessId` for a pair that is no channel."""
     n = closed.n
-    if n <= 1:
-        return SealPlan((), ())
-    spanning = _bfs(closed.undirected_adjacency(), 1)
+    spanning = _spanning(closed)
     if len(spanning) != n:
         raise Unsealable("closed-channel graph is disconnected")
+    if n <= 1:
+        return SealPlan((), ())
     tree = _undirected(n, ((child, par) for child, (par, _) in spanning.items() if child != par))
 
-    # Re-root the tree at the centre; orient every undirected tree edge by a
-    # direction that the closed-channel graph actually provides, preferring
-    # parent to child.
-    centre = _centre(tree)
-    preorder, postorder, parent = _orders(tree, centre)
-
-    transmissions: list[tuple[int, int]] = []
-    tags: list[Phase] = []
-    for w in preorder:
-        par = parent[w]
-        away = (par, w) in closed.edges
-        toward = (w, par) in closed.edges
-        # Tree edges exist in the closed graph in at least one direction.
-        # When only parent->child is closed and child->parent is open, one
-        # early transmission down the edge closes the upward channel so the
-        # converge-cast can use it.
-        if away and not toward:
-            transmissions.append((par, w))
-            tags.append(Phase.DIRECT_CLOSE)
-    for w in postorder:
-        transmissions.append((w, parent[w]))
-        tags.append(Phase.CONVERGE_CAST)
-    for w in preorder:
-        transmissions.append((parent[w], w))
-        tags.append(Phase.BROADCAST)
-    return SealPlan(tuple(transmissions), tuple(tags))
+    # The search from 1 over the closed graph is also the one over its tree:
+    # same parents, depths and order. Re-root the tree at the centre. A tree
+    # edge is closed at least one way; where the upward channel is open, one
+    # early transmission down the edge closes it for the converge-cast.
+    preorder, postorder, parent = _orders(tree, _centre(tree, spanning))
+    steps = [((parent[w], w), Phase.DIRECT_CLOSE) for w in preorder
+             if (w, parent[w]) not in closed.edges]
+    steps += [((w, parent[w]), Phase.CONVERGE_CAST) for w in postorder]
+    steps += [((parent[w], w), Phase.BROADCAST) for w in preorder]
+    return SealPlan(*zip(*steps))
 
 
 def construct_seal(p: Program) -> SealPlan:
@@ -268,7 +268,7 @@ def construct_seal(p: Program) -> SealPlan:
     The expansion of the returned plan always satisfies
     ``is_seal(p, expand_plan(plan, p.n))`` and stays under 3n transmissions.
     """
-    return seal_signature(compute_signature(p))
+    return seal_signature(_compute_signature(p))
 
 
 def seal_signature(sig: Signature) -> SealPlan:
@@ -280,7 +280,7 @@ def seal_signature(sig: Signature) -> SealPlan:
     need it.
     """
     plan = plan_seal(_closed(sig))
-    if not _seals(sig, compute_signature(expand_plan(plan, sig.n))):
+    if not _seals(sig, _compute_signature(expand_plan(plan, sig.n))):
         raise InvariantViolation("constructed plan does not seal its input")
     return plan
 
@@ -304,8 +304,7 @@ def parse_plan(text: str) -> SealPlan:
 
     Raises :class:`ValueError` naming the line for a line that does not
     parse, an unknown phase, or a process id above ``MAX_PROCESSES``."""
-    transmissions: list[tuple[int, int]] = []
-    tags: list[Phase] = []
+    steps: list[tuple[tuple[int, int], Phase]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip(" \t"):
@@ -322,6 +321,5 @@ def parse_plan(text: str) -> SealPlan:
             phase = Phase(tag) if tag else Phase.DIRECT_CLOSE
         except ValueError:
             raise ValueError(f"plan line {lineno}: unknown phase {tag!r}") from None
-        transmissions.append(transmission)
-        tags.append(phase)
-    return SealPlan(tuple(transmissions), tuple(tags))
+        steps.append((transmission, phase))
+    return SealPlan(*zip(*steps)) if steps else SealPlan((), ())

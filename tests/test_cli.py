@@ -272,9 +272,11 @@ def test_cli_import_leaves_the_oracle_unloaded():
     assert done.returncode == 0, done.stderr
 
 
-def test_each_command_loads_only_the_modules_it_runs(mt_file):
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, mt_file, ack_file):
     # The package loads no submodule until a name is used, and each command
     # only the analysis it runs.
+    plan = tmp_path / "plan.txt"
+    plan.write_text("1 -> 2\n2 -> 1\n")
     env = dict(os.environ, PYTHONPATH=str(Path(layerseal.__file__).resolve().parents[1]))
 
     def loaded(code: str) -> set[str]:
@@ -295,6 +297,10 @@ def test_each_command_loads_only_the_modules_it_runs(mt_file):
         ("sig", mt_file): {"sealing", "oracle"},
         ("sig", "--dot", mt_file): {"sealing", "oracle"},
         ("channels", mt_file): {"sealing", "oracle"},
+        ("sealable", mt_file): {"oracle"},
+        ("is-seal", mt_file, ack_file): {"oracle"},
+        ("seal", mt_file): {"oracle"},
+        ("expand", str(plan), "-n", "2"): {"graph", "signature", "oracle"},
     }
     for argv, unloaded in cases.items():
         modules = loaded(f"from layerseal.cli import run\nprint(run({list(argv)!r}).stdout)")

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -24,15 +25,18 @@ from layerseal import (
     empty_program,
     expand_plan,
     format_plan,
+    format_program,
     is_seal,
     is_sealable,
     layer,
     message_transmit,
+    parse,
     parse_plan,
     plan_seal,
     recv,
     send,
 )
+from layerseal.cli import run
 from progsets import (
     all_balanced_df_programs,
     bystander_sealable,
@@ -299,3 +303,65 @@ def test_plan_seal_on_a_long_path():
 def test_plan_seal_rejects_a_disconnected_graph():
     with pytest.raises(Unsealable):
         plan_seal(ClosedChannelGraph(3, frozenset({(1, 2)})))
+
+
+def test_closed_channel_graph_refuses_pairs_that_are_not_channels():
+    # A pair outside 1..n or a process paired with itself names no channel;
+    # both the decision and the plan refuse it, naming the pair.
+    for edges, named in (
+        ({(1, 5)}, "1->5"),
+        ({(0, 1), (1, 2)}, "0->1"),
+        ({(1, 2), (2, 3), (2, 2)}, "2->2"),
+    ):
+        g = ClosedChannelGraph(3, frozenset(edges))
+        with pytest.raises(BadProcessId, match=named):
+            g.undirected_connected()
+        with pytest.raises(BadProcessId, match=named):
+            plan_seal(g)
+
+
+def _planned(build) -> bool:
+    """False when build() raises Unsealable, else True."""
+    try:
+        build()
+    except Unsealable:
+        return False
+    return True
+
+
+def test_sealable_exactly_when_a_plan_exists(tmp_path, monkeypatch):
+    # One spanning search decides sealability and roots the plan, so the two
+    # cannot disagree, and the CLI lists the library's closed channels.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import programs
+
+    rng = random.Random(20)
+    progs = [random_balanced_df(rng, rng.randint(2, 6), 6) for _ in range(150)]
+    for n in range(2, 6):
+        for prog in (
+            programs.empty(n), programs.gather(n), programs.relay(n), programs.ring(n, 2),
+            programs.sparse(rng, n, n, "sparse"), programs.shuffled(rng, n, n, "shuffled"),
+        ):
+            progs.append(parse(programs.render(prog)))
+    path = tmp_path / "p.lsl"
+    answers = set()
+    for p in progs:
+        sealable = is_sealable(p)
+        assert sealable == _planned(lambda: construct_seal(p)), p
+        answers.add(sealable)
+        path.write_text(format_program(p))
+        lines = run(["channels", str(path)]).stdout.splitlines()
+        listed = [line for line in lines if line.startswith("closed: ")]
+        assert listed == [f"closed: {i}->{j}" for i, j in sorted(closed_channels(p).edges)]
+    assert answers == {False, True}
+
+    answers.clear()
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        edges = frozenset(c for c in permutations(range(1, n + 1), 2) if rng.random() < density)
+        g = ClosedChannelGraph(n, edges)
+        connected = g.undirected_connected()
+        assert connected == _planned(lambda: plan_seal(g)), g
+        answers.add(connected)
+    assert answers == {False, True}
