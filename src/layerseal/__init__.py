@@ -22,7 +22,7 @@ _EXPORTS = {
     " ProcessCountMismatch ShapeError Unbalanced Unsealable",
     "graph": "deadlock_free program_graph",
     "model": "Channel Program Statement StmtKind channels_of empty_program is_balanced layer"
-    " message_transmit pairing program recv send",
+    " message_transmit program recv send",
     "oracle": "DEFAULT_BUDGET OracleBudget oracle_channel_open oracle_seals oracle_tcc",
     "parser": "ParseError ParseErrorKind SourceSpan format_program parse",
     "sealing": "ClosedChannelGraph Phase SealPlan closed_channels construct_seal expand_plan"

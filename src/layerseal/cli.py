@@ -104,13 +104,13 @@ def _dot_signature(sig: Signature) -> str:
     # Edges implied by other edges transitively are drawn thin, so the
     # direct causality skeleton stands out. An edge a -> b is implied when
     # some successor of a is a predecessor of b.
-    edges = [(a.name, b.name) for a, b in sig.sorted_edges()]
+    edges = [(a.name, b.name) for a, b in sig.edges]
     succ: dict[str, set[str]] = {}
     pred: dict[str, set[str]] = {}
     for a, b in edges:
         succ.setdefault(a, set()).add(b)
         pred.setdefault(b, set()).add(a)
-    nodes = [v.name for v in sig.sorted_nodes()]
+    nodes = [v.name for v in sig.nodes]
     return _dot("signature", nodes, edges, lambda a, b: not succ[a].isdisjoint(pred[b]))
 
 
@@ -140,10 +140,9 @@ def _cmd_sig(ns: argparse.Namespace) -> CliResult:
     sig = compute_signature(_load_program(ns.file))
     if ns.dot:
         return CliResult(0, _dot_signature(sig))
-    nodes, edges = sig.sorted_nodes(), sig.sorted_edges()
-    lines = [f"n: {sig.n}", f"nodes: {len(nodes)}", f"edges: {len(edges)}"]
-    lines += [f"node: {v.name}" for v in nodes]
-    lines += [f"edge: {a.name} -> {b.name}" for a, b in edges]
+    lines = [f"n: {sig.n}", f"nodes: {len(sig.nodes)}", f"edges: {len(sig.edges)}"]
+    lines += [f"node: {v.name}" for v in sig.nodes]
+    lines += [f"edge: {a.name} -> {b.name}" for a, b in sig.edges]
     return CliResult(0, "\n".join(lines) + "\n")
 
 

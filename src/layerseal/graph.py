@@ -3,7 +3,7 @@
 Nodes are the communication events plus two dummy nodes per process, fst_i
 and lst_i, marking where the process enters and leaves the program. Edges
 chain each process's events between its dummies and pair the k'th send on a
-channel with the k'th receive on it. The pairing exists for every k exactly
+channel with the k'th receive on it. Such a send exists for every k exactly
 when the program is balanced; otherwise construction fails.
 
 The match edges are not a claim about which message a receive actually
@@ -30,7 +30,9 @@ reaches: entry k is the last position on process k that precedes or equals
 the node, -1 when none does, so a node's own entry is its position. A node
 a on process i precedes another node b exactly when ``b[i] >= a[i]``, in
 O(1). It keeps only the clocks a signature reads.
-:func:`program_graph` reads the pairing to list the nodes and edges, for
+:func:`program_graph` checks balance first
+(:func:`~layerseal.model.require_balanced`), then pairs sends with
+receives the same way, without clocks, to list the nodes and edges, for
 display only.
 """
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import CyclicGraph
-from .model import Program, StmtKind, channel_balance, pairing, require_balanced
+from .model import Program, StmtKind, channel_balance, require_balanced
 
 __all__ = ["Clock", "causality_sweep", "deadlock_free", "program_graph"]
 
@@ -57,12 +59,24 @@ def program_graph(p: Program) -> tuple[list[str], list[tuple[str, str]]]:
     Nodes are listed per process: fst_i, then its events by position
     (``s:i:x`` or ``r:i:x``, x counting from 0), then lst_i. Edges are
     listed by source node, then by target node, in that order. Raises
-    :class:`Unbalanced` like :func:`~layerseal.model.pairing`.
+    :class:`Unbalanced` like :func:`~layerseal.model.require_balanced`.
     """
-    match = {send: receive for receive, send in pairing(p).items()}
+    require_balanced(channel_balance(p))
+    # Each channel queues its send positions, counting a process's events
+    # from 1; the k'th receive on it takes the k'th send off the front.
+    queues: dict[Chan, deque[tuple[int, int]]] = {}
+    for i, seq in enumerate(p.seqs, start=1):
+        for x, stmt in enumerate(seq, start=1):
+            if stmt.kind is _SEND:
+                queues.setdefault((i, stmt.peer), deque()).append((i, x))
+    match = {}
+    for j, seq in enumerate(p.seqs, start=1):
+        for y, stmt in enumerate(seq, start=1):
+            if stmt.kind is not _SEND:
+                match[queues[(stmt.peer, j)].popleft()] = (j, y)
     rows = [
         [f"fst_{i}"]
-        + [f"{'s' if stmt.kind is StmtKind.SEND else 'r'}:{i}:{x}" for x, stmt in enumerate(seq)]
+        + [f"{'s' if stmt.kind is _SEND else 'r'}:{i}:{x}" for x, stmt in enumerate(seq)]
         + [f"lst_{i}"]
         for i, seq in enumerate(p.seqs, start=1)
     ]
@@ -84,7 +98,7 @@ def causality_sweep(p: Program) -> tuple[tuple[Clock, ...], dict[Chan, Clock], d
     Positions count fst_i as 0, the x'th event of process i as x and lst_i
     as ``len + 1``; entry k - 1 of a clock is the last position on process k
     that precedes or equals the node, or -1. Raises :class:`Unbalanced`
-    like :func:`~layerseal.model.pairing`, or :class:`CyclicGraph`.
+    like :func:`~layerseal.model.require_balanced`, or :class:`CyclicGraph`.
     """
     finished, clocks, sends, recvs = _sweep(p, True)
     if not finished:
@@ -99,12 +113,12 @@ def deadlock_free(p: Program) -> bool:
 
     A cyclic graph means some prefix of the program can block forever with
     every participant waiting on a receive. Acyclicity is decided on the
-    k'th-send-to-k'th-receive pairing; a run may still match messages
-    differently, but some run completing every statement always exists when
-    the graph is acyclic. Decided by the Kahn pass of
-    :func:`causality_sweep` without its clocks, in O(E + n) time and
-    memory. Raises :class:`Unbalanced` like
-    :func:`~layerseal.model.pairing`.
+    graph's match of each channel's k'th send to its k'th receive; a run
+    may still match messages differently, but some run completing every
+    statement always exists when the graph is acyclic. Decided by the Kahn
+    pass of :func:`causality_sweep` without its clocks, in O(E + n) time
+    and memory. Raises :class:`Unbalanced` like
+    :func:`~layerseal.model.require_balanced`.
     """
     return _sweep(p, False)[0]
 

@@ -36,7 +36,6 @@ __all__ = [
     "is_balanced",
     "layer",
     "message_transmit",
-    "pairing",
     "program",
     "recv",
     "require_balanced",
@@ -225,25 +224,6 @@ def require_balanced(balance: Mapping[tuple[int, int], object]) -> None:
     unbalanced = [ch for ch, left in balance.items() if left]
     if unbalanced:
         raise Unbalanced(Channel(*min(unbalanced)))
-
-
-def pairing(p: Program) -> dict[tuple[int, int], tuple[int, int]]:
-    """The send each receive is paired with in the program graph.
-
-    Maps the (process, position) of the k'th receive on every channel to the
-    (process, position) of the k'th send on it; positions count a process's
-    events from 1. Raises :class:`Unbalanced` like :func:`require_balanced`.
-    """
-    require_balanced(channel_balance(p))
-    sends: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    recvs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, seq in enumerate(p.seqs, start=1):
-        for x, stmt in enumerate(seq, start=1):
-            if stmt.kind is StmtKind.SEND:
-                sends.setdefault((i, stmt.peer), []).append((i, x))
-            else:
-                recvs.setdefault((stmt.peer, i), []).append((i, x))
-    return {r: s for key, rs in recvs.items() for r, s in zip(rs, sends[key])}
 
 
 def is_balanced(p: Program) -> bool:

@@ -132,11 +132,9 @@ def is_seal(p: Program, q: Program) -> bool:
     the layered graph adds no edge from the later layer back into the
     earlier one.
     """
-    sp = _compute_signature(p)
-    sq = _compute_signature(q)
-    if sp.n != sq.n:
-        raise ProcessCountMismatch(sp.n, sq.n)
-    return _seals(sp, sq)
+    if p.n != q.n:
+        raise ProcessCountMismatch(p.n, q.n)
+    return _seals(_compute_signature(p), _compute_signature(q))
 
 
 def _seals(sp: Signature, sq: Signature) -> bool:

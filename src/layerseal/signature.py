@@ -24,7 +24,7 @@ clocks: every entry k of a kept node's clock replaced by its rank among the
 kept positions on process k. Two signatures have the same edges, the causal
 order restricted to their kept nodes, exactly when their kept channels and
 ranked clocks agree, so equality and hashing never list an edge. The node
-and edge sets are read off the clocks on first use, for listing only.
+and edge listings are read off the clocks on first use, for display only.
 
 Signatures compose: :func:`signature_compose` computes the signature of a
 layered program from the two signatures alone, without revisiting the
@@ -70,10 +70,6 @@ class SigNode(Record):
 SigEdge = tuple[SigNode, SigNode]
 
 
-def _entry_clock(n: int, proc: int) -> Clock:
-    return tuple(0 if k == proc else -1 for k in range(1, n + 1))
-
-
 class Signature:
     """The kept nodes of a program, each as its :data:`Clock`.
 
@@ -82,9 +78,10 @@ class Signature:
     on process j. A node's own entry is its position there. fst_k is
     implicit: clock -1 but for its own 0.
 
-    ``nodes`` and ``edges`` are derived on first use and then kept, for
-    listing only; ``edges`` holds every causally ordered pair of distinct
-    nodes. Equality and hashing use the ranked clocks alone.
+    ``nodes`` and ``edges`` are listed in print order on first use and
+    then kept, for display only; ``edges`` holds every causally ordered
+    pair of distinct nodes. Equality and hashing use the ranked clocks
+    alone.
     """
 
     def __init__(
@@ -123,45 +120,40 @@ class Signature:
         return self.n, exits, sends, recvs
 
     @cached_property
-    def _points(self) -> dict[SigNode, tuple[int, Clock]]:
+    def _points(self) -> list[tuple[SigNode, int, Clock]]:
         """Every node with its process and clock, in print order: fst and
         then lst by process, first sends and then last receives by
         channel."""
-        points = {SigNode(f"fst_{k}"): (k, _entry_clock(self.n, k)) for k in range(1, self.n + 1)}
-        for k, clock in enumerate(self.exits, start=1):
-            points[SigNode(f"lst_{k}")] = (k, clock)
-        for (i, j), clock in sorted(self.sends.items()):
-            points[SigNode(f"snd:{i}>{j}")] = (i, clock)
-        for (i, j), clock in sorted(self.recvs.items()):
-            points[SigNode(f"rcv:{j}<{i}")] = (j, clock)
+        n = self.n
+        points = [
+            (SigNode(f"fst_{k}"), k, (-1,) * (k - 1) + (0,) + (-1,) * (n - k)) for k in range(1, n + 1)
+        ]
+        points += [(SigNode(f"lst_{k}"), k, clock) for k, clock in enumerate(self.exits, start=1)]
+        points += [(SigNode(f"snd:{i}>{j}"), i, clock) for (i, j), clock in sorted(self.sends.items())]
+        points += [(SigNode(f"rcv:{j}<{i}"), j, clock) for (i, j), clock in sorted(self.recvs.items())]
         return points
 
     @cached_property
-    def nodes(self) -> frozenset[SigNode]:
-        return frozenset(self._points)
+    def nodes(self) -> tuple[SigNode, ...]:
+        return tuple(v for v, _, _ in self._points)
 
     @cached_property
-    def edges(self) -> frozenset[SigEdge]:
-        return frozenset(self.sorted_edges())
+    def edges(self) -> tuple[SigEdge, ...]:
+        """Every causally ordered pair of distinct nodes, by source and then
+        target in print order."""
+        points = [(v, proc - 1, clock[proc - 1], clock) for v, proc, clock in self._points]
+        return tuple(
+            (a, b)
+            for a, i, x, _ in points
+            for b, _, _, clock in points
+            if a is not b and clock[i] >= x
+        )
 
     def leaves_open(self, channel: Channel) -> bool:
         return (channel.src, channel.dst) in self.recvs
 
     def open_channels(self) -> list[Channel]:
         return [Channel(i, j) for i, j in sorted(self.recvs)]
-
-    def sorted_nodes(self) -> list[SigNode]:
-        return list(self._points)
-
-    def sorted_edges(self) -> list[SigEdge]:
-        """The edges, ordered by source and then target in print order."""
-        points = [(v, proc - 1, clock[proc - 1], clock) for v, (proc, clock) in self._points.items()]
-        return [
-            (a, b)
-            for a, i, x, _ in points
-            for b, _, _, clock in points
-            if a is not b and clock[i] >= x
-        ]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Signature):

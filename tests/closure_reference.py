@@ -9,7 +9,10 @@ required to equal them exactly without sharing code with them. A reference
 signature is a triple ``(n, nodes, edges)``; :func:`by_name` and
 :func:`listed` put it and a library signature in the same terms, node
 names. :func:`edge_sets` keeps the comparison ``signature_equal`` made
-before signatures were compared by their ranked clocks.
+before signatures were compared by their ranked clocks. :func:`pairing`
+states the k'th-send-to-k'th-receive rule as a table, read off the
+explicit graph's match edges, for the tests of the library's
+:func:`program_graph`, which numbers its match edges itself.
 """
 
 from __future__ import annotations
@@ -114,6 +117,22 @@ def explicit_graph(p: Program) -> tuple[list, set]:
             raise Unbalanced(ch)
         edges.update(zip(out, inn))
     return nodes, edges
+
+
+def pairing(p: Program) -> dict[tuple[int, int], tuple[int, int]]:
+    """The send each receive is paired with in the program graph, read off
+    the match edges of :func:`explicit_graph`: those between two processes.
+
+    Maps the (process, position) of the k'th receive on every channel to the
+    (process, position) of the k'th send on it; positions count a process's
+    events from 1. Raises :class:`Unbalanced` like :func:`explicit_graph`.
+    """
+    _, edges = explicit_graph(p)
+    return {
+        (b.proc, b.index + 1): (a.proc, a.index + 1)
+        for a, b in edges
+        if isinstance(a, Event) and isinstance(b, Event) and a.proc != b.proc
+    }
 
 
 def _topological_order(nodes: list[N], edges: set[tuple[N, N]]) -> list[N] | None:
@@ -255,4 +274,4 @@ def listed(sig: Signature) -> RefSignature:
 def edge_sets(sig: Signature) -> RefSignature:
     """A signature as its materialised node set and edge set; two
     signatures were equal when these were."""
-    return sig.n, sig.nodes, sig.edges
+    return sig.n, frozenset(sig.nodes), frozenset(sig.edges)

@@ -22,6 +22,7 @@ from closure_reference import (
     closure_signature,
     explicit_graph,
     listed,
+    pairing,
 )
 from layerseal import (
     Channel,
@@ -34,7 +35,6 @@ from layerseal import (
     is_balanced,
     layer,
     message_transmit,
-    pairing,
     program,
     program_graph,
     recv,
@@ -42,7 +42,13 @@ from layerseal import (
 )
 from layerseal.graph import causality_sweep
 from layerseal.oracle import DEFAULT_BUDGET, _rows, _search
-from progsets import all_balanced_df_programs, all_programs, deadlocked_pair, random_balanced_df
+from progsets import (
+    all_balanced_df_programs,
+    all_balanced_programs,
+    all_programs,
+    deadlocked_pair,
+    random_balanced_df,
+)
 
 
 def _names(pairs):
@@ -241,16 +247,17 @@ def test_error_precedence(p, expected):
 
 def test_errors_and_clocks_match_pairing_and_closure_on_every_small_program():
     """Every program with n <= 3 and at most 4 statements, balanced or not:
-    the sweep, the signature and ``deadlock_free`` raise what ``pairing``
-    and the closure reference raise, naming the same channel, and the
-    sweep's clocks are the closure's."""
+    the sweep, the signature, ``deadlock_free`` and ``program_graph`` raise
+    what ``pairing`` and the closure reference raise, naming the same
+    channel, the sweep's clocks are the closure's, and the graph lists the
+    reference's."""
     cases = Counter()
     for n in (1, 2, 3):
         for p in all_programs(n, 4):
             kind, ref = _outcome(closure_signature, p)
             if kind == "ok":
                 cases[kind] += 1
-                pairing(p)
+                assert program_graph(p) == _reference_listing(p), p
                 assert listed(compute_signature(p)) == by_name(ref), p
                 assert causality_sweep(p) == _reference_sweep(p), p
                 assert deadlock_free(p), p
@@ -258,15 +265,36 @@ def test_errors_and_clocks_match_pairing_and_closure_on_every_small_program():
             if kind == "unbalanced":
                 cases["receive short" if _short_of_sends(p) else "sends over"] += 1
                 assert _outcome(pairing, p) == (kind, ref), p
+                assert _outcome(program_graph, p) == (kind, ref), p
                 freedom = (kind, ref)
             else:
                 cases[kind] += 1
-                pairing(p)
+                assert program_graph(p) == _reference_listing(p), p
                 freedom = ("ok", False)
             assert _outcome(causality_sweep, p) == (kind, ref), p
             assert _outcome(compute_signature, p) == (kind, ref), p
             assert _outcome(deadlock_free, p) == freedom, p
     assert len(cases) == 4, cases
+
+
+def _reference_listing(p):
+    """The reference graph of p as ``program_graph`` lists it: node names
+    per process, and edges by source and then target in that order."""
+    nodes, edges = explicit_graph(p)
+    at = {v: k for k, v in enumerate(nodes)}
+    edges = sorted(edges, key=lambda e: (at[e[0]], at[e[1]]))
+    return [v.name for v in nodes], [(a.name, b.name) for a, b in edges]
+
+
+def test_program_graph_lists_the_reference_graph_on_every_small_balanced_program():
+    """All 645 balanced programs of (2, 8), (3, 6) and (4, 4), cyclic ones
+    included: the listed graph is the reference's, node for node and edge
+    for edge, in order."""
+    programs = all_balanced_programs(2, 8) + all_balanced_programs(3, 6) + all_balanced_programs(4, 4)
+    assert len(programs) == 645
+    assert sum(not deadlock_free(p) for p in programs) == 100
+    for p in programs:
+        assert program_graph(p) == _reference_listing(p), p
 
 
 def test_deadlock_detection():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closure_reference import pairing
 from layerseal import (
     Channel,
     ClosedChannelGraph,
@@ -27,7 +28,6 @@ from layerseal import (
     is_balanced,
     layer,
     message_transmit,
-    pairing,
     program,
     recv,
     send,

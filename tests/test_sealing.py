@@ -30,9 +30,11 @@ from layerseal import (
     is_sealable,
     layer,
     message_transmit,
+    oracle_seals,
     parse,
     parse_plan,
     plan_seal,
+    program,
     recv,
     send,
 )
@@ -105,6 +107,16 @@ def test_is_seal_gather_fixture():
 def test_is_seal_rejects_mismatched_counts():
     with pytest.raises(ProcessCountMismatch):
         is_seal(empty_program(2), empty_program(3))
+    # The counts are compared first, as oracle_seals compares them: a q over
+    # another count is refused for its count even when its graph is cyclic
+    # or unbalanced.
+    p = message_transmit(1, 2, 2)
+    cyclic = program("cyclic", 3, {1: [recv(2), send(2)], 2: [recv(1), send(1)]})
+    unbalanced = program("unbalanced", 3, {1: [send(2)]})
+    for q in (cyclic, unbalanced):
+        for check in (is_seal, oracle_seals):
+            with pytest.raises(ProcessCountMismatch):
+                check(p, q)
 
 
 def test_seal_is_not_symmetric():

@@ -14,6 +14,7 @@ from layerseal import (
     Unbalanced,
     compute_signature,
     empty_program,
+    format_program,
     layer,
     message_transmit,
     program,
@@ -22,6 +23,7 @@ from layerseal import (
     signature_compose,
     signature_equal,
 )
+from layerseal.cli import run
 from layerseal.signature import Signature, _check
 from progsets import (
     all_balanced_df_programs,
@@ -60,30 +62,45 @@ def test_signature_requires_balance_and_acyclicity():
 
 def test_empty_signature_is_dummies_only():
     sig = compute_signature(empty_program(3))
-    assert sig.nodes == frozenset({fst(i) for i in (1, 2, 3)} | {lst(i) for i in (1, 2, 3)})
-    assert sig.edges == frozenset({(fst(i), lst(i)) for i in (1, 2, 3)})
+    assert set(sig.nodes) == {fst(i) for i in (1, 2, 3)} | {lst(i) for i in (1, 2, 3)}
+    assert set(sig.edges) == {(fst(i), lst(i)) for i in (1, 2, 3)}
     assert sig.open_channels() == []
 
 
 def test_message_transmit_signature_frozen():
     sig = compute_signature(message_transmit(1, 2, 2))
     s, r = snd(1, 2), rcv(1, 2)
-    assert sig.nodes == frozenset({fst(1), fst(2), lst(1), lst(2), s, r})
-    assert sig.edges == frozenset(
-        {
-            (fst(1), lst(1)),
-            (fst(1), lst(2)),
-            (fst(1), s),
-            (fst(1), r),
-            (fst(2), lst(2)),
-            (fst(2), r),
-            (s, lst(1)),
-            (s, lst(2)),
-            (s, r),
-            (r, lst(2)),
-        }
-    )
+    assert set(sig.nodes) == {fst(1), fst(2), lst(1), lst(2), s, r}
+    assert set(sig.edges) == {
+        (fst(1), lst(1)),
+        (fst(1), lst(2)),
+        (fst(1), s),
+        (fst(1), r),
+        (fst(2), lst(2)),
+        (fst(2), r),
+        (s, lst(1)),
+        (s, lst(2)),
+        (s, r),
+        (r, lst(2)),
+    }
     assert sig.open_channels() == [Channel(1, 2)]
+
+
+@pytest.mark.parametrize(
+    "p",
+    [message_transmit(1, 2, 2), gather_phase(4), crossed_exchange(3), bystander_sealable()],
+    ids=["mt", "gather4", "crossed3", "bystander"],
+)
+def test_listings_are_in_cli_sig_order(tmp_path, p):
+    sig = compute_signature(p)
+    path = tmp_path / "p.lsl"
+    path.write_text(format_program(p))
+    lines = run(["sig", str(path)]).stdout.splitlines()
+    assert [f"node: {v.name}" for v in sig.nodes] == [x for x in lines if x.startswith("node: ")]
+    assert [f"edge: {a.name} -> {b.name}" for a, b in sig.edges] == [
+        x for x in lines if x.startswith("edge: ")
+    ]
+    assert len(set(sig.nodes)) == len(sig.nodes) and len(set(sig.edges)) == len(sig.edges)
 
 
 def test_acknowledged_transmit_closes_the_channel():
