@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import filterfalse, permutations
 from typing import TYPE_CHECKING, Callable
 
 from . import __version__
@@ -28,7 +27,7 @@ from .errors import (
     Unbalanced,
     Unsealable,
 )
-from .model import Program, Record, channels_of, setfield
+from .model import Program, Record, channels_of, empty_program, setfield
 from .parser import MAX_PROCESSES, ParseError, format_program, parse
 
 if TYPE_CHECKING:
@@ -149,7 +148,7 @@ def _cmd_sig(ns: argparse.Namespace) -> CliResult:
 def _cmd_channels(ns: argparse.Namespace) -> CliResult:
     from .signature import compute_signature
     sig = compute_signature(_load_program(ns.file))
-    closed = list(filterfalse(sig.recvs.__contains__, permutations(range(1, sig.n + 1), 2)))
+    closed = sig.closed_pairs()
     opened = sorted(sig.recvs)
     lines = [f"closed: {i}->{j}" for i, j in closed] + [f"open: {i}->{j}" for i, j in opened]
     lines.append(f"closed_count: {len(closed)}")
@@ -229,7 +228,8 @@ def _cmd_verify(ns: argparse.Namespace) -> CliResult:
         static, dynamic = is_seal(p, q), oracle_seals(p, q, budget)
     else:  # tcc
         p = _load_program(ns.files[0])
-        static, dynamic = p.event_count == 0, oracle_tcc(p, budget)
+        dynamic = oracle_tcc(p, budget)
+        static = is_seal(p, empty_program(p.n))
     if ns.mode != "channels":
         agree = static == dynamic
         lines.append(f"static: {'true' if static else 'false'}")

@@ -40,7 +40,6 @@ from __future__ import annotations
 import re
 from collections import deque
 from enum import Enum
-from itertools import filterfalse, permutations
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import BadProcessId, InvariantViolation, ProcessCountMismatch, Unsealable
@@ -115,8 +114,7 @@ def _compute_signature(p: Program) -> Signature:
 
 
 def _closed(sig: Signature) -> ClosedChannelGraph:
-    pairs = permutations(range(1, sig.n + 1), 2)
-    return ClosedChannelGraph(sig.n, frozenset(filterfalse(sig.recvs.__contains__, pairs)))
+    return ClosedChannelGraph(sig.n, frozenset(sig.closed_pairs()))
 
 
 def is_sealable(p: Program) -> bool:

@@ -9,11 +9,12 @@ each channel relate causally to every process's entry and exit.
 Construction: one sweep over the program graph
 (:func:`~layerseal.graph.causality_sweep`) gives the vector clocks of the
 lst dummies, the first send per channel and the last receive per channel,
-and nothing else; the fst dummies' clocks are fixed. Keep those nodes, then
+and nothing else; the fst dummies' clocks are fixed. The keep rule keeps
+those nodes, except that it
 
-* drop a first send on i->j when fst_j causally precedes it (a message the
+* drops a first send on i->j when fst_j causally precedes it (a message the
   receiver helped cause can never race ahead of the receiver's past), and
-* drop a last receive on i->j when it causally precedes lst_i (the sender's
+* drops a last receive on i->j when it causally precedes lst_i (the sender's
   remaining future is already ordered after it, so no later send can be
   consumed by it).
 
@@ -28,10 +29,13 @@ and edge listings are read off the clocks on first use, for display only.
 
 Signatures compose: :func:`signature_compose` computes the signature of a
 layered program from the two signatures alone, without revisiting the
-programs. The clocks of the first layer carry over unchanged. A second-layer
-clock moves up by the first layer's event count on each process it reaches,
-and for every fst_k that precedes the node in its own layer it inherits the
-clock of the first layer's lst_k, which the gluing puts before it.
+programs. It glues, then applies the same keep rule. The clocks of the
+first layer carry over unchanged. A second-layer clock moves up by the
+first layer's event count on each process it reaches, and for every fst_k
+that precedes the node in its own layer it inherits the clock of the first
+layer's lst_k, which the gluing puts before it. The first layer's first
+send on a channel comes before the second layer's, and the second layer's
+last receive after the first layer's.
 
 Every node is a :class:`SigNode` known by a stable name: fst_i / lst_i for
 the dummies, snd:i>j for a surviving first send, rcv:j<i for a surviving
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
+from itertools import filterfalse, permutations
 from operator import le
 
 from .errors import InvariantViolation, ProcessCountMismatch
@@ -68,6 +73,8 @@ class SigNode(Record):
 
 
 SigEdge = tuple[SigNode, SigNode]
+# Kept first sends or last receives, by channel (i, j).
+ByChannel = dict[tuple[int, int], Clock]
 
 
 class Signature:
@@ -84,13 +91,7 @@ class Signature:
     alone.
     """
 
-    def __init__(
-        self,
-        n: int,
-        exits: tuple[Clock, ...],
-        sends: dict[tuple[int, int], Clock],
-        recvs: dict[tuple[int, int], Clock],
-    ) -> None:
+    def __init__(self, n: int, exits: tuple[Clock, ...], sends: ByChannel, recvs: ByChannel) -> None:
         self.n = n
         self.exits = exits
         self.sends = sends
@@ -155,6 +156,10 @@ class Signature:
     def open_channels(self) -> list[Channel]:
         return [Channel(i, j) for i, j in sorted(self.recvs)]
 
+    def closed_pairs(self) -> list[tuple[int, int]]:
+        """Every channel (i, j) left closed, in order."""
+        return list(filterfalse(self.recvs.__contains__, permutations(range(1, self.n + 1), 2)))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Signature):
             return NotImplemented
@@ -202,25 +207,34 @@ def _check(sig: Signature) -> Signature:
     return sig
 
 
+def _kept(n: int, exits: tuple[Clock, ...], first_sends: ByChannel, last_recvs: ByChannel) -> Signature:
+    """The signature of the nodes that survive the keep rule, checked.
+
+    Composing re-checks the nodes it takes over, and they always survive.
+    The first layer's first sends keep their clocks. A glued last receive
+    on i->j of the second layer stays after the glued lst_i: if lst_i
+    reached fst_j in its own layer, entries j of both moved up alike;
+    otherwise the glued exit's entry j is at most the first layer's event
+    count on j, and the glued receive's entry j is above it.
+    """
+    sends = {(i, j): c for (i, j), c in first_sends.items() if c[j - 1] < 0}
+    recvs = {(i, j): c for (i, j), c in last_recvs.items() if exits[i - 1][j - 1] < c[j - 1]}
+    return _check(Signature(n, exits, sends, recvs))
+
+
 def compute_signature(p: Program) -> Signature:
     """Signature of a balanced, deadlock-free program.
 
     Raises :class:`Unbalanced` or :class:`CyclicGraph` when the
     preconditions fail.
     """
-    exits, first_sends, last_recvs = causality_sweep(p)
-    sends = {(i, j): c for (i, j), c in first_sends.items() if c[j - 1] < 0}
-    recvs = {(i, j): c for (i, j), c in last_recvs.items() if exits[i - 1][j - 1] < c[j - 1]}
-    return _check(Signature(p.n, exits, sends, recvs))
+    return _kept(p.n, *causality_sweep(p))
 
 
 def signature_compose(sp: Signature, sq: Signature) -> Signature:
-    """Signature of the layered program, from the layer signatures alone.
-
-    Glues each lst_i of the first signature to fst_i of the second, then
-    removes inner dummies, shadowed sends and receives, and sends or
-    receives whose channel the gluing closed.
-    """
+    """Signature of the layered program, from the layer signatures alone:
+    glue each lst_i of the first signature to fst_i of the second, then
+    apply the keep rule."""
     if sp.n != sq.n:
         raise ProcessCountMismatch(sp.n, sq.n)
     n = sp.n
@@ -244,26 +258,9 @@ def signature_compose(sp: Signature, sq: Signature) -> Signature:
             inherited[reached] = base
         return tuple(c + s if c >= 0 else b for c, s, b in zip(clock, shift, base))
 
-    exits = tuple(map(glue, sq.exits))
-    sends = dict(sp.sends)
-    for (i, j), clock in sq.sends.items():
-        # A first send of the later layer is shadowed by one on the same
-        # channel in the earlier layer, and dropped when the gluing puts
-        # fst_j before it.
-        if (i, j) not in sends:
-            glued = glue(clock)
-            if glued[j - 1] < 0:
-                sends[(i, j)] = glued
-    # A last receive of the earlier layer is shadowed by one in the later
-    # layer, and dropped when the gluing puts it before lst of its sender.
-    recvs = {
-        (i, j): clock
-        for (i, j), clock in sp.recvs.items()
-        if (i, j) not in sq.recvs and exits[i - 1][j - 1] < clock[j - 1]
-    }
-    for ch, clock in sq.recvs.items():
-        recvs[ch] = glue(clock)
-    return _check(Signature(n, exits, sends, recvs))
+    sends = sp.sends | {ch: glue(clock) for ch, clock in sq.sends.items() if ch not in sp.sends}
+    recvs = sp.recvs | {ch: glue(clock) for ch, clock in sq.recvs.items()}
+    return _kept(n, tuple(map(glue, sq.exits)), sends, recvs)
 
 
 def signature_equal(a: Signature, b: Signature) -> bool:

@@ -145,6 +145,16 @@ def gather_phase(n: int) -> Program:
     return program("gather", n, seqs)
 
 
+def gather_then_transmit(n: int) -> Program:
+    """:func:`gather_phase` followed by one message from process 1 to 2.
+
+    The message closes every channel out of process 2 and opens 1->2,
+    leaving the n^2 - 3n + 3 open channels that criterion 6 claims for the
+    gather example alone.
+    """
+    return Program("gather_mt", n, layer(gather_phase(n), message_transmit(1, 2, n)).seqs)
+
+
 def hand_gather_seal(n: int) -> Program:
     """Process 1 answers every reporter once: n - 1 transmissions."""
     out = message_transmit(1, 2, n)

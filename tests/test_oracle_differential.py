@@ -30,7 +30,7 @@ from layerseal import (
     send,
     signature_compose,
 )
-from progsets import all_balanced_df_programs, rename
+from progsets import all_balanced_df_programs, gather_then_transmit, rename
 
 
 def test_open_channels_match_oracle_on_wide_scopes():
@@ -56,6 +56,18 @@ def test_open_channels_match_oracle_on_the_widest_affordable_scopes():
                 assert sig.leaves_open(ch) == oracle_channel_open(p, ch), (p, ch)
                 queries += 1
     assert queries == 15660 + 22068 + 7420
+
+
+def test_gather_then_transmit_has_the_claimed_open_count():
+    # The count criterion 6 claims for the gather example belongs to this
+    # nearby program, and the oracle agrees channel by channel.
+    for n in range(4, 11):
+        assert len(compute_signature(gather_then_transmit(n)).open_channels()) == n * n - 3 * n + 3
+    p = gather_then_transmit(4)
+    assert p.event_count == 20
+    sig = compute_signature(p)
+    for ch in channels_of(4):
+        assert sig.leaves_open(ch) == oracle_channel_open(p, ch), ch
 
 
 def test_is_seal_matches_oracle_on_all_pairs_of_two_processes():

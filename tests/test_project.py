@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import layerseal
@@ -21,6 +24,33 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_checks_survive_optimised_mode():
+    # The same property by behaviour: under ``python -O`` a corrupt
+    # signature is still refused, and a constructed seal still checked.
+    code = (
+        "from layerseal import InvariantViolation, compute_signature, construct_seal, expand_plan\n"
+        "from layerseal import is_seal, message_transmit\n"
+        "from layerseal.signature import Signature, _check\n"
+        "from progsets import gather_phase\n"
+        "sig = compute_signature(message_transmit(1, 2, 2))\n"
+        "try:\n"
+        "    _check(Signature(2, sig.exits, sig.sends, {(1, 2): (1, 0)}))\n"
+        "except InvariantViolation:\n"
+        "    print('refused')\n"
+        "p = gather_phase(5)\n"
+        "print(is_seal(p, expand_plan(construct_seal(p), 5)))\n"
+    )
+    path = os.pathsep.join((str(Path(layerseal.__file__).resolve().parents[1]), str(PROJECT / "tests")))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert done.stdout == "refused\nTrue\n", done.stderr
 
 
 def test_library_does_not_import_dataclasses():

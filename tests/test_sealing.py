@@ -119,6 +119,15 @@ def test_is_seal_rejects_mismatched_counts():
                 check(p, q)
 
 
+def test_the_empty_program_seals_exactly_the_programs_without_events():
+    # CLI `verify tcc` reads its static side from is_seal against the empty
+    # program; without events is the closed form of that answer.
+    programs = [p for n, cap in ((2, 6), (3, 6), (4, 4)) for p in all_balanced_df_programs(n, cap)]
+    assert len(programs) == 503
+    for p in programs:
+        assert is_seal(p, empty_program(p.n)) == (p.event_count == 0), p
+
+
 def test_seal_is_not_symmetric():
     mt = message_transmit(1, 2, 2)
     seal = layer(message_transmit(2, 1, 2), mt, name="seal")

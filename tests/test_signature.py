@@ -183,6 +183,14 @@ def test_compose_matches_direct_on_exhaustive_pairs():
         assert _clocks(composed) == _clocks(direct), (p, q)
 
 
+def test_compose_keeps_every_receive_of_the_second_layer():
+    # The keep rule never drops a glued last receive of q: see _kept.
+    sigs = [compute_signature(p) for p in all_balanced_df_programs(2, 4)]
+    for sp in sigs:
+        for sq in sigs:
+            assert set(sq.recvs) <= set(signature_compose(sp, sq).recvs)
+
+
 def test_compose_matches_direct_on_random_pairs():
     rng = random.Random(17)
     for _ in range(200):
