@@ -24,7 +24,7 @@ _EXPORTS = {
     "model": "Channel Program Statement StmtKind channels_of empty_program is_balanced layer"
     " message_transmit program recv send",
     "oracle": "DEFAULT_BUDGET OracleBudget oracle_channel_open oracle_seals oracle_tcc",
-    "parser": "ParseError ParseErrorKind SourceSpan format_program parse",
+    "parser": "ParseError ParseErrorKind format_program parse",
     "sealing": "ClosedChannelGraph Phase SealPlan closed_channels construct_seal expand_plan"
     " format_plan is_seal is_sealable parse_plan plan_seal seal_signature",
     "signature": "SigNode Signature compute_signature signature_compose signature_equal",

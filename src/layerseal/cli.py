@@ -16,27 +16,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from . import __version__
-from .errors import (
-    BadProcessId,
-    BudgetExceeded,
-    CyclicGraph,
-    ProcessCountMismatch,
-    Unbalanced,
-    Unsealable,
-)
+from .errors import BadProcessId, BudgetExceeded, CyclicGraph, ProcessCountMismatch, Unbalanced, Unsealable
 from .model import Program, Record, channels_of, empty_program, setfield
 from .parser import MAX_PROCESSES, ParseError, format_program, parse
-
-if TYPE_CHECKING:
-    from .signature import Signature
 
 # Each command imports the analyses it runs: a call loads, and where no
 # bytecode is cached compiles, only those.
 
 __all__ = ["CliResult", "main", "run"]
+
+# ``key: value`` pairs, one a line.
+_Lines = list[tuple[object, object]]
 
 
 class CliResult(Record):
@@ -76,6 +69,21 @@ def _load_program(path: str) -> Program:
     return parse(_read(path))
 
 
+def _answer(ok: bool, lines: _Lines) -> CliResult:
+    """The ``key: value`` lines, a bool value as ``true`` or ``false``, with
+    exit 0 for a positive answer and 1 for a negative one."""
+    text = "".join(f"{k}: {str(v).lower() if isinstance(v, bool) else v}\n" for k, v in lines)
+    return CliResult(0 if ok else 1, text)
+
+
+def _listing(head: _Lines, nodes: list[str], edges: list[tuple[str, str]]) -> CliResult:
+    """A graph: ``head``, the counts, the nodes and the edges."""
+    lines = [*head, ("nodes", len(nodes)), ("edges", len(edges))]
+    lines += [("node", name) for name in nodes]
+    lines += [("edge", f"{a} -> {b}") for a, b in edges]
+    return _answer(True, lines)
+
+
 def _quote(name: str) -> str:
     return '"' + name.replace('"', '\\"') + '"'
 
@@ -99,17 +107,15 @@ def _dot(
     return "\n".join(lines) + "\n"
 
 
-def _dot_signature(sig: Signature) -> str:
+def _dot_signature(nodes: list[str], edges: list[tuple[str, str]]) -> str:
     # Edges implied by other edges transitively are drawn thin, so the
     # direct causality skeleton stands out. An edge a -> b is implied when
     # some successor of a is a predecessor of b.
-    edges = [(a.name, b.name) for a, b in sig.edges]
     succ: dict[str, set[str]] = {}
     pred: dict[str, set[str]] = {}
     for a, b in edges:
         succ.setdefault(a, set()).add(b)
         pred.setdefault(b, set()).add(a)
-    nodes = [v.name for v in sig.nodes]
     return _dot("signature", nodes, edges, lambda a, b: not succ[a].isdisjoint(pred[b]))
 
 
@@ -118,9 +124,8 @@ def _cmd_check(ns: argparse.Namespace) -> CliResult:
     try:
         free = deadlock_free(_load_program(ns.file))
     except Unbalanced:
-        return CliResult(1, "balanced: false\ndeadlock_free: unknown\n")
-    text = f"balanced: true\ndeadlock_free: {'true' if free else 'false'}\n"
-    return CliResult(0 if free else 1, text)
+        return _answer(False, [("balanced", False), ("deadlock_free", "unknown")])
+    return _answer(free, [("balanced", True), ("deadlock_free", free)])
 
 
 def _cmd_graph(ns: argparse.Namespace) -> CliResult:
@@ -128,64 +133,54 @@ def _cmd_graph(ns: argparse.Namespace) -> CliResult:
     nodes, edges = program_graph(_load_program(ns.file))
     if ns.dot:
         return CliResult(0, _dot("program_graph", nodes, edges))
-    lines = [f"nodes: {len(nodes)}", f"edges: {len(edges)}"]
-    lines += [f"node: {name}" for name in nodes]
-    lines += [f"edge: {a} -> {b}" for a, b in edges]
-    return CliResult(0, "\n".join(lines) + "\n")
+    return _listing([], nodes, edges)
 
 
 def _cmd_sig(ns: argparse.Namespace) -> CliResult:
     from .signature import compute_signature
     sig = compute_signature(_load_program(ns.file))
+    nodes = [v.name for v in sig.nodes]
+    edges = [(a.name, b.name) for a, b in sig.edges]
     if ns.dot:
-        return CliResult(0, _dot_signature(sig))
-    lines = [f"n: {sig.n}", f"nodes: {len(sig.nodes)}", f"edges: {len(sig.edges)}"]
-    lines += [f"node: {v.name}" for v in sig.nodes]
-    lines += [f"edge: {a.name} -> {b.name}" for a, b in sig.edges]
-    return CliResult(0, "\n".join(lines) + "\n")
+        return CliResult(0, _dot_signature(nodes, edges))
+    return _listing([("n", sig.n)], nodes, edges)
 
 
 def _cmd_channels(ns: argparse.Namespace) -> CliResult:
     from .signature import compute_signature
     sig = compute_signature(_load_program(ns.file))
     closed = sig.closed_pairs()
-    opened = sorted(sig.recvs)
-    lines = [f"closed: {i}->{j}" for i, j in closed] + [f"open: {i}->{j}" for i, j in opened]
-    lines.append(f"closed_count: {len(closed)}")
-    lines.append(f"open_count: {len(opened)}")
-    return CliResult(0, "\n".join(lines) + "\n")
+    opened = sig.open_channels()
+    lines = [("closed", f"{i}->{j}") for i, j in closed] + [("open", ch) for ch in opened]
+    return _answer(True, [*lines, ("closed_count", len(closed)), ("open_count", len(opened))])
 
 
 def _cmd_sealable(ns: argparse.Namespace) -> CliResult:
     from .sealing import is_sealable
     ok = is_sealable(_load_program(ns.file))
-    return CliResult(0 if ok else 1, f"sealable: {'true' if ok else 'false'}\n")
+    return _answer(ok, [("sealable", ok)])
 
 
 def _cmd_is_seal(ns: argparse.Namespace) -> CliResult:
     from .sealing import is_seal
-    p = _load_program(ns.program)
-    q = _load_program(ns.candidate)
-    ok = is_seal(p, q)
-    return CliResult(0 if ok else 1, f"seals: {'true' if ok else 'false'}\n")
+    ok = is_seal(_load_program(ns.program), _load_program(ns.candidate))
+    return _answer(ok, [("seals", ok)])
 
 
 def _cmd_seal(ns: argparse.Namespace) -> CliResult:
     from .sealing import format_plan, seal_signature
     from .signature import compute_signature
     sig = compute_signature(_load_program(ns.file))
-    open_count = len(sig.recvs)
     try:
         plan = seal_signature(sig)
     except Unsealable:
-        return CliResult(1, "sealable: false\n")
+        return _answer(False, [("sealable", False)])
     text = format_plan(plan)
     if ns.output is not None:
         with open(ns.output, "w", encoding="utf-8") as f:
             f.write(text)
-    lines = [f"open_channels: {open_count}", f"transmissions: {len(plan.transmissions)}"]
-    body = "\n".join(lines) + "\n" + text
-    return CliResult(0, body)
+    head = f"open_channels: {len(sig.open_channels())}\ntransmissions: {len(plan.transmissions)}\n"
+    return CliResult(0, head + text)
 
 
 def _cmd_expand(ns: argparse.Namespace) -> CliResult:
@@ -198,44 +193,37 @@ def _cmd_verify(ns: argparse.Namespace) -> CliResult:
     from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_channel_open, oracle_seals, oracle_tcc
     from .sealing import is_seal
     from .signature import compute_signature
-    budget = DEFAULT_BUDGET
-    if ns.budget is not None:
-        budget = OracleBudget(max_matchings=ns.budget, max_events=DEFAULT_BUDGET.max_events)
-    lines: list[str] = []
-    agree = True
-    if ns.mode != "is-seal" and len(ns.files) != 1:
-        raise ValueError(f"verify {ns.mode} takes one program file")
-    if ns.mode == "channels":
-        p = _load_program(ns.files[0])
-        sig = compute_signature(p)
-        for ch in channels_of(p.n):
-            static_open = sig.leaves_open(ch)
-            oracle_open = oracle_channel_open(p, ch, budget)
-            same = static_open == oracle_open
-            agree &= same
-            state = "open" if static_open else "closed"
-            if same:
-                lines.append(f"{ch}: AGREE ({state})")
-            else:
-                lines.append(
-                    f"{ch}: DISAGREE (static={state},"
-                    f" oracle={'open' if oracle_open else 'closed'})"
-                )
-    elif ns.mode == "is-seal":
+    budget = DEFAULT_BUDGET if ns.budget is None else OracleBudget(max_matchings=ns.budget)
+    if ns.mode == "is-seal":
         if len(ns.files) != 2:
             raise ValueError("verify is-seal takes two program files")
-        p, q = map(_load_program, ns.files)
-        static, dynamic = is_seal(p, q), oracle_seals(p, q, budget)
-    else:  # tcc
-        p = _load_program(ns.files[0])
-        dynamic = oracle_tcc(p, budget)
-        static = is_seal(p, empty_program(p.n))
-    if ns.mode != "channels":
-        agree = static == dynamic
-        lines.append(f"static: {'true' if static else 'false'}")
-        lines.append(f"oracle: {'true' if dynamic else 'false'}")
-    lines.append(f"verdict: {'AGREE' if agree else 'DISAGREE'}")
-    return CliResult(0 if agree else 1, "\n".join(lines) + "\n")
+    elif len(ns.files) != 1:
+        raise ValueError(f"verify {ns.mode} takes one program file")
+    p = _load_program(ns.files[0])
+    lines: _Lines = []
+    if ns.mode == "channels":
+        opened = set(compute_signature(p).open_channels())
+        agree = True
+        for ch in channels_of(p.n):
+            static, oracle = ch in opened, oracle_channel_open(p, ch, budget)
+            state = "open" if static else "closed"
+            if static == oracle:
+                lines.append((ch, f"AGREE ({state})"))
+            else:
+                agree = False
+                other = "open" if oracle else "closed"
+                lines.append((ch, f"DISAGREE (static={state}, oracle={other})"))
+    else:
+        if ns.mode == "is-seal":
+            q = _load_program(ns.files[1])
+            static, oracle = is_seal(p, q), oracle_seals(p, q, budget)
+        else:  # tcc
+            oracle = oracle_tcc(p, budget)
+            static = is_seal(p, empty_program(p.n))
+        agree = static == oracle
+        lines += [("static", static), ("oracle", oracle)]
+    lines.append(("verdict", "AGREE" if agree else "DISAGREE"))
+    return _answer(agree, lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -246,54 +234,37 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("check", help="report balance and deadlock freedom")
-    s.add_argument("file")
-    s.set_defaults(handler=_cmd_check)
+    def command(
+        name: str, handler: Callable[[argparse.Namespace], CliResult], help: str, *positionals: str
+    ) -> argparse.ArgumentParser:
+        s = sub.add_parser(name, help=help)
+        for positional in positionals:
+            s.add_argument(positional)
+        s.set_defaults(handler=handler)
+        return s
 
-    s = sub.add_parser("graph", help="print the program graph")
-    s.add_argument("file")
-    s.add_argument("--dot", action="store_true", help="emit DOT instead of key: value lines")
-    s.set_defaults(handler=_cmd_graph)
-
-    s = sub.add_parser("sig", help="print the signature")
-    s.add_argument("file")
-    s.add_argument("--dot", action="store_true", help="emit DOT instead of key: value lines")
-    s.set_defaults(handler=_cmd_sig)
-
-    s = sub.add_parser("channels", help="list closed and open channels")
-    s.add_argument("file")
-    s.set_defaults(handler=_cmd_channels)
-
-    s = sub.add_parser("sealable", help="decide whether any seal exists")
-    s.add_argument("file")
-    s.set_defaults(handler=_cmd_sealable)
-
-    s = sub.add_parser("is-seal", help="decide whether the second program seals the first")
-    s.add_argument("program")
-    s.add_argument("candidate")
-    s.set_defaults(handler=_cmd_is_seal)
-
-    s = sub.add_parser("seal", help="synthesize a seal plan")
-    s.add_argument("file")
-    s.add_argument("-o", "--output", help="also write the plan to this file")
-    s.set_defaults(handler=_cmd_seal)
-
-    s = sub.add_parser("expand", help="expand a seal plan into program text")
-    s.add_argument("plan")
-    s.add_argument(
+    command("check", _cmd_check, "report balance and deadlock freedom", "file")
+    for s in (
+        command("graph", _cmd_graph, "print the program graph", "file"),
+        command("sig", _cmd_sig, "print the signature", "file"),
+    ):
+        s.add_argument("--dot", action="store_true", help="emit DOT instead of key: value lines")
+    command("channels", _cmd_channels, "list closed and open channels", "file")
+    command("sealable", _cmd_sealable, "decide whether any seal exists", "file")
+    command(
+        "is-seal", _cmd_is_seal, "decide whether the second program seals the first",
+        "program", "candidate",
+    )
+    command("seal", _cmd_seal, "synthesize a seal plan", "file").add_argument(
+        "-o", "--output", help="also write the plan to this file"
+    )
+    command("expand", _cmd_expand, "expand a seal plan into program text", "plan").add_argument(
         "-n", "--processes", type=_process_count, required=True, help="process count"
     )
-    s.set_defaults(handler=_cmd_expand)
-
-    s = sub.add_parser(
-        "verify",
-        help="cross-check a static analysis against the brute-force oracle",
-    )
+    s = command("verify", _cmd_verify, "cross-check a static analysis against the brute-force oracle")
     s.add_argument("mode", choices=["channels", "is-seal", "tcc"])
     s.add_argument("files", nargs="+")
     s.add_argument("--budget", type=_positive, help="cap on candidate matchings")
-    s.set_defaults(handler=_cmd_verify)
-
     return top
 
 
@@ -308,21 +279,10 @@ def run(argv: list[str]) -> CliResult:
     try:
         return ns.handler(ns)
     except ParseError as exc:
-        return CliResult(
-            2,
-            f"error: line {exc.span.line} col {exc.span.column}:"
-            f" {exc.message} [{exc.kind.value}]\n",
-        )
+        return CliResult(2, f"error: {exc} [{exc.kind.value}]\n")
     except BudgetExceeded as exc:
         return CliResult(3, f"error: {exc}\n")
-    except (
-        Unbalanced,
-        CyclicGraph,
-        ProcessCountMismatch,
-        BadProcessId,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (Unbalanced, CyclicGraph, ProcessCountMismatch, BadProcessId, ValueError, OSError) as exc:
         return CliResult(2, f"error: {exc}\n")
 
 

@@ -20,7 +20,8 @@ into a flat run of token strings, and walks that run by index. A token
 keeps no position: only when an error is raised is the source scanned again
 to the offending token, and its line and column counted from its offset.
 
-:func:`parse` raises :class:`ParseError` with a source span and a kind:
+:func:`parse` raises :class:`ParseError` with the 1-based ``line`` and
+``column`` of the offending token and a kind:
 
 * ``SYNTAX``: token-level or structural violations of the grammar.
 * ``BAD_PROCESS_ID``: a process id or peer outside 1..n.
@@ -44,13 +45,12 @@ from enum import Enum
 from itertools import islice
 from operator import itemgetter
 
-from .model import Program, Record, Statement, StmtKind, program, setfield
+from .model import Program, Statement, StmtKind, program
 
 __all__ = [
     "MAX_PROCESSES",
     "ParseError",
     "ParseErrorKind",
-    "SourceSpan",
     "format_program",
     "parse",
 ]
@@ -78,21 +78,15 @@ class ParseErrorKind(Enum):
     TOO_MANY_PROCESSES = "too-many-processes"
 
 
-class SourceSpan(Record):
-    """1-based line and column of the offending token."""
-
-    __slots__ = ("line", "column")
-
-    def __init__(self, line: int, column: int) -> None:
-        setfield(self, "line", line)
-        setfield(self, "column", column)
-
-
 class ParseError(Exception):
-    def __init__(self, kind: ParseErrorKind, span: SourceSpan, message: str) -> None:
-        super().__init__(f"line {span.line} col {span.column}: {message}")
+    """A refused source, at the 1-based ``line`` and ``column`` of the
+    offending token."""
+
+    def __init__(self, kind: ParseErrorKind, line: int, column: int, message: str) -> None:
+        super().__init__(f"line {line} col {column}: {message}")
         self.kind = kind
-        self.span = span
+        self.line = line
+        self.column = column
         self.message = message
 
 
@@ -114,8 +108,8 @@ def _error(
     token or stray, or, at a match without either, at the end of input."""
     m = next(islice(_SCAN.finditer(source), at, None))
     offset = m.start(m.lastindex) if m.lastindex else m.end()
-    column = offset - source.rfind("\n", 0, offset)
-    return ParseError(kind, SourceSpan(source.count("\n", 0, offset) + 1, column), message)
+    line = source.count("\n", 0, offset) + 1
+    return ParseError(kind, line, offset - source.rfind("\n", 0, offset), message)
 
 
 def _expected(source: str, toks: list[str], at: int, what: str) -> ParseError:

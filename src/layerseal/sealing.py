@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .errors import BadProcessId, InvariantViolation, ProcessCountMismatch, Unsealable
 from .model import Program, Record, program, recv, send, setfield
-from .parser import natural
+from .parser import MAX_PROCESSES, natural
 
 if TYPE_CHECKING:
     from .signature import Signature
@@ -77,6 +77,8 @@ class ClosedChannelGraph(Record):
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
+        if n < 0:
+            raise ValueError("process count must be non-negative")
         setfield(self, "n", n)
         setfield(self, "edges", edges)
 
@@ -295,13 +297,23 @@ def format_plan(plan: SealPlan) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _process_id(digits: str) -> int:
+    value = natural(digits, "process id")
+    if value > MAX_PROCESSES:
+        raise ValueError(f"process id {value} exceeds {MAX_PROCESSES}")
+    return value
+
+
 def parse_plan(text: str) -> SealPlan:
     """Inverse of :func:`format_plan`; blank lines and ``#`` comments allowed.
 
-    Raises :class:`ValueError` naming the line for a line that does not
-    parse, an unknown phase, or a process id above ``MAX_PROCESSES``."""
+    A line ends at a line feed alone, which may follow a carriage return:
+    ``str.splitlines`` would also end one at a form feed or a Unicode line
+    separator. Raises :class:`ValueError` naming the line for a line that
+    does not parse, an unknown phase, or a process id above
+    ``MAX_PROCESSES``."""
     steps: list[tuple[tuple[int, int], Phase]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip(" \t"):
             continue
@@ -310,7 +322,7 @@ def parse_plan(text: str) -> SealPlan:
             raise ValueError(f"plan line {lineno}: cannot parse {raw!r}")
         src, dst, tag = m.groups()
         try:
-            transmission = (natural(src, "process id"), natural(dst, "process id"))
+            transmission = (_process_id(src), _process_id(dst))
         except ValueError as exc:
             raise ValueError(f"plan line {lineno}: {exc}") from None
         try:

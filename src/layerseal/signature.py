@@ -150,9 +150,6 @@ class Signature:
             if a is not b and clock[i] >= x
         )
 
-    def leaves_open(self, channel: Channel) -> bool:
-        return (channel.src, channel.dst) in self.recvs
-
     def open_channels(self) -> list[Channel]:
         return [Channel(i, j) for i, j in sorted(self.recvs)]
 

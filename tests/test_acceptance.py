@@ -73,9 +73,9 @@ def test_criterion_1_example_fixtures():
         failures.append("is_seal(MT, ack) should be true")
     if is_seal(mt, mt):
         failures.append("is_seal(MT, MT) should be false")
-    if not compute_signature(mt).leaves_open(Channel(1, 2)):
+    if not Channel(1, 2) in compute_signature(mt).open_channels():
         failures.append("Sig(MT) should keep the last receive on 1->2")
-    if compute_signature(layer(mt, ack)).leaves_open(Channel(1, 2)):
+    if Channel(1, 2) in compute_signature(layer(mt, ack)).open_channels():
         failures.append("Sig(MT then ack) should drop the last receive on 1->2")
 
     x = crossed_exchange()

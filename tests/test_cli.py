@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 import layerseal
 from layerseal import format_program, message_transmit, parse
-from layerseal.cli import CliResult, run
+from layerseal.cli import CliResult, _build_parser, run
 from layerseal.parser import MAX_PROCESSES
 from progsets import bystander_sealable, crossed_exchange, deadlocked_pair, gather_phase
 
@@ -380,3 +382,43 @@ def test_bystander_channels(tmp_path):
     assert "closed: 3->1" in res.stdout
     assert "closed: 3->2" in res.stdout
     assert "open_count: 3" in res.stdout
+
+
+# The usage line of every subcommand, in the order ``--help`` lists them.
+USAGE = {
+    "check": "check [-h] file",
+    "graph": "graph [-h] [--dot] file",
+    "sig": "sig [-h] [--dot] file",
+    "channels": "channels [-h] file",
+    "sealable": "sealable [-h] file",
+    "is-seal": "is-seal [-h] program candidate",
+    "seal": "seal [-h] [-o OUTPUT] file",
+    "expand": "expand [-h] -n PROCESSES plan",
+    "verify": "verify [-h] [--budget BUDGET] {channels,is-seal,tcc} files [files ...]",
+}
+
+
+def test_every_command_is_declared_whole_and_documented(capsys):
+    # Every subcommand, and no other, has its usage line, and its help names
+    # the help of each option; the top help gives each subcommand a line of
+    # help; the README's CLI block lists them all. Help is compared with its
+    # line breaks folded, as argparse wraps it to the terminal.
+    def help_of(argv):
+        assert run([*argv, "--help"]) == CliResult(0, "")
+        return " ".join(capsys.readouterr().out.split())
+
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(USAGE)
+    top = help_of([])
+    assert [c.dest for c in sub._choices_actions] == list(USAGE)
+    for choice in sub._choices_actions:
+        assert choice.help and f"{choice.dest} {choice.help}" in top, choice.dest
+    for name, parser in sub.choices.items():
+        text = help_of([name])
+        assert text.startswith(f"usage: layerseal {USAGE[name]} "), text
+        for action in parser._actions:
+            if action.option_strings:
+                assert action.help and " ".join(action.help.split()) in text, (name, action.dest)
+    block = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = block.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    assert re.findall(r"^layerseal (\S+)", block, re.M) == list(USAGE)

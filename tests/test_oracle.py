@@ -244,11 +244,11 @@ def test_search_depth_is_not_bounded_by_recursion():
         for i in range(1, n + 1)
     })
     budget = OracleBudget(max_events=3000)
-    sig = compute_signature(p)
+    opened = compute_signature(p).open_channels()
     tracemalloc.start()
     try:
         for ch in (Channel(n - 1, n), Channel(1, 2)):
-            assert oracle_channel_open(p, ch, budget) == sig.leaves_open(ch), ch
+            assert oracle_channel_open(p, ch, budget) == (ch in opened), ch
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -273,7 +273,7 @@ def test_gather_phase_4_open_channels_match_oracle():
     p = gather_phase(4)
     sig = compute_signature(p)
     for ch in channels_of(4):
-        assert sig.leaves_open(ch) == oracle_channel_open(p, ch), ch
+        assert (ch in sig.open_channels()) == oracle_channel_open(p, ch), ch
     assert sig.open_channels() == [ch for ch in channels_of(4) if ch.src >= 2]
     assert len(sig.open_channels()) == 9
 

@@ -6,6 +6,7 @@ Hypothesis."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import assume, given, settings
@@ -37,9 +38,9 @@ def test_open_channels_match_oracle_on_wide_scopes():
     queries = 0
     for n, cap in ((2, 6), (3, 6), (4, 4)):
         for p in all_balanced_df_programs(n, cap):
-            sig = compute_signature(p)
+            opened = compute_signature(p).open_channels()
             for ch in channels_of(n):
-                assert sig.leaves_open(ch) == oracle_channel_open(p, ch), (p, ch)
+                assert (ch in opened) == oracle_channel_open(p, ch), (p, ch)
                 queries += 1
     assert queries == 3836
 
@@ -51,9 +52,9 @@ def test_open_channels_match_oracle_on_the_widest_affordable_scopes():
     queries = 0
     for n, cap in ((3, 8), (4, 6), (5, 4)):
         for p in all_balanced_df_programs(n, cap):
-            sig = compute_signature(p)
+            opened = compute_signature(p).open_channels()
             for ch in channels_of(n):
-                assert sig.leaves_open(ch) == oracle_channel_open(p, ch), (p, ch)
+                assert (ch in opened) == oracle_channel_open(p, ch), (p, ch)
                 queries += 1
     assert queries == 15660 + 22068 + 7420
 
@@ -65,9 +66,9 @@ def test_gather_then_transmit_has_the_claimed_open_count():
         assert len(compute_signature(gather_then_transmit(n)).open_channels()) == n * n - 3 * n + 3
     p = gather_then_transmit(4)
     assert p.event_count == 20
-    sig = compute_signature(p)
+    opened = compute_signature(p).open_channels()
     for ch in channels_of(4):
-        assert sig.leaves_open(ch) == oracle_channel_open(p, ch), ch
+        assert (ch in opened) == oracle_channel_open(p, ch), ch
 
 
 def test_is_seal_matches_oracle_on_all_pairs_of_two_processes():
@@ -130,10 +131,10 @@ def df_pairs(draw) -> tuple[Program, Program]:
 @given(df_pairs())
 def test_composed_open_channels_match_oracle_on_the_layered_program(pq):
     p, q = pq
-    composed = signature_compose(compute_signature(p), compute_signature(q))
+    opened = signature_compose(compute_signature(p), compute_signature(q)).open_channels()
     whole = layer(p, q)
     for ch in channels_of(p.n):
-        assert composed.leaves_open(ch) == oracle_channel_open(whole, ch), (p, q, ch)
+        assert (ch in opened) == oracle_channel_open(whole, ch), (p, q, ch)
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,9 +154,9 @@ WIDE = OracleBudget(max_events=28)
 @given(df_pairs())
 def test_static_open_channels_match_oracle_on_drawn_programs(pq):
     for p in pq:
-        sig = compute_signature(p)
+        opened = compute_signature(p).open_channels()
         for ch in channels_of(p.n):
-            assert sig.leaves_open(ch) == oracle_channel_open(p, ch), (p, ch)
+            assert (ch in opened) == oracle_channel_open(p, ch), (p, ch)
 
 
 @settings(max_examples=60, deadline=None)
@@ -204,3 +205,26 @@ def test_renaming_processes_permutes_every_answer(case):
         renamed = Channel(perm[ch.src - 1], perm[ch.dst - 1])
         assert oracle_channel_open(rp, renamed) == oracle_channel_open(p, ch), (p, ch, perm)
     assert oracle_seals(rp, rs, WIDE) == oracle_seals(p, s, WIDE), (p, s, perm)
+
+
+def test_two_process_signature_classes():
+    """n = 2 by signature class: the balanced deadlock-free programs of up
+    to 10 events have 12 signatures, all reached within 6 events; the 12
+    are closed under composition, which is associative on them; and on
+    the smallest program of each class ``is_seal`` agrees with the oracle.
+    Evidence for every n = 2 program, not a proof: a longer program that
+    no layering splits could still have a new signature."""
+    reps: dict = {}
+    for p in all_balanced_df_programs(2, 6):
+        sig = compute_signature(p)
+        if sig not in reps or p.event_count < reps[sig].event_count:
+            reps[sig] = p
+    assert len(reps) == 12
+    assert {compute_signature(p) for p in all_balanced_df_programs(2, 10)} == reps.keys()
+    for (a, p), (b, q) in itertools.product(reps.items(), repeat=2):
+        assert signature_compose(a, b) in reps, (p, q)
+        assert is_seal(p, q) == oracle_seals(p, q), (p, q)
+    for (a, p), (b, q), (c, r) in itertools.product(reps.items(), repeat=3):
+        left = signature_compose(signature_compose(a, b), c)
+        assert left == signature_compose(a, signature_compose(b, c)), (p, q, r)
+        assert left == compute_signature(layer(layer(p, q), r)), (p, q, r)

@@ -243,14 +243,22 @@ def test_parse_plan_errors():
         with pytest.raises(ValueError, match=f"^plan line 2: process id with {digits} digits"):
             parse_plan("1 -> 2\n" + "9" * digits + " -> 1\n")
     assert parse_plan("000100000 -> 1\n").transmissions == ((100000, 1),)
+    for pid in (100001, 999999):
+        with pytest.raises(ValueError, match=f"^plan line 2: process id {pid} exceeds 100000$"):
+            parse_plan(f"1 -> 2\n1 -> {pid}\n")
 
 
 def test_parse_plan_is_ascii_only():
     # Like the program grammar: other scripts' digits and blanks do not parse.
-    for line in ("\u0661 -> \u0662 [broadcast]", "1 -> \uff12", "1\u3000-> 2", "\u3000", "1 -> 2\xa0"):
+    # Only ``\n`` ends a line: a form feed or a line separator is a stray.
+    for line in (
+        "\u0661 -> \u0662 [broadcast]", "1 -> \uff12", "1\u3000-> 2", "\u3000", "1 -> 2\xa0",
+        "1 -> 2\u20282 -> 1", "\x0c",
+    ):
         with pytest.raises(ValueError, match="^plan line 2: cannot parse "):
             parse_plan("1 -> 2\n" + line + "\n")
     assert parse_plan("\t1\t->\t2\t[broadcast]\t\n \t\n").transmissions == ((1, 2),)
+    assert parse_plan("1 -> 2\r\n# note\r\n2 -> 1 [broadcast]\r\n").transmissions == ((1, 2), (2, 1))
 
 
 def test_sealing_composes_with_extra_layers():
