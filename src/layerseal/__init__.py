@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # CLI for one command, compiles only the modules that command runs.
 _EXPORTS = {
     "errors": "AnalysisError BadProcessId BudgetExceeded CyclicGraph InvariantViolation"
-    " ProcessCountMismatch ShapeError Unbalanced Unsealable",
+    " ProcessCountMismatch Unbalanced Unsealable",
     "graph": "deadlock_free program_graph",
     "model": "Channel Program Statement StmtKind channels_of empty_program is_balanced layer"
     " message_transmit program recv send",

@@ -9,7 +9,6 @@ __all__ = [
     "CyclicGraph",
     "InvariantViolation",
     "ProcessCountMismatch",
-    "ShapeError",
     "Unbalanced",
     "Unsealable",
 ]
@@ -29,9 +28,15 @@ class Unbalanced(AnalysisError):
         super().__init__(f"unbalanced channel {channel}")
         self.channel = channel
 
+    def __reduce__(self):
+        return type(self), (self.channel,)
+
 
 class CyclicGraph(AnalysisError):
     """The program graph contains a cycle, so the program can deadlock."""
+
+    def __init__(self, message: str = "graph has a cycle") -> None:
+        super().__init__(message)
 
 
 class ProcessCountMismatch(AnalysisError):
@@ -41,6 +46,9 @@ class ProcessCountMismatch(AnalysisError):
         super().__init__(f"process counts differ: {left} vs {right}")
         self.left = left
         self.right = right
+
+    def __reduce__(self):
+        return type(self), (self.left, self.right)
 
 
 class Unsealable(AnalysisError):
@@ -53,15 +61,6 @@ class BadProcessId(AnalysisError):
 
 class BudgetExceeded(AnalysisError):
     """The oracle's enumeration would exceed its configured budget."""
-
-
-class ShapeError(AnalysisError):
-    """Some channel has more receive events than send events, so no total
-    matching over the world can exist."""
-
-    def __init__(self, channel) -> None:
-        super().__init__(f"more receives than sends on channel {channel}")
-        self.channel = channel
 
 
 class InvariantViolation(AnalysisError):

@@ -102,7 +102,7 @@ def causality_sweep(p: Program) -> tuple[tuple[Clock, ...], dict[Chan, Clock], d
     """
     finished, clocks, sends, recvs = _sweep(p, True)
     if not finished:
-        raise CyclicGraph("graph has a cycle")
+        raise CyclicGraph()
     for i, (seq, clock) in enumerate(zip(p.seqs, clocks)):
         clock[i] = len(seq) + 1
     return tuple(map(tuple, clocks)), sends, recvs

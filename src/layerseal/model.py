@@ -129,9 +129,6 @@ class Statement(Record):
         setfield(self, "kind", kind)
         setfield(self, "peer", peer)
 
-    def __str__(self) -> str:
-        return f"{self.kind.value} {self.peer}"
-
 
 def send(peer: int) -> Statement:
     return Statement(StmtKind.SEND, peer)

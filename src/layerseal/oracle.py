@@ -68,7 +68,7 @@ from math import perm
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadProcessId, BudgetExceeded, CyclicGraph, ProcessCountMismatch, ShapeError
+from .errors import BadProcessId, BudgetExceeded, CyclicGraph, ProcessCountMismatch
 from .graph import deadlock_free
 from .model import Channel, Program, Record, StmtKind, empty_program, setfield
 
@@ -128,9 +128,8 @@ def _check_candidates(candidates: int, budget: OracleBudget) -> None:
 def _world(rows: list[_Row]) -> tuple:
     """The world of ``rows`` as :func:`_matchings` searches it: the sends on
     each channel, and the channel, index and reach bitset of each receive,
-    all in index order, then its event count and candidate matchings. Raises
-    :class:`ShapeError` on the first channel in sorted order with more
-    receives than sends."""
+    all in index order, then its event count and candidate matchings, which
+    are 0 when some channel has more receives than sends."""
     sends: dict[tuple[int, int], list[int]] = {}
     chans, indices, reach = [], [], []
     x = 0
@@ -146,11 +145,8 @@ def _world(rows: list[_Row]) -> tuple:
                 reach.append(end - (1 << x))
             x += 1
     candidates = 1
-    for ch, k in sorted(Counter(chans).items()):
-        n_sends = len(sends.get(ch, ()))
-        if k > n_sends:
-            raise ShapeError(Channel(*ch))
-        candidates *= perm(n_sends, k)
+    for ch, k in Counter(chans).items():
+        candidates *= perm(len(sends.get(ch, ())), k)
     return sends, chans, indices, reach, x, candidates
 
 
@@ -206,17 +202,18 @@ def _matchings(senders: list, reach: list[int], goals: list | None = None) -> It
 
 def _search(rows: list[_Row], budget: OracleBudget) -> Iterator[tuple[tuple[int, int], ...]]:
     """The matchings of the world of ``rows``, as (receive, send) index
-    pairs, in the order of the module docstring. The refusals and
-    :class:`ShapeError` are raised by the call, before any search."""
+    pairs, in the order of the module docstring. The refusals are raised by
+    the call, before any search; a world with no candidates is not searched."""
     _check_size(sum(map(len, rows)), budget)
     sends, chans, indices, reach, _, candidates = _world(rows)
     _check_candidates(candidates, budget)
-    return (tuple(zip(indices, m)) for m in _matchings([sends[ch] for ch in chans], reach))
+    found = _matchings([sends[ch] for ch in chans], reach) if candidates else ()
+    return (tuple(zip(indices, m)) for m in found)
 
 
 def _require_well_formed(p: Program) -> None:
     if not deadlock_free(p):
-        raise CyclicGraph(f"{p.name!r} can deadlock")
+        raise CyclicGraph()
 
 
 # The last program a query found well formed and its bare world, or None

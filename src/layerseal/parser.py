@@ -89,6 +89,9 @@ class ParseError(Exception):
         self.column = column
         self.message = message
 
+    def __reduce__(self):
+        return type(self), (self.kind, self.line, self.column, self.message)
+
 
 def natural(digits: str, what: str) -> int:
     """The value of an ASCII digit string. One with more digits than

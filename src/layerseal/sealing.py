@@ -38,7 +38,6 @@ ascending order in both casts.
 from __future__ import annotations
 
 import re
-from collections import deque
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
@@ -167,19 +166,16 @@ def expand_plan(plan: SealPlan, n: int) -> Program:
     return program("seal", n, seqs)
 
 
-def _bfs(adj: dict[int, list[int]], root: int) -> dict[int, tuple[int, int]]:
-    """Parent and depth of every vertex reached from root, in breadth-first
-    order with neighbours ascending; the root is its own parent."""
-    tree = {root: (root, 0)}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        depth = tree[v][1] + 1
+def _bfs(adj: dict[int, list[int]], root: int) -> dict[int, int]:
+    """Parent of every vertex reached from root, in breadth-first order with
+    neighbours ascending; the root is its own parent."""
+    parent, order = {root: root}, [root]
+    for v in order:
         for w in adj[v]:
-            if w not in tree:
-                tree[w] = (v, depth)
-                queue.append(w)
-    return tree
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return parent
 
 
 def _undirected(n: int, pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
@@ -194,24 +190,27 @@ def _undirected(n: int, pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]
     return {i: sorted(peers) for i, peers in adj.items()}
 
 
-def _spanning(closed: ClosedChannelGraph) -> dict[int, tuple[int, int]]:
+def _spanning(closed: ClosedChannelGraph) -> dict[int, int]:
     """Breadth-first search from 1 over the closed channels taken both ways:
     it spans exactly when p is sealable, and the plan casts over its tree."""
     adj = _undirected(closed.n, closed.edges)
     return _bfs(adj, 1) if adj else {}
 
 
-def _centre(tree: dict[int, list[int]], first: dict[int, tuple[int, int]]) -> int:
+def _centre(tree: dict[int, list[int]], first: dict[int, int]) -> int:
     """Vertex of minimum eccentricity in a tree, the smallest id on ties,
     given ``first``, a breadth-first search of the tree from any vertex.
 
-    In a tree, the farthest vertex from any vertex is an end of a longest
-    path, and every vertex's eccentricity is its larger distance to the two
-    ends of one longest path, so two more searches give them all.
+    The last vertex a search reaches ends a longest path, the last one a
+    search from it reaches ends that path, and its middle one or two
+    vertices are those of minimum eccentricity (Jordan 1869).
     """
-    from_a = _bfs(tree, max(first, key=lambda v: first[v][1]))
-    from_b = _bfs(tree, max(from_a, key=lambda v: from_a[v][1]))
-    return min(tree, key=lambda v: (max(from_a[v][1], from_b[v][1]), v))
+    a = next(reversed(first))
+    parent = _bfs(tree, a)
+    path = [next(reversed(parent))]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return min(path[(len(path) - 1) // 2 : len(path) // 2 + 1])
 
 
 def _orders(tree: dict[int, list[int]], root: int) -> tuple[list[int], list[int], dict[int, int]]:
@@ -246,10 +245,10 @@ def plan_seal(closed: ClosedChannelGraph) -> SealPlan:
         raise Unsealable("closed-channel graph is disconnected")
     if n <= 1:
         return SealPlan((), ())
-    tree = _undirected(n, ((child, par) for child, (par, _) in spanning.items() if child != par))
+    tree = _undirected(n, ((child, par) for child, par in spanning.items() if child != par))
 
     # The search from 1 over the closed graph is also the one over its tree:
-    # same parents, depths and order. Re-root the tree at the centre. A tree
+    # same parents and order. Re-root the tree at the centre. A tree
     # edge is closed at least one way; where the upward channel is open, one
     # early transmission down the edge closes it for the converge-cast.
     preorder, postorder, parent = _orders(tree, _centre(tree, spanning))

@@ -28,7 +28,6 @@ from layerseal import (
     Channel,
     OracleBudget,
     Program,
-    ShapeError,
     StmtKind,
 )
 
@@ -85,15 +84,14 @@ def enumerate_matchings(
         recv_count[events[r][0]] = recv_count.get(events[r][0], 0) + 1
     candidates = 1
     for ch in sorted(recv_count):
-        n_sends = len(sends_by_channel.get(ch, ()))
-        n_recvs = recv_count[ch]
-        if n_recvs > n_sends:
-            raise ShapeError(Channel(*ch))
-        candidates *= perm(n_sends, n_recvs)
+        candidates *= perm(len(sends_by_channel.get(ch, ())), recv_count[ch])
     if candidates > budget.max_matchings:
         raise BudgetExceeded(
             f"{candidates} candidate matchings, budget allows {budget.max_matchings}"
         )
+    if not candidates:
+        # Some channel has more receives than sends: no matching is total.
+        return []
 
     next_in_proc: dict[int, int] = {}
     for row in numbered(world):

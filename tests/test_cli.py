@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 import layerseal
-from layerseal import format_program, message_transmit, parse
+from layerseal import Channel, format_program, message_transmit, parse
 from layerseal.cli import CliResult, _build_parser, run
 from layerseal.parser import MAX_PROCESSES
 from progsets import bystander_sealable, crossed_exchange, deadlocked_pair, gather_phase
@@ -204,6 +204,26 @@ def test_verify_tcc(tmp_path, mt_file):
     assert "static: true" in res.stdout
 
 
+def test_verify_reports_a_disagreement(monkeypatch, mt_file, ack_file):
+    # An oracle that flips one answer: the 2->1 probe, and every seal.
+    from layerseal import oracle
+    channel_open, seals = oracle.oracle_channel_open, oracle.oracle_seals
+    monkeypatch.setattr(
+        oracle, "oracle_channel_open",
+        lambda p, ch, budget: channel_open(p, ch, budget) != (ch == Channel(2, 1)),
+    )
+    monkeypatch.setattr(oracle, "oracle_seals", lambda p, s, budget: not seals(p, s, budget))
+    assert run(["verify", "channels", mt_file]) == CliResult(
+        1, "1->2: AGREE (open)\n2->1: DISAGREE (static=closed, oracle=open)\nverdict: DISAGREE\n"
+    )
+    assert run(["verify", "is-seal", mt_file, ack_file]) == CliResult(
+        1, "static: true\noracle: false\nverdict: DISAGREE\n"
+    )
+    assert run(["verify", "tcc", mt_file]) == CliResult(
+        1, "static: false\noracle: true\nverdict: DISAGREE\n"
+    )
+
+
 def test_verify_budget_exhaustion(tmp_path):
     wide = tmp_path / "wide.lsl"
     body = "".join("    send 2;\n" for _ in range(8))
@@ -373,6 +393,17 @@ def test_deadlocking_input_to_sig_is_input_error(tmp_path):
     res = run(["sig", _write(tmp_path, "d.lsl", deadlocked_pair())])
     assert res.exit_code == 2
     assert res.stdout.startswith("error:")
+
+
+def test_a_deadlocking_program_has_one_message(tmp_path):
+    # The static analyses and the oracle refuse it with the same line.
+    stuck = _write(tmp_path, "d.lsl", deadlocked_pair())
+    for argv in (
+        ["sig", stuck], ["channels", stuck], ["sealable", stuck], ["seal", stuck],
+        ["is-seal", stuck, stuck], ["verify", "channels", stuck],
+        ["verify", "is-seal", stuck, stuck], ["verify", "tcc", stuck],
+    ):
+        assert run(argv) == CliResult(2, "error: graph has a cycle\n"), argv
 
 
 def test_bystander_channels(tmp_path):

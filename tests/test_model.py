@@ -6,14 +6,22 @@ import copy
 import pickle
 
 import pytest
+import layerseal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closure_reference import pairing
 from layerseal import (
+    AnalysisError,
+    BadProcessId,
+    BudgetExceeded,
     Channel,
     ClosedChannelGraph,
+    CyclicGraph,
+    InvariantViolation,
     OracleBudget,
+    ParseError,
+    ParseErrorKind,
     Phase,
     ProcessCountMismatch,
     Program,
@@ -22,6 +30,7 @@ from layerseal import (
     Statement,
     StmtKind,
     Unbalanced,
+    Unsealable,
     channels_of,
     empty_program,
     is_balanced,
@@ -220,3 +229,29 @@ def test_records_are_immutable_values(cls, fields, invalid):
     if cls is OracleBudget:
         assert OracleBudget() == OracleBudget(1_000_000, 24)
         assert OracleBudget(max_events=3) == OracleBudget(1_000_000, 3)
+
+
+# The constructor arguments of every error class the package exports.
+ERRORS = {
+    AnalysisError: ("analysis failed",),
+    BadProcessId: ("channel 1->3 outside 1..2",),
+    BudgetExceeded: ("world has 25 events, budget allows 24",),
+    CyclicGraph: (),
+    InvariantViolation: ("constructed plan does not seal its input",),
+    ParseError: (ParseErrorKind.SYNTAX, 3, 7, "expected ';'"),
+    ProcessCountMismatch: (2, 3),
+    Unbalanced: (Channel(1, 2),),
+    Unsealable: ("closed-channel graph is disconnected",),
+}
+EXPORTED_ERRORS = [
+    cls for name in layerseal.__all__
+    if isinstance(cls := getattr(layerseal, name), type) and issubclass(cls, Exception)
+]
+
+
+@pytest.mark.parametrize("cls", EXPORTED_ERRORS, ids=lambda cls: cls.__name__)
+def test_errors_survive_copy_and_pickle(cls):
+    exc = cls(*ERRORS[cls])
+    for twin in (copy.copy(exc), copy.deepcopy(exc), pickle.loads(pickle.dumps(exc))):
+        assert type(twin) is cls and twin is not exc
+        assert str(twin) == str(exc) and twin.args == exc.args and vars(twin) == vars(exc)

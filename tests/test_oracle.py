@@ -15,7 +15,6 @@ from layerseal import (
     CyclicGraph,
     OracleBudget,
     ProcessCountMismatch,
-    ShapeError,
     Unbalanced,
     channels_of,
     compute_signature,
@@ -93,11 +92,16 @@ def test_matchings_are_valid_and_deterministic():
             assert events[r] == (events[s][0], False) and events[s][1]
 
 
-def test_shape_error_when_receives_outnumber_sends():
+def test_shape_error_when_receives_outnumber_sends(monkeypatch):
+    # No candidate matching: the answer is none, without a search.
+    def no_search(*args):
+        raise AssertionError("a world with no candidates was searched")
+
+    monkeypatch.setattr(oracle, "_matchings", no_search)
     rows = [[((1, 2), True)], [((1, 2), False), ((1, 2), False)]]
-    with pytest.raises(ShapeError) as exc:
-        _search(rows, DEFAULT_BUDGET)
-    assert exc.value.channel == Channel(1, 2)
+    assert list(_search(rows, OracleBudget(max_matchings=0))) == []
+    rows = [[((1, 2), True)] * 9, [((1, 2), False)] * 9 + [((3, 2), False)], []]
+    assert list(_search(rows, DEFAULT_BUDGET)) == []
 
 
 def test_budget_exceeded_on_too_many_events():

@@ -6,7 +6,8 @@ import os
 import random
 import subprocess
 import sys
-from itertools import permutations
+from functools import cache
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from layerseal import (
     SealPlan,
     Unsealable,
     closed_channels,
+    compute_signature,
     construct_seal,
     empty_program,
     expand_plan,
@@ -37,6 +39,7 @@ from layerseal import (
     program,
     recv,
     send,
+    signature_compose,
 )
 from layerseal.cli import run
 from progsets import (
@@ -327,6 +330,78 @@ def test_plan_seal_on_a_long_path():
         + (Phase.BROADCAST,) * (n - 1)
     )
     assert len(plan.transmissions) < 3 * n
+
+
+def _least_eccentric(n: int, edges) -> list[int]:
+    """The vertices of least eccentricity in a connected graph over 1..n,
+    ascending, by a breadth-first search from every vertex."""
+    adj = {v: set() for v in range(1, n + 1)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    eccentricity = {}
+    for v in adj:
+        dist = {v: 0}
+        frontier = [v]
+        for u in frontier:
+            for w in adj[u] - dist.keys():
+                dist[w] = dist[u] + 1
+                frontier.append(w)
+        eccentricity[v] = max(dist.values())
+    return [v for v in adj if eccentricity[v] == min(eccentricity.values())]
+
+
+def test_plan_centre_has_the_least_eccentricity():
+    # The plan's centre, the one process no broadcast reaches, has the least
+    # eccentricity in the tree the converge-cast climbs, the smallest id on
+    # ties. Inputs: random trees with random labels and edge directions, the
+    # tree being the whole closed graph, and random closed graphs.
+    rng = random.Random(1869)
+    graphs = []
+    for _ in range(300):
+        n = rng.randint(2, 40)
+        label = rng.sample(range(1, n + 1), n)
+        edges = set()
+        for v in range(1, n):
+            a, b = label[rng.randrange(v)], label[v]
+            edges |= rng.choice(({(a, b)}, {(b, a)}, {(a, b), (b, a)}))
+        graphs.append(ClosedChannelGraph(n, frozenset(edges)))
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        density = rng.uniform(0.2, 0.6)
+        edges = frozenset(e for e in permutations(range(1, n + 1), 2) if rng.random() < density)
+        graphs.append(ClosedChannelGraph(n, edges))
+    ties = 0
+    for g in graphs:
+        if not g.undirected_connected():
+            continue
+        plan = plan_seal(g)
+        steps = list(zip(plan.transmissions, plan.phase_tags))
+        cast = [t for t, tag in steps if tag is Phase.CONVERGE_CAST]
+        [centre] = set(range(1, g.n + 1)) - {dst for (_, dst), tag in steps if tag is Phase.BROADCAST}
+        least = _least_eccentric(g.n, cast)
+        assert centre == least[0], g
+        if len(g.edges) < g.n:  # a tree given one way per edge
+            assert {frozenset(e) for e in cast} == {frozenset(e) for e in g.edges}, g
+        ties += len(least) == 2
+    assert ties > 100
+
+
+def test_pipelines_are_decided_from_composed_signatures():
+    # A pipeline a; b; c needs each layer sealed by the next: b seals a on
+    # their signatures, and c seals a; b on the composition of theirs, as
+    # the oracle decides on the layered programs.
+    rng = random.Random(2007)
+    wide = all_balanced_df_programs(3, 4)
+    triples = [
+        *product(all_balanced_df_programs(2, 4), repeat=3),
+        *((rng.choice(wide), rng.choice(wide), rng.choice(wide)) for _ in range(1500)),
+    ]
+    signature = cache(compute_signature)
+    for a, b, c in triples:
+        sa, sb, sc = map(signature, (a, b, c))
+        assert sealing._seals(sa, sb) == oracle_seals(a, b), (a, b)
+        assert sealing._seals(signature_compose(sa, sb), sc) == oracle_seals(layer(a, b), c), (a, b, c)
 
 
 def test_plan_seal_rejects_a_disconnected_graph():
