@@ -14,14 +14,17 @@ text when ``--dot`` is given, or program/plan text for ``expand`` and
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Callable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 from .errors import BadProcessId, BudgetExceeded, CyclicGraph, ProcessCountMismatch, Unbalanced, Unsealable
 from .model import Program, Record, channels_of, empty_program, setfield
 from .parser import MAX_PROCESSES, ParseError, format_program, parse
+
+if TYPE_CHECKING:
+    import argparse
 
 # Each command imports the analyses it runs: a call loads, and where no
 # bytecode is cached compiles, only those.
@@ -40,23 +43,21 @@ class CliResult(Record):
         setfield(self, "stdout", stdout)
 
 
-def _positive(text: str) -> int:
-    """An integer argument of at least 1."""
+def _positive(text: str, most: int | None = None) -> int:
+    """An integer argument of at least 1, and at most ``most`` if given."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
-
-
-def _process_count(text: str) -> int:
-    """A process count a program may declare."""
-    value = _positive(text)
-    if value > MAX_PROCESSES:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_PROCESSES}, not {value}")
-    return value
+        problem = f"invalid int value: {text!r}"
+    else:
+        if value < 1:
+            problem = f"must be at least 1, not {value}"
+        elif most is not None and value > most:
+            problem = f"must be at most {most}, not {value}"
+        else:
+            return value
+    from argparse import ArgumentTypeError  # only a rejected value loads argparse here
+    raise ArgumentTypeError(problem)
 
 
 def _read(path: str) -> str:
@@ -119,7 +120,7 @@ def _dot_signature(nodes: list[str], edges: list[tuple[str, str]]) -> str:
     return _dot("signature", nodes, edges, lambda a, b: not succ[a].isdisjoint(pred[b]))
 
 
-def _cmd_check(ns: argparse.Namespace) -> CliResult:
+def _cmd_check(ns: SimpleNamespace) -> CliResult:
     from .graph import deadlock_free
     try:
         free = deadlock_free(_load_program(ns.file))
@@ -128,7 +129,7 @@ def _cmd_check(ns: argparse.Namespace) -> CliResult:
     return _answer(free, [("balanced", True), ("deadlock_free", free)])
 
 
-def _cmd_graph(ns: argparse.Namespace) -> CliResult:
+def _cmd_graph(ns: SimpleNamespace) -> CliResult:
     from .graph import program_graph
     nodes, edges = program_graph(_load_program(ns.file))
     if ns.dot:
@@ -136,7 +137,7 @@ def _cmd_graph(ns: argparse.Namespace) -> CliResult:
     return _listing([], nodes, edges)
 
 
-def _cmd_sig(ns: argparse.Namespace) -> CliResult:
+def _cmd_sig(ns: SimpleNamespace) -> CliResult:
     from .signature import compute_signature
     sig = compute_signature(_load_program(ns.file))
     nodes = [v.name for v in sig.nodes]
@@ -146,7 +147,7 @@ def _cmd_sig(ns: argparse.Namespace) -> CliResult:
     return _listing([("n", sig.n)], nodes, edges)
 
 
-def _cmd_channels(ns: argparse.Namespace) -> CliResult:
+def _cmd_channels(ns: SimpleNamespace) -> CliResult:
     from .signature import compute_signature
     sig = compute_signature(_load_program(ns.file))
     closed = sig.closed_pairs()
@@ -155,19 +156,19 @@ def _cmd_channels(ns: argparse.Namespace) -> CliResult:
     return _answer(True, [*lines, ("closed_count", len(closed)), ("open_count", len(opened))])
 
 
-def _cmd_sealable(ns: argparse.Namespace) -> CliResult:
+def _cmd_sealable(ns: SimpleNamespace) -> CliResult:
     from .sealing import is_sealable
     ok = is_sealable(_load_program(ns.file))
     return _answer(ok, [("sealable", ok)])
 
 
-def _cmd_is_seal(ns: argparse.Namespace) -> CliResult:
+def _cmd_is_seal(ns: SimpleNamespace) -> CliResult:
     from .sealing import is_seal
     ok = is_seal(_load_program(ns.program), _load_program(ns.candidate))
     return _answer(ok, [("seals", ok)])
 
 
-def _cmd_seal(ns: argparse.Namespace) -> CliResult:
+def _cmd_seal(ns: SimpleNamespace) -> CliResult:
     from .sealing import format_plan, seal_signature
     from .signature import compute_signature
     sig = compute_signature(_load_program(ns.file))
@@ -183,14 +184,14 @@ def _cmd_seal(ns: argparse.Namespace) -> CliResult:
     return CliResult(0, head + text)
 
 
-def _cmd_expand(ns: argparse.Namespace) -> CliResult:
+def _cmd_expand(ns: SimpleNamespace) -> CliResult:
     from .sealing import expand_plan, parse_plan
     plan = parse_plan(_read(ns.plan))
     return CliResult(0, format_program(expand_plan(plan, ns.processes)))
 
 
-def _cmd_verify(ns: argparse.Namespace) -> CliResult:
-    from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_channel_open, oracle_seals, oracle_tcc
+def _cmd_verify(ns: SimpleNamespace) -> CliResult:
+    from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_channel_open, oracle_seals
     from .sealing import is_seal
     from .signature import compute_signature
     budget = DEFAULT_BUDGET if ns.budget is None else OracleBudget(max_matchings=ns.budget)
@@ -214,65 +215,110 @@ def _cmd_verify(ns: argparse.Namespace) -> CliResult:
                 other = "open" if oracle else "closed"
                 lines.append((ch, f"DISAGREE (static={state}, oracle={other})"))
     else:
-        if ns.mode == "is-seal":
-            q = _load_program(ns.files[1])
-            static, oracle = is_seal(p, q), oracle_seals(p, q, budget)
-        else:  # tcc
-            oracle = oracle_tcc(p, budget)
-            static = is_seal(p, empty_program(p.n))
+        # tcc: does the empty program seal p?
+        q = _load_program(ns.files[1]) if ns.mode == "is-seal" else empty_program(p.n)
+        static, oracle = is_seal(p, q), oracle_seals(p, q, budget)
         agree = static == oracle
         lines += [("static", static), ("oracle", oracle)]
     lines.append(("verdict", "AGREE" if agree else "DISAGREE"))
     return _answer(agree, lines)
 
 
+# Each subcommand once, read by both parsers: its handler, its help and the
+# names and keywords of each ``add_argument`` call.
+_FILE = (("file",), {})
+_DOT = (("--dot",), dict(dest="dot", action="store_true", help="emit DOT instead of key: value lines"))
+_COMMANDS = {
+    "check": (_cmd_check, "report balance and deadlock freedom", [_FILE]),
+    "graph": (_cmd_graph, "print the program graph", [_FILE, _DOT]),
+    "sig": (_cmd_sig, "print the signature", [_FILE, _DOT]),
+    "channels": (_cmd_channels, "list closed and open channels", [_FILE]),
+    "sealable": (_cmd_sealable, "decide whether any seal exists", [_FILE]),
+    "is-seal": (_cmd_is_seal, "decide whether the second program seals the first", [
+        (("program",), {}), (("candidate",), {}),
+    ]),
+    "seal": (_cmd_seal, "synthesize a seal plan", [
+        _FILE, (("-o", "--output"), dict(dest="output", help="also write the plan to this file")),
+    ]),
+    "expand": (_cmd_expand, "expand a seal plan into program text", [
+        (("plan",), {}),
+        (("-n", "--processes"), dict(
+            dest="processes", type=lambda text: _positive(text, MAX_PROCESSES), required=True,
+            help="process count",
+        )),
+    ]),
+    "verify": (_cmd_verify, "cross-check a static analysis against the brute-force oracle", [
+        (("mode",), dict(choices=["channels", "is-seal", "tcc"])),
+        (("files",), dict(nargs="+")),
+        (("--budget",), dict(dest="budget", type=_positive, help="cap on candidate matchings")),
+    ]),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
     top = argparse.ArgumentParser(
         prog="layerseal",
         description="Sealing analysis for layered message-passing programs.",
     )
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def command(
-        name: str, handler: Callable[[argparse.Namespace], CliResult], help: str, *positionals: str
-    ) -> argparse.ArgumentParser:
+    for name, (handler, help, arguments) in _COMMANDS.items():
         s = sub.add_parser(name, help=help)
-        for positional in positionals:
-            s.add_argument(positional)
+        for names, keywords in arguments:
+            s.add_argument(*names, **keywords)
         s.set_defaults(handler=handler)
-        return s
-
-    command("check", _cmd_check, "report balance and deadlock freedom", "file")
-    for s in (
-        command("graph", _cmd_graph, "print the program graph", "file"),
-        command("sig", _cmd_sig, "print the signature", "file"),
-    ):
-        s.add_argument("--dot", action="store_true", help="emit DOT instead of key: value lines")
-    command("channels", _cmd_channels, "list closed and open channels", "file")
-    command("sealable", _cmd_sealable, "decide whether any seal exists", "file")
-    command(
-        "is-seal", _cmd_is_seal, "decide whether the second program seals the first",
-        "program", "candidate",
-    )
-    command("seal", _cmd_seal, "synthesize a seal plan", "file").add_argument(
-        "-o", "--output", help="also write the plan to this file"
-    )
-    command("expand", _cmd_expand, "expand a seal plan into program text", "plan").add_argument(
-        "-n", "--processes", type=_process_count, required=True, help="process count"
-    )
-    s = command("verify", _cmd_verify, "cross-check a static analysis against the brute-force oracle")
-    s.add_argument("mode", choices=["channels", "is-seal", "tcc"])
-    s.add_argument("files", nargs="+")
-    s.add_argument("--budget", type=_positive, help="cap on candidate matchings")
     return top
+
+
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain call: a command, its positionals,
+    then its options spelled in full, each value a word of its own. Any
+    other argv gives None, and ``--version`` alone writes what argparse does.
+    """
+    if argv == ["--version"]:
+        sys.stdout.write(f"layerseal {__version__}\n")
+        raise SystemExit(0)
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, arguments = _COMMANDS[argv[0]]
+    split = next((k for k, word in enumerate(argv) if word.startswith("-")), len(argv))
+    words, rest = argv[1:split], argv[split:]
+    ns, flags = {"command": argv[0], "handler": handler}, {}
+    for names, keywords in arguments:
+        if names[0].startswith("-"):
+            flags.update(dict.fromkeys(names, keywords))
+            ns[keywords["dest"]] = False if keywords.get("action") == "store_true" else None
+        elif not words or "choices" in keywords and words[0] not in keywords["choices"]:
+            return None
+        elif keywords.get("nargs") == "+":
+            ns[names[0]], words = words, []
+        else:
+            ns[names[0]], words = words[0], words[1:]
+    if words:
+        return None
+    while rest:
+        keywords = flags.get(rest.pop(0))
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            ns[keywords["dest"]] = True
+        elif not rest or rest[0].startswith("-"):
+            return None
+        else:
+            try:
+                ns[keywords["dest"]] = keywords.get("type", str)(rest.pop(0))
+            except Exception:  # argparse converts it again, and reports or raises alike
+                return None
+    if any(keywords.get("required") and ns[keywords["dest"]] is None for keywords in flags.values()):
+        return None
+    return SimpleNamespace(**ns)
 
 
 def run(argv: list[str]) -> CliResult:
     """Execute one invocation; never raises for user errors."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _plain(argv) or _build_parser().parse_args(argv, SimpleNamespace())
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return CliResult(code, "")

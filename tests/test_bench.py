@@ -15,6 +15,9 @@ from pathlib import Path
 
 PROJECT = Path(__file__).resolve().parents[1]
 
+# The benchmark's modules and the library, as ``bench/run.py`` imports them.
+BENCH_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PROJECT / "bench"), str(PROJECT / "src")])}
+
 # ``measure`` imports the library afresh after every pass, so it runs in a
 # process of its own rather than beside the modules the tests hold.
 _MEASURE = """\
@@ -28,12 +31,11 @@ print(json.dumps({"failed": result["failed"], "correct": result["correct"],
 
 
 def test_benchmark_workloads_run_without_failures():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PROJECT / "bench"), str(PROJECT / "src")])}
     for name in ("static", "differential"):
         proc = subprocess.run(
             [sys.executable, "-c", _MEASURE, name],
             cwd=PROJECT,
-            env=env,
+            env=BENCH_ENV,
             capture_output=True,
             text=True,
             timeout=120,

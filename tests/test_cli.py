@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -12,9 +13,10 @@ from pathlib import Path
 import pytest
 import layerseal
 from layerseal import Channel, format_program, message_transmit, parse
-from layerseal.cli import CliResult, _build_parser, run
+from layerseal.cli import CliResult, _build_parser, _plain, run
 from layerseal.parser import MAX_PROCESSES
 from progsets import bystander_sealable, crossed_exchange, deadlocked_pair, gather_phase
+from test_bench import BENCH_ENV
 
 MT = """\
 processes 2;
@@ -178,6 +180,12 @@ def test_seal_large_instance(tmp_path):
     assert len(lines) < 18
 
 
+WIDE = (
+    "processes 2;\nprogram wide {\n  process 1 {\n" + "    send 2;\n" * 8
+    + "  }\n  process 2 {\n" + "    recv 1;\n" * 8 + "  }\n}\n"
+)
+
+
 def test_verify_channels(mt_file):
     res = run(["verify", "channels", mt_file])
     assert res.exit_code == 0
@@ -204,6 +212,26 @@ def test_verify_tcc(tmp_path, mt_file):
     assert "static: true" in res.stdout
 
 
+@pytest.mark.parametrize(
+    "text, budget, want",
+    [
+        (MT, None, CliResult(0, "static: false\noracle: false\nverdict: AGREE\n")),
+        ("processes 2;\nprogram idle {\n}\n", None, CliResult(0, "static: true\noracle: true\nverdict: AGREE\n")),
+        (format_program(deadlocked_pair()), None, CliResult(2, "error: graph has a cycle\n")),
+        ("processes 2;\nprogram p { process 1 { send 2; } }\n", None, CliResult(2, "error: unbalanced channel 1->2\n")),
+        (WIDE, None, CliResult(0, "static: false\noracle: false\nverdict: AGREE\n")),
+        (WIDE, "10", CliResult(3, "error: 362880 candidate matchings, budget allows 10\n")),
+    ],
+)
+def test_verify_tcc_output(tmp_path, text, budget, want):
+    # tcc is is-seal against the empty program: answers, refusals and the
+    # budget's exit 3 alike.
+    path = tmp_path / "p.lsl"
+    path.write_text(text)
+    argv = ["verify", "tcc", str(path)] + (["--budget", budget] if budget else [])
+    assert run(argv) == want
+
+
 def test_verify_reports_a_disagreement(monkeypatch, mt_file, ack_file):
     # An oracle that flips one answer: the 2->1 probe, and every seal.
     from layerseal import oracle
@@ -226,15 +254,7 @@ def test_verify_reports_a_disagreement(monkeypatch, mt_file, ack_file):
 
 def test_verify_budget_exhaustion(tmp_path):
     wide = tmp_path / "wide.lsl"
-    body = "".join("    send 2;\n" for _ in range(8))
-    rbody = "".join("    recv 1;\n" for _ in range(8))
-    wide.write_text(
-        "processes 2;\nprogram wide {\n  process 1 {\n"
-        + body
-        + "  }\n  process 2 {\n"
-        + rbody
-        + "  }\n}\n"
-    )
+    wide.write_text(WIDE)
     res = run(["verify", "channels", str(wide), "--budget", "10"])
     assert res.exit_code == 3
     assert res.stdout.startswith("error:")
@@ -296,37 +316,57 @@ def test_cli_import_leaves_the_oracle_unloaded():
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, mt_file, ack_file):
     # The package loads no submodule until a name is used, and each command
-    # only the analysis it runs.
+    # only the analysis it runs. A plain call loads no argparse (nor the
+    # gettext it imports); help and usage errors still go through it.
     plan = tmp_path / "plan.txt"
     plan.write_text("1 -> 2\n2 -> 1\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(layerseal.__file__).resolve().parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(layerseal.__file__).resolve().parents[1]), COLUMNS="80")
+    parsing = {"argparse", "gettext"}
 
-    def loaded(code: str) -> set[str]:
-        code += "\nprint(*sorted(m for m in sys.modules if m.startswith('layerseal.')))"
+    def loaded(code: str) -> tuple[set[str], str, str]:
+        code += "\nprint(*sorted(m for m in sys.modules if m.startswith('layerseal.') or m in PARSING))"
         done = subprocess.run(
-            [sys.executable, "-S", "-c", "import sys\n" + code],
+            [sys.executable, "-S", "-c", f"import sys\nPARSING = {parsing!r}\n" + code],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        assert done.returncode == 0, done.stderr
-        return {m.removeprefix("layerseal.") for m in done.stdout.split("\n")[-2].split()}
+        out, names = done.stdout[:-1].rpartition("\n")[::2]
+        return {m.removeprefix("layerseal.") for m in names.split()}, out, done.stderr
 
-    assert loaded("import layerseal") == set()
+    assert loaded("import layerseal")[0] == set()
     analyses = {"graph", "signature", "sealing", "oracle"}
     cases = {
         ("--version",): analyses,
         ("check", mt_file): {"signature", "sealing", "oracle"},
         ("graph", mt_file): {"signature", "sealing", "oracle"},
         ("sig", mt_file): {"sealing", "oracle"},
-        ("sig", "--dot", mt_file): {"sealing", "oracle"},
+        ("sig", mt_file, "--dot"): {"sealing", "oracle"},
         ("channels", mt_file): {"sealing", "oracle"},
         ("sealable", mt_file): {"oracle"},
         ("is-seal", mt_file, ack_file): {"oracle"},
-        ("seal", mt_file): {"oracle"},
+        ("seal", mt_file, "-o", str(tmp_path / "out.plan")): {"oracle"},
         ("expand", str(plan), "-n", "2"): {"graph", "signature", "oracle"},
+        ("verify", "tcc", mt_file, "--budget", "9"): set(),
     }
     for argv, unloaded in cases.items():
-        modules = loaded(f"from layerseal.cli import run\nprint(run({list(argv)!r}).stdout)")
-        assert not modules & unloaded, (argv, modules & unloaded)
+        modules, _, _ = loaded(f"from layerseal.cli import run\nprint(run({list(argv)!r}).stdout)")
+        assert not modules & (unloaded | parsing), (argv, modules & (unloaded | parsing))
+    # An option before the file goes through argparse, and loads no more analyses.
+    modules, _, _ = loaded(f"from layerseal.cli import run\nprint(run(['sig', '--dot', {mt_file!r}]).stdout)")
+    assert parsing <= modules and not modules & {"sealing", "oracle"}, modules
+    # argparse's text, as it reads at 80 columns.
+    for argv, code, out, err in (
+        (["check", "--help"], 0, (
+            "usage: layerseal check [-h] file\n\npositional arguments:\n  file\n\n"
+            "options:\n  -h, --help  show this help message and exit\n"
+        ), ""),
+        (["expand", str(plan)], 2, "", (
+            "usage: layerseal expand [-h] -n PROCESSES plan\n"
+            "layerseal expand: error: the following arguments are required: -n/--processes\n"
+        )),
+    ):
+        modules, *printed = loaded(f"from layerseal.cli import run\nprint(run({argv!r}).exit_code)")
+        assert parsing <= modules and not modules & analyses, (argv, modules)
+        assert printed == [f"{out}{code}", err], argv
 
 
 def test_star_import_gives_every_public_name():
@@ -373,6 +413,85 @@ def test_usage_errors_exit_two():
     assert run([]).exit_code == 2
     assert run(["frobnicate"]).exit_code == 2
     assert run(["expand"]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["expand", "p.plan", "-n", "x"], "-n/--processes"), (["verify", "channels", "f.lsl", "--budget", "x"], "--budget")],
+)
+def test_a_count_that_is_no_integer_is_a_usage_error(capsys, argv, flag):
+    assert run(argv) == CliResult(2, "")
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: layerseal {argv[0]} ")
+    assert err.endswith(f"error: argument {flag}: invalid int value: 'x'\n")
+
+
+# The argvs of the CLI tests, with stand-in file names.
+ARGVS = [
+    ["check", "mt.lsl"], ["graph", "mt.lsl"], ["graph", "mt.lsl", "--dot"], ["sig", "mt.lsl"],
+    ["sig", "mt.lsl", "--dot"], ["sig", "--dot", "mt.lsl"], ["channels", "mt.lsl"], ["sealable", "mt.lsl"],
+    ["is-seal", "mt.lsl", "ack.lsl"], ["seal", "mt.lsl"], ["seal", "mt.lsl", "-o", "mt.plan"],
+    ["expand", "mt.plan", "-n", "2"], ["expand", "-n", "2", "mt.plan"], ["verify", "channels", "mt.lsl"],
+    ["verify", "is-seal", "mt.lsl", "ack.lsl"], ["verify", "tcc", "mt.lsl"], ["verify", "tcc", "mt.lsl", "ack.lsl"],
+    ["verify", "channels", "wide.lsl", "--budget", "10"], ["verify", "is-seal", "mt.lsl"],
+    [], ["frobnicate"], ["expand"], ["--version"], ["check", "--help"], ["--help"],
+]
+_LONG = {"-o": "--output", "-n": "--processes"}
+
+
+def _variants(argv: list[str]) -> list[list[str]]:
+    """argv, and the spellings and slips of it that argparse reads its own way."""
+    if not argv:
+        return [argv, ["-h"], ["--"], ["--vers"]]
+    name, *rest = argv
+    split = next((k for k, word in enumerate(rest) if word.startswith("-")), len(rest))
+    words, opts = rest[:split], rest[split:]
+    found = [argv, [name, *opts, *words], [*argv, *opts], [*argv, "-h"], [name, "--", *rest],
+             [*argv, "--frob"], [*argv, "-"], [name, *words[:-1], *opts], [name, *words, "x", *opts],
+             [name, *words, "", *opts], [name, "bogus", *words[1:], *opts], [*argv, "--version"]]
+    for k, word in enumerate(opts):
+        if word.startswith("-"):
+            flag = _LONG.get(word, word)
+            found += [[name, *words, *opts[:k], flag[:-2], *opts[k + 1:]]]
+            if k + 1 < len(opts) and not opts[k + 1].startswith("-"):
+                found += [[name, *words, *opts[:k], f"{flag}={opts[k + 1]}", *opts[k + 2:]]]
+                found += [
+                    [name, *words, *opts[:k], word, value, *opts[k + 2:]]
+                    for value in ("0", "-1", " 5", "+3", "\u0665", "100001", "x", "-x", "--")
+                ]
+    return found
+
+
+def _bench_argvs() -> list[list[str]]:
+    # The argvs of the benchmark's ``Cli`` part, which runs one child a call.
+    code = "import json, workloads\nprint(json.dumps([op.argv for op in workloads.Cli(1).ops]))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=BENCH_ENV, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_plain_calls_parse_as_argparse_does(capsys):
+    # argparse is the reference: ``_plain`` declines an argv, or gives the
+    # namespace argparse gives and prints what it prints. Every call the
+    # benchmark makes is plain.
+    def parsed(parse, argv):
+        try:
+            ns = parse(argv)
+            return None if ns is None else vars(ns), capsys.readouterr()
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr()
+
+    bench = _bench_argvs()
+    assert len(bench) == 11
+    plain = 0
+    for argv in [v for base in ARGVS + bench for v in _variants(base)]:
+        fast = parsed(_plain, argv)
+        if fast[0] is not None:
+            plain += 1
+            assert fast == parsed(_build_parser().parse_args, argv), argv
+    for argv in bench:
+        assert parsed(_plain, argv)[0] is not None, argv
+    assert plain > 50
 
 
 def test_version_flag_exits_zero():
