@@ -43,19 +43,16 @@ class CliResult(Record):
         setfield(self, "stdout", stdout)
 
 
-def _positive(text: str, most: int | None = None) -> int:
-    """An integer argument of at least 1, and at most ``most`` if given."""
+def _positive(text: str, most: int = sys.maxsize) -> int:
+    """An integer argument of at least 1 and at most ``most``."""
     try:
         value = int(text)
     except ValueError:
         problem = f"invalid int value: {text!r}"
     else:
-        if value < 1:
-            problem = f"must be at least 1, not {value}"
-        elif most is not None and value > most:
-            problem = f"must be at most {most}, not {value}"
-        else:
+        if 1 <= value <= most:
             return value
+        problem = f"must be at least 1, not {value}" if value < 1 else f"must be at most {most}, not {value}"
     from argparse import ArgumentTypeError  # only a rejected value loads argparse here
     raise ArgumentTypeError(problem)
 
@@ -195,11 +192,9 @@ def _cmd_verify(ns: SimpleNamespace) -> CliResult:
     from .sealing import is_seal
     from .signature import compute_signature
     budget = DEFAULT_BUDGET if ns.budget is None else OracleBudget(max_matchings=ns.budget)
-    if ns.mode == "is-seal":
-        if len(ns.files) != 2:
-            raise ValueError("verify is-seal takes two program files")
-    elif len(ns.files) != 1:
-        raise ValueError(f"verify {ns.mode} takes one program file")
+    want = "two program files" if ns.mode == "is-seal" else "one program file"
+    if len(ns.files) != (2 if ns.mode == "is-seal" else 1):
+        raise ValueError(f"verify {ns.mode} takes {want}")
     p = _load_program(ns.files[0])
     lines: _Lines = []
     if ns.mode == "channels":
@@ -227,7 +222,7 @@ def _cmd_verify(ns: SimpleNamespace) -> CliResult:
 # Each subcommand once, read by both parsers: its handler, its help and the
 # names and keywords of each ``add_argument`` call.
 _FILE = (("file",), {})
-_DOT = (("--dot",), dict(dest="dot", action="store_true", help="emit DOT instead of key: value lines"))
+_DOT = (("--dot",), dict(action="store_true", help="emit DOT instead of key: value lines"))
 _COMMANDS = {
     "check": (_cmd_check, "report balance and deadlock freedom", [_FILE]),
     "graph": (_cmd_graph, "print the program graph", [_FILE, _DOT]),
@@ -238,19 +233,17 @@ _COMMANDS = {
         (("program",), {}), (("candidate",), {}),
     ]),
     "seal": (_cmd_seal, "synthesize a seal plan", [
-        _FILE, (("-o", "--output"), dict(dest="output", help="also write the plan to this file")),
+        _FILE, (("-o", "--output"), dict(help="also write the plan to this file")),
     ]),
     "expand": (_cmd_expand, "expand a seal plan into program text", [
         (("plan",), {}),
         (("-n", "--processes"), dict(
-            dest="processes", type=lambda text: _positive(text, MAX_PROCESSES), required=True,
-            help="process count",
-        )),
+            type=lambda text: _positive(text, MAX_PROCESSES), required=True, help="process count")),
     ]),
     "verify": (_cmd_verify, "cross-check a static analysis against the brute-force oracle", [
         (("mode",), dict(choices=["channels", "is-seal", "tcc"])),
         (("files",), dict(nargs="+")),
-        (("--budget",), dict(dest="budget", type=_positive, help="cap on candidate matchings")),
+        (("--budget",), dict(type=_positive, help="cap on candidate matchings")),
     ]),
 }
 
@@ -273,9 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _plain(argv: list[str]) -> SimpleNamespace | None:
     """The namespace argparse gives a plain call: a command, its positionals,
-    then its options spelled in full, each value a word of its own. Any
-    other argv gives None, and ``--version`` alone writes what argparse does.
-    """
+    then its options spelled in full, each value a word of its own. Any other
+    argv gives None, and ``--version`` alone writes what argparse does."""
     if argv == ["--version"]:
         sys.stdout.write(f"layerseal {__version__}\n")
         raise SystemExit(0)
@@ -283,34 +275,31 @@ def _plain(argv: list[str]) -> SimpleNamespace | None:
         return None
     handler, _, arguments = _COMMANDS[argv[0]]
     split = next((k for k, word in enumerate(argv) if word.startswith("-")), len(argv))
-    words, rest = argv[1:split], argv[split:]
+    words, rest = argv[1:split], iter(argv[split:])
     ns, flags = {"command": argv[0], "handler": handler}, {}
     for names, keywords in arguments:
+        dest = names[-1].lstrip("-")  # as argparse derives it
         if names[0].startswith("-"):
-            flags.update(dict.fromkeys(names, keywords))
-            ns[keywords["dest"]] = False if keywords.get("action") == "store_true" else None
+            flags.update(dict.fromkeys(names, (dest, keywords)))
+            ns[dest] = False if "action" in keywords else None  # store_true, or a value
         elif not words or "choices" in keywords and words[0] not in keywords["choices"]:
             return None
-        elif keywords.get("nargs") == "+":
-            ns[names[0]], words = words, []
         else:
-            ns[names[0]], words = words[0], words[1:]
-    if words:
-        return None
-    while rest:
-        keywords = flags.get(rest.pop(0))
-        if keywords is None:
+            ns[dest], words = (words, []) if "nargs" in keywords else (words[0], words[1:])
+    for word in rest:
+        if word not in flags:
             return None
-        if keywords.get("action") == "store_true":
-            ns[keywords["dest"]] = True
-        elif not rest or rest[0].startswith("-"):
+        dest, keywords = flags[word]
+        if "action" in keywords:
+            ns[dest] = True
+        elif (value := next(rest, "-")).startswith("-"):
             return None
         else:
             try:
-                ns[keywords["dest"]] = keywords.get("type", str)(rest.pop(0))
+                ns[dest] = keywords.get("type", str)(value)
             except Exception:  # argparse converts it again, and reports or raises alike
                 return None
-    if any(keywords.get("required") and ns[keywords["dest"]] is None for keywords in flags.values()):
+    if words or any(keywords.get("required") and ns[dest] is None for dest, keywords in flags.values()):
         return None
     return SimpleNamespace(**ns)
 

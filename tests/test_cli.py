@@ -329,6 +329,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, mt_file, ack_file
             [sys.executable, "-S", "-c", f"import sys\nPARSING = {parsing!r}\n" + code],
             capture_output=True, text=True, env=env, timeout=60,
         )
+        assert done.returncode == 0, done.stderr
         out, names = done.stdout[:-1].rpartition("\n")[::2]
         return {m.removeprefix("layerseal.") for m in names.split()}, out, done.stderr
 
@@ -343,6 +344,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, mt_file, ack_file
         ("channels", mt_file): {"sealing", "oracle"},
         ("sealable", mt_file): {"oracle"},
         ("is-seal", mt_file, ack_file): {"oracle"},
+        ("seal", mt_file): {"oracle"},
         ("seal", mt_file, "-o", str(tmp_path / "out.plan")): {"oracle"},
         ("expand", str(plan), "-n", "2"): {"graph", "signature", "oracle"},
         ("verify", "tcc", mt_file, "--budget", "9"): set(),
