@@ -14,6 +14,7 @@ text when ``--dot`` is given, or program/plan text for ``expand`` and
 
 from __future__ import annotations
 
+import io
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
@@ -44,8 +45,10 @@ class CliResult(Record):
 
 
 def _positive(text: str, most: int = sys.maxsize) -> int:
-    """An integer argument of at least 1 and at most ``most``."""
+    """An integer argument of at least 1 and at most ``most``, in ASCII digits as in programs."""
     try:
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise ValueError(text)
         value = int(text)
     except ValueError:
         problem = f"invalid int value: {text!r}"
@@ -305,12 +308,14 @@ def _plain(argv: list[str]) -> SimpleNamespace | None:
 
 
 def run(argv: list[str]) -> CliResult:
-    """Execute one invocation; never raises for user errors."""
+    """Execute one invocation, all its output in ``stdout``; never raises for user errors."""
+    stdout, sys.stdout = sys.stdout, io.StringIO()  # both parsers print --version and --help
     try:
         ns = _plain(argv) or _build_parser().parse_args(argv, SimpleNamespace())
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return CliResult(code, "")
+        return CliResult(exc.code if isinstance(exc.code, int) else 2, sys.stdout.getvalue())
+    finally:
+        sys.stdout = stdout
     try:
         return ns.handler(ns)
     except ParseError as exc:
@@ -323,6 +328,5 @@ def run(argv: list[str]) -> CliResult:
 
 def main() -> None:
     result = run(sys.argv[1:])
-    if result.stdout:
-        sys.stdout.write(result.stdout)
+    sys.stdout.write(result.stdout)
     sys.exit(result.exit_code)

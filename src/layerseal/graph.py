@@ -18,22 +18,21 @@ Construction: the graph is a space-time diagram (Lamport 1978), so the
 analyses need neither the explicit graph nor its transitive closure. Every
 node gets a position on its process: 0 for fst_i, x for the x'th event,
 len + 1 for lst_i. One pass of Kahn's algorithm over the events runs each
-process forward until it blocks on a receive whose send has not run yet,
-and pairs sends with receives as it goes: a channel queues its sends in the
-order its one sender runs them, and its k'th receive takes the k'th send
-off the front. The pass ends by deciding balance: it counts each channel's
-sends and receives (:func:`~layerseal.model.channel_balance`) only when a
-process is left blocked, to tell an unbalanced channel from a cycle.
-:func:`deadlock_free` is the pass alone. :func:`causality_sweep` is the
-pass with a vector clock (Fidge 1988; Mattern 1989) on every node it
-reaches: entry k is the last position on process k that precedes or equals
-the node, -1 when none does, so a node's own entry is its position. A node
-a on process i precedes another node b exactly when ``b[i] >= a[i]``, in
-O(1). It keeps only the clocks a signature reads.
-:func:`program_graph` checks balance first
-(:func:`~layerseal.model.require_balanced`), then pairs sends with
-receives the same way, without clocks, to list the nodes and edges, for
-display only.
+process forward until it blocks on a receive whose send has not run yet, or
+to its end, where lst_i gets its position, and pairs sends with receives as
+it goes: a channel queues its sends in the order its one sender runs them,
+and its k'th receive takes the k'th send off the front. The pass ends by
+deciding balance: it counts each channel's sends and receives
+(:func:`~layerseal.model.channel_balance`) only when a process is left
+blocked, to tell an unbalanced channel from a cycle. :func:`deadlock_free`
+is the pass alone. :func:`causality_sweep` is the pass with a vector clock
+(Fidge 1988; Mattern 1989) on every node it reaches: entry k is the last
+position on process k that precedes or equals the node, -1 when none does,
+so a node's own entry is its position. A node a on process i precedes
+another node b exactly when ``b[i] >= a[i]``, in O(1). It keeps only the
+clocks a signature reads. :func:`program_graph` checks balance first
+(:func:`~layerseal.model.require_balanced`), then pairs sends with receives
+the same way, without clocks, to list the nodes and edges, for display only.
 """
 
 from __future__ import annotations
@@ -95,16 +94,14 @@ def causality_sweep(p: Program) -> tuple[tuple[Clock, ...], dict[Chan, Clock], d
 
     Returns lst_k of every process k, the first send on every channel that
     has a send, and the last receive on it, each as its :data:`Clock`.
-    Positions count fst_i as 0, the x'th event of process i as x and lst_i
-    as ``len + 1``; entry k - 1 of a clock is the last position on process k
-    that precedes or equals the node, or -1. Raises :class:`Unbalanced`
+    Positions count fst_i as 0, the x'th event as x and lst_i as ``len + 1``,
+    set as the pass finishes i; entry k - 1 of a clock is the last position on
+    process k that precedes or equals the node, or -1. Raises :class:`Unbalanced`
     like :func:`~layerseal.model.require_balanced`, or :class:`CyclicGraph`.
     """
     finished, clocks, sends, recvs = _sweep(p, True)
     if not finished:
         raise CyclicGraph()
-    for i, (seq, clock) in enumerate(zip(p.seqs, clocks)):
-        clock[i] = len(seq) + 1
     return tuple(map(tuple, clocks)), sends, recvs
 
 
@@ -125,8 +122,8 @@ def deadlock_free(p: Program) -> bool:
 
 def _sweep(p: Program, clocked: bool) -> tuple[bool, list, dict[Chan, Clock], dict[Chan, Clock]]:
     """One Kahn pass over the events of p: whether every process ran to its
-    end, the clock of every process where it stopped, the first send on
-    every channel that has a send and the last receive on it.
+    end, the clock where each stopped (lst_i's, once i ran to its end), and
+    the first send and the last receive on every channel that has a send.
 
     Each process runs forward until it blocks on a receive. A send appends
     its clock to its channel's queue, in program order, so the k'th receive
@@ -175,7 +172,11 @@ def _sweep(p: Program, clocked: bool) -> tuple[bool, list, dict[Chan, Clock], di
                     clock = list(map(max, clock, sent))
                     clock[i - 1] = x
                     recvs[ch] = tuple(clock)
+        else:
+            if clocked:  # lst_i, as process i ran to its end
+                clock[i - 1] = x + 1
         done[i - 1], clocks[i - 1] = x, clock
     finished = done == list(map(len, seqs))
-    require_balanced(pending if finished else channel_balance(p))
+    if not finished or any(pending.values()):
+        require_balanced(pending if finished else channel_balance(p))
     return finished, clocks, sends, recvs

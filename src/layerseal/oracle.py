@@ -62,7 +62,6 @@ channel with no receive in p answers ``False`` after the budget refusals.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import accumulate, permutations
 from math import perm
 from operator import or_
@@ -131,6 +130,7 @@ def _world(rows: list[_Row]) -> tuple:
     all in index order, then its event count and candidate matchings, which
     are 0 when some channel has more receives than sends."""
     sends: dict[tuple[int, int], list[int]] = {}
+    received: dict[tuple[int, int], int] = {}
     chans, indices, reach = [], [], []
     x = 0
     for row in rows:
@@ -143,9 +143,10 @@ def _world(rows: list[_Row]) -> tuple:
                 chans.append(ch)
                 indices.append(x)
                 reach.append(end - (1 << x))
+                received[ch] = received.get(ch, 0) + 1
             x += 1
     candidates = 1
-    for ch, k in Counter(chans).items():
+    for ch, k in received.items():
         candidates *= perm(len(sends.get(ch, ())), k)
     return sends, chans, indices, reach, x, candidates
 
@@ -258,10 +259,12 @@ def oracle_channel_open(
     if not k:
         return False
     probed, bit = [*sends[ch], size], 1 << size  # the probe is event number size
-    found = _matchings([probed if c == ch else sends[c] for c in chans],
-                       [v | bit if c[1] == ch[0] else v for c, v in zip(chans, reach)],
-                       [bit if c == ch else 0 for c in chans])
-    return next(found, None) is not None
+    senders, probed_reach, goals = [], [], []
+    for c, v in zip(chans, reach):
+        senders.append(probed if c == ch else sends[c])
+        probed_reach.append(v | bit if c[1] == ch[0] else v)
+        goals.append(bit if c == ch else 0)
+    return next(_matchings(senders, probed_reach, goals), None) is not None
 
 
 def oracle_seals(p: Program, s: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:

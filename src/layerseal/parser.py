@@ -154,6 +154,7 @@ def parse(source: str) -> Program:
     if toks[5] != "{":
         raise _expected(source, toks, 5, "'{'")
     seqs: dict[int, list[Statement]] = {}
+    shared: dict[tuple[StmtKind, int], Statement] = {}  # one per (kind, peer)
     i = 6
     while (tok := toks[i]) != "}":
         if tok != "process":
@@ -179,7 +180,7 @@ def parse(source: str) -> Program:
                 if peer == pid:
                     message = f"process {pid} addresses itself"
                     raise _error(source, i + 1, message, ParseErrorKind.SELF_CHANNEL)
-                out.append(Statement(kind, peer))
+                out.append(shared.get((kind, peer)) or shared.setdefault((kind, peer), Statement(kind, peer)))
             elif tok == "assign":
                 if not toks[i + 1].isidentifier():
                     raise _expected(source, toks, i + 1, "variable name")

@@ -177,22 +177,25 @@ def _check(sig: Signature) -> Signature:
         raise InvariantViolation(f"signature is not O(n^2) for n = {n}")
     if not {n}.issuperset(map(len, (*exits, *sig.sends.values(), *recvs.values()))):
         raise InvariantViolation(f"a clock does not have {n} entries")
-    chains: list[list[Clock]] = [[] for _ in range(n)]
+    chains: dict[int, list[Clock]] = {}  # by process, where it keeps a node
     for (i, j), clock in sig.sends.items():
         if clock[j - 1] >= 0:
             raise InvariantViolation(f"fst_{j} precedes snd:{i}>{j}")
         recv = recvs.get((i, j))
         if recv is not None and not all(map(le, clock, recv)):
             raise InvariantViolation(f"snd:{i}>{j} does not precede rcv:{j}<{i}")
-        chains[i - 1].append(clock)
+        chains.setdefault(i, []).append(clock)
     for (i, j), clock in recvs.items():
         if exits[i - 1][j - 1] >= clock[j - 1]:
             raise InvariantViolation(f"rcv:{j}<{i} precedes lst_{i}")
-        chains[j - 1].append(clock)
+        chains.setdefault(j, []).append(clock)
     # fst_k heads each chain: position 0, every other entry -1. Tuple order
     # sorts a chain by position, as a chain is ordered entry by entry.
     floor = (-1,) * n
-    for k, (chain, exit_clock) in enumerate(zip(chains, exits), start=1):
+    for k, exit_clock in enumerate(exits, start=1):
+        chain = chains.get(k, [])
+        if not chain and exit_clock[k - 1] > 0 and min(exit_clock) >= -1:
+            continue  # lst_k alone follows fst_k
         chain.sort()
         chain.append(exit_clock)
         x, a = 0, floor
@@ -204,8 +207,9 @@ def _check(sig: Signature) -> Signature:
     return sig
 
 
-def _kept(n: int, exits: tuple[Clock, ...], first_sends: ByChannel, last_recvs: ByChannel) -> Signature:
-    """The signature of the nodes that survive the keep rule, checked.
+def _kept(n: int, exits: tuple[Clock, ...], sends: ByChannel, recvs: ByChannel) -> Signature:
+    """The signature of the nodes that survive the keep rule, checked. The
+    rule filters the dicts it is handed in place; both callers pass fresh ones.
 
     Composing re-checks the nodes it takes over, and they always survive.
     The first layer's first sends keep their clocks. A glued last receive
@@ -214,8 +218,10 @@ def _kept(n: int, exits: tuple[Clock, ...], first_sends: ByChannel, last_recvs: 
     otherwise the glued exit's entry j is at most the first layer's event
     count on j, and the glued receive's entry j is above it.
     """
-    sends = {(i, j): c for (i, j), c in first_sends.items() if c[j - 1] < 0}
-    recvs = {(i, j): c for (i, j), c in last_recvs.items() if exits[i - 1][j - 1] < c[j - 1]}
+    for ch in [(i, j) for (i, j), c in sends.items() if c[j - 1] >= 0]:
+        del sends[ch]
+    for ch in [(i, j) for (i, j), c in recvs.items() if exits[i - 1][j - 1] >= c[j - 1]]:
+        del recvs[ch]
     return _check(Signature(n, exits, sends, recvs))
 
 

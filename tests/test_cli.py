@@ -366,7 +366,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, mt_file, ack_file
             "layerseal expand: error: the following arguments are required: -n/--processes\n"
         )),
     ):
-        modules, *printed = loaded(f"from layerseal.cli import run\nprint(run({argv!r}).exit_code)")
+        modules, *printed = loaded(f"from layerseal.cli import run\nres = run({argv!r})\nprint(res.stdout, res.exit_code, sep='')")
         assert parsing <= modules and not modules & analyses, (argv, modules)
         assert printed == [f"{out}{code}", err], argv
 
@@ -422,10 +422,13 @@ def test_usage_errors_exit_two():
     [(["expand", "p.plan", "-n", "x"], "-n/--processes"), (["verify", "channels", "f.lsl", "--budget", "x"], "--budget")],
 )
 def test_a_count_that_is_no_integer_is_a_usage_error(capsys, argv, flag):
-    assert run(argv) == CliResult(2, "")
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"usage: layerseal {argv[0]} ")
-    assert err.endswith(f"error: argument {flag}: invalid int value: 'x'\n")
+    # Counts are ASCII digits, as in programs and plans: no blank, sign,
+    # underscore or other script's digit, though ``int`` takes them all.
+    for value in ("x", "\u0662", " 2", "+2", "0_2", "\uff12"):
+        assert run([*argv[:-1], value]) == CliResult(2, ""), value
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage: layerseal {argv[0]} ")
+        assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
 
 
 # The argvs of the CLI tests, with stand-in file names.
@@ -496,8 +499,9 @@ def test_plain_calls_parse_as_argparse_does(capsys):
     assert plain > 50
 
 
-def test_version_flag_exits_zero():
-    assert run(["--version"]).exit_code == 0
+def test_version_flag_exits_zero(capsys):
+    assert run(["--version"]) == CliResult(0, f"layerseal {layerseal.__version__}\n")
+    assert capsys.readouterr().out == ""
 
 
 def test_module_entry_point():
@@ -556,8 +560,9 @@ def test_every_command_is_declared_whole_and_documented(capsys):
     # help; the README's CLI block lists them all. Help is compared with its
     # line breaks folded, as argparse wraps it to the terminal.
     def help_of(argv):
-        assert run([*argv, "--help"]) == CliResult(0, "")
-        return " ".join(capsys.readouterr().out.split())
+        res = run([*argv, "--help"])
+        assert res.exit_code == 0 and capsys.readouterr().out == ""
+        return " ".join(res.stdout.split())
 
     sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(USAGE)

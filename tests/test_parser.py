@@ -48,6 +48,15 @@ def test_parse_basic():
     assert p.statements(3) == (recv(2),)
 
 
+def test_equal_statements_of_one_parse_are_one_object():
+    p = parse("processes 3;\nprogram p {\n  process 1 { send 2; send 3; send 2; recv 2; }\n"
+              "  process 2 { recv 1; send 1; }\n  process 3 { recv 1; }\n}\n")
+    one, two, three = p.seqs
+    # send 2 twice on one process, recv 1 on two: 5 distinct statements of 7.
+    assert one[0] is one[2] and two[0] is three[0]
+    assert len({id(stmt) for seq in p.seqs for stmt in seq}) == 5
+
+
 def test_missing_process_blocks_are_empty():
     p = parse("processes 4;\nprogram p {\n  process 2 { send 1; }\n}\n")
     assert p.statements(1) == ()

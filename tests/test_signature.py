@@ -190,6 +190,33 @@ def test_compose_keeps_every_receive_of_the_second_layer():
             assert set(sq.recvs) <= set(signature_compose(sp, sq).recvs)
 
 
+def test_compose_leaves_its_inputs_untouched():
+    # The keep rule filters the dicts it is handed in place; composing
+    # hands it fresh ones, so the layer signatures keep every node.
+    rng = random.Random(29)
+    dropped = 0
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        sp, sq = (compute_signature(random_balanced_df(rng, n, 6)) for _ in range(2))
+        before = [dict(d) for d in (sp.sends, sp.recvs, sq.sends, sq.recvs)]
+        composed = signature_compose(sp, sq)
+        assert [sp.sends, sp.recvs, sq.sends, sq.recvs] == before
+        dropped += len(composed.sends) < len(sp.sends | sq.sends)
+    assert dropped  # the rule dropped a glued node somewhere
+
+
+def test_every_exit_sits_past_its_last_event():
+    # The pass gives lst_k the position len + 1 when it finishes process k,
+    # in whatever order the processes finish.
+    assert compute_signature(empty_program(3)).exits == ((1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+    last_first = program("p", 3, {1: [recv(2)], 2: [send(1), recv(3)], 3: [send(2)]})
+    first_first = program("p", 3, {1: [send(2)], 2: [recv(1), send(3), send(3)], 3: [recv(2), recv(2)]})
+    rng = random.Random(31)
+    for p in [last_first, first_first] + [random_balanced_df(rng, 4, 8) for _ in range(50)]:
+        exits = compute_signature(p).exits
+        assert [clock[k] for k, clock in enumerate(exits)] == [len(seq) + 1 for seq in p.seqs], p
+
+
 def test_compose_matches_direct_on_random_pairs():
     rng = random.Random(17)
     for _ in range(200):
@@ -276,6 +303,15 @@ def test_check_rejects_inconsistent_clocks():
         Signature(2, sig.exits, {(1, 2): (1, -2)}, sig.recvs),
         # the first kept node of process 2 sits at fst_2's position
         Signature(2, sig.exits, sig.sends, {(1, 2): (1, 0)}),
+    ]
+    # Process 3 of MT(1->2) over three processes keeps no node but lst_3.
+    sig3 = compute_signature(message_transmit(1, 2, 3))
+    assert sig3.exits[2] == (-1, -1, 1)
+    broken += [
+        # lst_3 sits at fst_3's position
+        Signature(3, (*sig3.exits[:2], (-1, -1, 0)), sig3.sends, sig3.recvs),
+        # lst_3 has an entry below -1
+        Signature(3, (*sig3.exits[:2], (-1, -2, 1)), sig3.sends, sig3.recvs),
     ]
     for bad in broken:
         with pytest.raises(InvariantViolation):
