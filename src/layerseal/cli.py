@@ -14,18 +14,21 @@ text when ``--dot`` is given, or program/plan text for ``expand`` and
 
 from __future__ import annotations
 
+import gc
 import io
+import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 from .errors import BadProcessId, BudgetExceeded, CyclicGraph, ProcessCountMismatch, Unbalanced, Unsealable
 from .model import Program, Record, channels_of, empty_program, setfield
 from .parser import MAX_PROCESSES, ParseError, format_program, parse
 
+TYPE_CHECKING = False  # as ``typing`` would say at run time, without loading it
 if TYPE_CHECKING:
     import argparse
+    from collections.abc import Callable
 
 # Each command imports the analyses it runs: a call loads, and where no
 # bytecode is cached compiles, only those.
@@ -61,9 +64,9 @@ def _positive(text: str, most: int = sys.maxsize) -> int:
 
 
 def _read(path: str) -> str:
-    # ``utf-8-sig`` drops a byte-order mark that some editors write first.
-    with open(path, encoding="utf-8-sig") as f:
-        return f.read()
+    # Drops a byte-order mark that some editors write first, as ``utf-8-sig`` would.
+    with open(path, encoding="utf-8") as f:
+        return f.read().removeprefix("\ufeff")
 
 
 def _load_program(path: str) -> Program:
@@ -327,6 +330,11 @@ def run(argv: list[str]) -> CliResult:
 
 
 def main() -> None:
+    """Run ``sys.argv``, write its output and end the process with its exit code."""
     result = run(sys.argv[1:])
-    sys.stdout.write(result.stdout)
+    try:
+        print(result.stdout, end="", flush=True)
+    except BrokenPipeError:  # the reader left: stdout to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    gc.freeze()  # all alive now stays alive until exit: the shutdown collections need not scan it
     sys.exit(result.exit_code)

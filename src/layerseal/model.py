@@ -21,9 +21,12 @@ from enum import Enum
 from functools import total_ordering
 from itertools import permutations
 from operator import attrgetter
-from typing import Mapping, Sequence
 
 from .errors import ProcessCountMismatch, Unbalanced
+
+TYPE_CHECKING = False  # as ``typing`` would say at run time, without loading it
+if TYPE_CHECKING:
+    from collections.abc import Mapping, Sequence
 
 __all__ = [
     "Channel",

@@ -65,11 +65,14 @@ from __future__ import annotations
 from itertools import accumulate, permutations
 from math import perm
 from operator import or_
-from typing import Iterable, Iterator, Sequence
 
 from .errors import BadProcessId, BudgetExceeded, CyclicGraph, ProcessCountMismatch
 from .graph import deadlock_free
 from .model import Channel, Program, Record, StmtKind, empty_program, setfield
+
+TYPE_CHECKING = False  # as ``typing`` would say at run time, without loading it
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator, Sequence
 
 __all__ = [
     "DEFAULT_BUDGET",

@@ -55,13 +55,13 @@ __all__ = [
     "parse",
 ]
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"  # ``format_program`` matches it alone, compiled on first use
 # Blanks, newlines and comments, then one token (group 1) or one stray
 # character (group 2); matches nothing more at the end of the source.
 # Tokens are ASCII, so ``str.isdigit`` and ``str.isidentifier`` tell
 # naturals and identifiers exactly.
 _SCAN = re.compile(
-    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:([{};]|[0-9]+|" + _IDENT_RE.pattern + r")|(.))?"
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:([{};]|[0-9]+|" + _IDENT + r")|(.))?"
 )
 _KEYWORDS = frozenset({"processes", "program", "process", "send", "recv", "assign"})
 _STMT_KINDS = {"send": StmtKind.SEND, "recv": StmtKind.RECV}
@@ -198,7 +198,7 @@ def parse(source: str) -> Program:
 
 def format_program(p: Program) -> str:
     """Render ``p`` as DSL text. Empty process blocks are omitted."""
-    if not _IDENT_RE.fullmatch(p.name) or p.name in _KEYWORDS:
+    if not re.fullmatch(_IDENT, p.name) or p.name in _KEYWORDS:
         raise ValueError(f"program name {p.name!r} is not a printable identifier")
     out = [f"processes {p.n};", f"program {p.name} {{"]
     for proc in range(1, p.n + 1):

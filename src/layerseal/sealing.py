@@ -39,13 +39,14 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
 
 from .errors import BadProcessId, InvariantViolation, ProcessCountMismatch, Unsealable
 from .model import Program, Record, program, recv, send, setfield
 from .parser import MAX_PROCESSES, natural
 
+TYPE_CHECKING = False  # as ``typing`` would say at run time, without loading it
 if TYPE_CHECKING:
+    from collections.abc import Iterable
     from .signature import Signature
 
 __all__ = [
@@ -282,9 +283,9 @@ def seal_signature(sig: Signature) -> SealPlan:
     return plan
 
 
-# ASCII only, like the program grammar: ``\d`` and ``\s`` would take other
-# scripts' digits and blanks.
-_PLAN_LINE = re.compile(r"[ \t]*([0-9]+)[ \t]*->[ \t]*([0-9]+)[ \t]*(?:\[([a-z-]+)\])?[ \t]*")
+# ASCII only, as in programs: ``\d`` and ``\s`` would take other scripts' digits
+# and blanks. Only ``parse_plan`` uses it, so ``re`` compiles it on first use.
+_PLAN_LINE = r"[ \t]*([0-9]+)[ \t]*->[ \t]*([0-9]+)[ \t]*(?:\[([a-z-]+)\])?[ \t]*"
 
 
 def format_plan(plan: SealPlan) -> str:
@@ -316,7 +317,7 @@ def parse_plan(text: str) -> SealPlan:
         line = raw.split("#", 1)[0]
         if not line.strip(" \t"):
             continue
-        m = _PLAN_LINE.fullmatch(line)
+        m = re.fullmatch(_PLAN_LINE, line)
         if m is None:
             raise ValueError(f"plan line {lineno}: cannot parse {raw!r}")
         src, dst, tag = m.groups()

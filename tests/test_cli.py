@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -317,16 +318,18 @@ def test_cli_import_leaves_the_oracle_unloaded():
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, mt_file, ack_file):
     # The package loads no submodule until a name is used, and each command
     # only the analysis it runs. A plain call loads no argparse (nor the
-    # gettext it imports); help and usage errors still go through it.
+    # gettext it imports); help and usage errors still go through it. Nor does
+    # a plain call load ``typing`` or the byte-order-mark codec.
     plan = tmp_path / "plan.txt"
     plan.write_text("1 -> 2\n2 -> 1\n")
     env = dict(os.environ, PYTHONPATH=str(Path(layerseal.__file__).resolve().parents[1]), COLUMNS="80")
     parsing = {"argparse", "gettext"}
+    unused = {"typing", "encodings.utf_8_sig"}
 
     def loaded(code: str) -> tuple[set[str], str, str]:
-        code += "\nprint(*sorted(m for m in sys.modules if m.startswith('layerseal.') or m in PARSING))"
+        code += "\nprint(*sorted(m for m in sys.modules if m.startswith('layerseal.') or m in WATCHED))"
         done = subprocess.run(
-            [sys.executable, "-S", "-c", f"import sys\nPARSING = {parsing!r}\n" + code],
+            [sys.executable, "-S", "-c", f"import sys\nWATCHED = {parsing | unused!r}\n" + code],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert done.returncode == 0, done.stderr
@@ -351,7 +354,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, mt_file, ack_file
     }
     for argv, unloaded in cases.items():
         modules, _, _ = loaded(f"from layerseal.cli import run\nprint(run({list(argv)!r}).stdout)")
-        assert not modules & (unloaded | parsing), (argv, modules & (unloaded | parsing))
+        assert not modules & (unloaded | parsing | unused), (argv, modules & (unloaded | parsing | unused))
     # An option before the file goes through argparse, and loads no more analyses.
     modules, _, _ = loaded(f"from layerseal.cli import run\nprint(run(['sig', '--dot', {mt_file!r}]).stdout)")
     assert parsing <= modules and not modules & {"sealing", "oracle"}, modules
@@ -512,6 +515,61 @@ def test_module_entry_point():
     )
     assert done.returncode == 0
     assert done.stdout == f"layerseal {layerseal.__version__}\n"
+
+
+# ``main`` as the installed script runs it, reporting the objects it froze.
+_MAIN = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n'))\n"
+    "from layerseal.cli import main\n"
+    "main()\n"
+)
+
+
+def _child(args: list[str], unbuffered: str = "", **kwargs) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(layerseal.__file__).resolve().parents[1]), PYTHONUNBUFFERED=unbuffered)
+    return subprocess.run([sys.executable, *args], env=env, timeout=60, **kwargs)
+
+
+def test_main_writes_what_run_returns_and_freezes_the_heap_it_leaves(tmp_path, mt_file):
+    # The process ends after ``main``, so it freezes what is alive and the
+    # shutdown collections skip it; ``run`` leaves the collector alone.
+    big = _write(tmp_path, "g.lsl", gather_phase(8))
+    stuck = _write(tmp_path, "d.lsl", deadlocked_pair())
+    plan, out = tmp_path / "plan.txt", tmp_path / "out.plan"
+    plan.write_text("1 -> 2\n2 -> 1\n")
+    frozen = gc.get_freeze_count()
+    printed = {}
+    for argv in (
+        ["check", mt_file], ["check", stuck], ["graph", mt_file, "--dot"], ["sig", big, "--dot"],
+        ["channels", big], ["sealable", mt_file], ["is-seal", mt_file, mt_file], ["seal", big, "-o", str(out)],
+        ["expand", str(plan), "-n", "2"], ["verify", "tcc", mt_file], ["verify", "channels", mt_file, "--budget", "1"],
+        ["sig", str(tmp_path / "missing.lsl")], ["--version"],
+    ):
+        want = run(argv)
+        done = _child(["-c", _MAIN, *argv], capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (want.exit_code, want.stdout), argv
+        assert re.fullmatch(r"frozen [1-9][0-9]*\n", done.stderr), (argv, done.stderr)
+        printed[tuple(argv)] = done.stdout
+    assert gc.get_freeze_count() == frozen
+    assert len(printed["sig", big, "--dot"]) > 65536  # more than a pipe buffer holds
+    assert printed["seal", big, "-o", str(out)].split("\n", 2)[2] == out.read_text() != ""  # below the two counts
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_output_pipe_ends_quietly(tmp_path, unbuffered):
+    # ``layerseal sig big.lsl --dot | head``: the reader leaves first. The
+    # call still exits with its answer's code, and prints no traceback.
+    big = _write(tmp_path, "g.lsl", gather_phase(8))
+    stuck = _write(tmp_path, "d.lsl", deadlocked_pair())
+    for argv, code in ((["sig", big, "--dot"], 0), (["check", stuck], 1)):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = _child(["-m", "layerseal", *argv], unbuffered, stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (code, ""), argv
 
 
 def test_deadlocking_input_to_sig_is_input_error(tmp_path):
