@@ -144,15 +144,16 @@ def recv(peer: int) -> Statement:
 class Program(Record):
     """An n-process straight-line program.
 
-    ``seqs[i - 1]`` is the statement sequence of process i. Every peer id
-    must lie in 1..n and differ from the owning process.
+    ``seqs[i - 1]`` is the statement sequence of process i, kept as a tuple.
+    Every peer id must lie in 1..n and differ from the owning process.
     """
 
     __slots__ = ("name", "n", "seqs")
 
-    def __init__(self, name: str, n: int, seqs: tuple[tuple[Statement, ...], ...]) -> None:
+    def __init__(self, name: str, n: int, seqs: Sequence[Sequence[Statement]]) -> None:
         if n < 0:
             raise ValueError("process count must be non-negative")
+        seqs = tuple(map(tuple, seqs))
         if len(seqs) != n:
             raise ValueError(f"expected {n} sequences, got {len(seqs)}")
         for proc, seq in enumerate(seqs, start=1):
@@ -182,7 +183,7 @@ def program(name: str, n: int, seqs: Mapping[int, Sequence[Statement]] | None = 
     for proc in seqs:
         if not 1 <= proc <= n:
             raise ValueError(f"process id {proc} outside 1..{n}")
-    rows = tuple(tuple(seqs.get(i, ())) for i in range(1, n + 1))
+    rows = [seqs.get(i, ()) for i in range(1, n + 1)]
     return Program(name, n, rows)
 
 

@@ -40,6 +40,11 @@ last receive after the first layer's.
 Every node is a :class:`SigNode` known by a stable name: fst_i / lst_i for
 the dummies, snd:i>j for a surviving first send, rcv:j<i for a surviving
 last receive.
+
+One entry outlives a call, ``_signed``: the last two programs signed and their
+checked signatures, matched by identity and returned again. It turns over with
+every new program, so two signatures stay alive until two others are signed. A
+program that raises never enters it; a shared signature's maps are read-only.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from bisect import bisect_right
 from functools import cached_property
 from itertools import filterfalse, permutations
 from operator import le
+from types import MappingProxyType
 
 from .errors import InvariantViolation, ProcessCountMismatch
 from .graph import Clock, causality_sweep
@@ -75,6 +81,8 @@ class SigNode(Record):
 SigEdge = tuple[SigNode, SigNode]
 # Kept first sends or last receives, by channel (i, j).
 ByChannel = dict[tuple[int, int], Clock]
+# (program, signature) pairs, latest first: read once and replaced whole.
+_signed: tuple = ((None, None), (None, None))
 
 
 class Signature:
@@ -94,8 +102,11 @@ class Signature:
     def __init__(self, n: int, exits: tuple[Clock, ...], sends: ByChannel, recvs: ByChannel) -> None:
         self.n = n
         self.exits = exits
-        self.sends = sends
-        self.recvs = recvs
+        self.sends = MappingProxyType(sends)
+        self.recvs = MappingProxyType(recvs)
+
+    def __reduce__(self):
+        return Signature, (self.n, self.exits, dict(self.sends), dict(self.recvs))
 
     @cached_property
     def _key(self) -> tuple:
@@ -231,7 +242,14 @@ def compute_signature(p: Program) -> Signature:
     Raises :class:`Unbalanced` or :class:`CyclicGraph` when the
     preconditions fail.
     """
-    return _kept(p.n, *causality_sweep(p))
+    global _signed
+    signed = _signed
+    for q, sig in signed:
+        if q is p:
+            return sig
+    sig = _kept(p.n, *causality_sweep(p))
+    _signed = ((p, sig), signed[0])
+    return sig
 
 
 def signature_compose(sp: Signature, sq: Signature) -> Signature:

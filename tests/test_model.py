@@ -32,10 +32,13 @@ from layerseal import (
     Unbalanced,
     Unsealable,
     channels_of,
+    closed_channels,
+    compute_signature,
     empty_program,
     is_balanced,
     layer,
     message_transmit,
+    oracle_channel_open,
     program,
     recv,
     send,
@@ -175,6 +178,30 @@ def test_program_equality_includes_name():
     b = message_transmit(1, 2, 2, name="other")
     assert a != b
     assert a == message_transmit(1, 2, 2)
+
+
+def test_program_keeps_no_reference_to_the_callers_lists():
+    # Analyses remember programs by identity, so a program must not change
+    # under them when the lists it was built from do.
+    rows = [[send(2), recv(2)], [recv(1), send(1)]]
+    p = Program("p", 2, rows)
+
+    def answers(q: Program) -> tuple:
+        return (
+            oracle_channel_open(q, Channel(2, 1)),
+            oracle_channel_open(q, Channel(1, 2)),
+            compute_signature(q).open_channels(),
+            closed_channels(q),
+        )
+
+    before = answers(p)
+    rows[0][:] = [recv(2), send(2)]
+    rows[1][:] = [send(1), recv(1)]
+    assert p.seqs == ((send(2), recv(2)), (recv(1), send(1)))
+    assert all(type(seq) is tuple for seq in (p.seqs, *p.seqs))
+    assert answers(p) == before == answers(copy.copy(p))
+    assert before[:2] == (True, False)
+    assert answers(Program("p", 2, rows))[:2] == (False, True)
 
 
 def test_event_count():

@@ -97,6 +97,25 @@ def test_oracle_imports_neither_signature_nor_sealing():
     assert found == []
 
 
+def test_only_the_reviewed_entries_outlive_a_call():
+    # A module-level name that a function rebinds keeps state from one call
+    # to the next. Each such entry is matched by identity and bounded; a new
+    # one needs its own tests of that contract before it joins this list.
+    declared = {
+        f"{path.stem}.{name}"
+        for path in sorted((PROJECT / "src" / "layerseal").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+        for name in node.names
+    }
+    assert declared == {
+        "graph._swept",
+        "oracle._checked",
+        "sealing._compute_signature",
+        "signature._signed",
+    }
+
+
 def test_oracle_counts_candidates_in_one_place():
     # The candidate matchings that a budget caps are counted by ``_world``
     # alone: every other count of the oracle would be a second formula.

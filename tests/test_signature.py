@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -203,6 +205,25 @@ def test_compose_leaves_its_inputs_untouched():
         assert [sp.sends, sp.recvs, sq.sends, sq.recvs] == before
         dropped += len(composed.sends) < len(sp.sends | sq.sends)
     assert dropped  # the rule dropped a glued node somewhere
+
+
+def test_signature_maps_are_read_only():
+    # compute_signature hands the same signature to every caller while its
+    # program is one of the last two asked for, so no caller may change it.
+    p, q = message_transmit(1, 2, 2), message_transmit(2, 1, 2)
+    composed = signature_compose(compute_signature(p), compute_signature(q))
+    for sig in (compute_signature(p), composed):
+        for kept in (sig.sends, sig.recvs):
+            with pytest.raises(TypeError):
+                kept[(1, 2)] = (0, 0)
+            with pytest.raises(TypeError):
+                del kept[next(iter(kept))]
+    assert compute_signature(p).recvs == {(1, 2): (1, 1)}
+    assert type(compute_signature(p).sends | {}) is dict
+    # Views do not pickle, so a signature is rebuilt from plain dicts.
+    for sig in (compute_signature(p), composed):
+        for twin in (copy.copy(sig), copy.deepcopy(sig), pickle.loads(pickle.dumps(sig))):
+            assert twin == sig and type(twin.sends) is type(sig.sends)
 
 
 def test_every_exit_sits_past_its_last_event():
