@@ -15,10 +15,11 @@ Process blocks may appear in any order; processes without a block are empty.
 The program name may not be a keyword, which ``format_program`` could not
 print.
 
-:func:`parse` scans the whole source once, with one regular expression,
-into a flat run of token strings, and walks that run by index. A token
-keeps no position: only when an error is raised is the source scanned again
-to the offending token, and its line and column counted from its offset.
+:func:`parse` finds the first stray character with one regular expression,
+and refuses it before any grammar error; another scans the tokens into a
+flat list of strings, walked by index. A token keeps no position: only when
+an error is raised is the source scanned again to the offending token, and
+its line and column counted from its offset.
 
 :func:`parse` raises :class:`ParseError` with the 1-based ``line`` and
 ``column`` of the offending token and a kind:
@@ -43,9 +44,8 @@ from __future__ import annotations
 import re
 from enum import Enum
 from itertools import islice
-from operator import itemgetter
 
-from .model import Program, Statement, StmtKind, program
+from .model import Program, Statement, StmtKind
 
 __all__ = [
     "MAX_PROCESSES",
@@ -56,18 +56,19 @@ __all__ = [
 ]
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"  # ``format_program`` matches it alone, compiled on first use
-# Blanks, newlines and comments, then one token (group 1) or one stray
-# character (group 2); matches nothing more at the end of the source.
-# Tokens are ASCII, so ``str.isdigit`` and ``str.isidentifier`` tell
-# naturals and identifiers exactly.
-_SCAN = re.compile(
-    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:([{};]|[0-9]+|" + _IDENT + r")|(.))?"
-)
+# The source up to its first stray character: blanks, newlines, comments and
+# the characters tokens are made of.
+_CLEAN = re.compile(r"(?:[ \t\r\n{};0-9A-Za-z_]+|#[^\n]*)*")
+# Blanks, newlines and comments, then one token (the group), which is empty
+# at the end of the source. Tokens are ASCII, so ``str.isdigit`` and
+# ``str.isidentifier`` tell naturals and identifiers exactly.
+_SCAN = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*([{};]|[0-9]+|" + _IDENT + r")?")
 _KEYWORDS = frozenset({"processes", "program", "process", "send", "recv", "assign"})
 _STMT_KINDS = {"send": StmtKind.SEND, "recv": StmtKind.RECV}
 
-# The largest process count a program may declare.
+# The largest process count a program may declare, and its number of digits.
 MAX_PROCESSES = 100_000
+_DIGITS = len(str(MAX_PROCESSES))
 
 
 class ParseErrorKind(Enum):
@@ -99,18 +100,19 @@ def natural(digits: str, what: str) -> int:
     ``what`` before ``int`` sees it: ``int`` refuses more than 4300 digits
     with an error that names no place."""
     significant = digits.lstrip("0")
-    if len(significant) > len(str(MAX_PROCESSES)):
+    if len(significant) > _DIGITS:
         raise ValueError(f"{what} with {len(significant)} digits exceeds {MAX_PROCESSES}")
     return int(significant or "0")
 
 
-def _error(
-    source: str, at: int, message: str, kind: ParseErrorKind = ParseErrorKind.SYNTAX
-) -> ParseError:
+def _error(source: str, at: int, message: str, kind=ParseErrorKind.SYNTAX) -> ParseError:
     """The error at the ``at``'th match of the scan of ``source``: at its
-    token or stray, or, at a match without either, at the end of input."""
+    token, or, at a match without one, at the end of input."""
     m = next(islice(_SCAN.finditer(source), at, None))
-    offset = m.start(m.lastindex) if m.lastindex else m.end()
+    return _error_at(source, m.start(1) if m.lastindex else m.end(), message, kind)
+
+
+def _error_at(source: str, offset: int, message: str, kind=ParseErrorKind.SYNTAX) -> ParseError:
     line = source.count("\n", 0, offset) + 1
     return ParseError(kind, line, offset - source.rfind("\n", 0, offset), message)
 
@@ -120,28 +122,30 @@ def _expected(source: str, toks: list[str], at: int, what: str) -> ParseError:
     return _error(source, at, f"expected {what}, found {found}")
 
 
-def _number(source: str, toks: list[str], at: int, what: str, kind: ParseErrorKind) -> int:
-    """The natural number at token ``at``; one too long is refused with ``kind``."""
-    if not toks[at].isdigit():
+def _number(source: str, toks: list[str], at: int, what: str) -> int:
+    """The natural number at token ``at``. One too long is refused as
+    ``TOO_MANY_PROCESSES`` if it is the count, token 1, else as ``BAD_PROCESS_ID``."""
+    tok = toks[at]
+    if not tok.isdigit():
         raise _expected(source, toks, at, what)
     try:
-        return natural(toks[at], what)
+        return int(tok) if len(tok) <= _DIGITS else natural(tok, what)
     except ValueError as exc:
+        kind = ParseErrorKind.TOO_MANY_PROCESSES if at == 1 else ParseErrorKind.BAD_PROCESS_ID
         raise _error(source, at, str(exc), kind) from None
 
 
 def parse(source: str) -> Program:
     """Parse DSL text into a :class:`Program`. Raises :class:`ParseError`."""
-    found = _SCAN.findall(source)
-    if any(map(itemgetter(1), found)):
-        at, stray = next((k, stray) for k, (_, stray) in enumerate(found) if stray)
-        raise _error(source, at, f"unexpected character {stray!r}")
-    toks = list(map(itemgetter(0), found))
+    stray = _CLEAN.match(source).end()
+    if stray < len(source):
+        raise _error_at(source, stray, f"unexpected character {source[stray]!r}")
+    toks = _SCAN.findall(source)
     # Every check below refuses the empty token that ends ``toks``, so no
     # index runs past it.
     if toks[0] != "processes":
         raise _expected(source, toks, 0, "'processes'")
-    n = _number(source, toks, 1, "process count", ParseErrorKind.TOO_MANY_PROCESSES)
+    n = _number(source, toks, 1, "process count")
     if n > MAX_PROCESSES:
         message = f"process count {n} exceeds {MAX_PROCESSES}"
         raise _error(source, 1, message, ParseErrorKind.TOO_MANY_PROCESSES)
@@ -154,12 +158,12 @@ def parse(source: str) -> Program:
     if toks[5] != "{":
         raise _expected(source, toks, 5, "'{'")
     seqs: dict[int, list[Statement]] = {}
-    shared: dict[tuple[StmtKind, int], Statement] = {}  # one per (kind, peer)
+    shared: dict[tuple[str, int], Statement] = {}  # one per (keyword, peer)
     i = 6
     while (tok := toks[i]) != "}":
         if tok != "process":
             raise _expected(source, toks, i, "'process'" if tok else "'process' or '}'")
-        pid = _number(source, toks, i + 1, "process id", ParseErrorKind.BAD_PROCESS_ID)
+        pid = _number(source, toks, i + 1, "process id")
         if not 1 <= pid <= n:
             message = f"process id {pid} outside 1..{n}"
             raise _error(source, i + 1, message, ParseErrorKind.BAD_PROCESS_ID)
@@ -173,14 +177,18 @@ def parse(source: str) -> Program:
         while (tok := toks[i]) != "}":
             kind = _STMT_KINDS.get(tok)
             if kind is not None:
-                peer = _number(source, toks, i + 1, "peer id", ParseErrorKind.BAD_PROCESS_ID)
+                peer = toks[i + 1]  # ``_number``'s common case, inline on the hot path
+                if len(peer) <= _DIGITS and peer.isdigit():
+                    peer = int(peer)
+                else:
+                    peer = _number(source, toks, i + 1, "peer id")
                 if not 1 <= peer <= n:
                     message = f"peer {peer} outside 1..{n}"
                     raise _error(source, i + 1, message, ParseErrorKind.BAD_PROCESS_ID)
                 if peer == pid:
                     message = f"process {pid} addresses itself"
                     raise _error(source, i + 1, message, ParseErrorKind.SELF_CHANNEL)
-                out.append(shared.get((kind, peer)) or shared.setdefault((kind, peer), Statement(kind, peer)))
+                out.append(shared.get((tok, peer)) or shared.setdefault((tok, peer), Statement(kind, peer)))
             elif tok == "assign":
                 if not toks[i + 1].isidentifier():
                     raise _expected(source, toks, i + 1, "variable name")
@@ -193,7 +201,7 @@ def parse(source: str) -> Program:
         i += 1
     if trailing := toks[i + 1]:
         raise _error(source, i + 1, f"trailing input after program: {trailing!r}")
-    return program(name, n, seqs)
+    return Program(name, n, [seqs.get(k, ()) for k in range(1, n + 1)])
 
 
 def format_program(p: Program) -> str:

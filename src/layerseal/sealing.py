@@ -14,9 +14,10 @@ otherwise lst_i, which bounds every send a later layer could add.
 Construction works on the closed-channel graph: the directed graph over
 processes with an edge (i, j) exactly when p closes channel i->j, that is,
 every channel outside the open set of p's signature. One spanning search
-from process 1 over its edges taken both ways decides sealability (a seal
-exists if and only if it reaches every process) and roots the plan, a
-sequence of single-message transmissions in three phases:
+from process 1 over its edges taken both ways roots the plan. Reaching
+every process is enough for a seal but not needed for one: a few programs
+whose search stops short have one all the same. The plan is a sequence of
+single-message transmissions in three phases:
 
 a. direct closes: for spanning-tree edges pointing away from the centre
    whose reverse channel is still open, one transmission along the tree
@@ -120,7 +121,8 @@ def _closed(sig: Signature) -> ClosedChannelGraph:
 
 
 def is_sealable(p: Program) -> bool:
-    """True when some seal for p exists."""
+    """True when p's closed-channel graph is connected, which is enough for a
+    seal but not needed for one: a few programs it refuses have a seal."""
     return closed_channels(p).undirected_connected()
 
 

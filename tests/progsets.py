@@ -194,3 +194,23 @@ def relay_ack_seal() -> Program:
 def deadlocked_pair() -> Program:
     """Both processes wait before sending: the canonical deadlock."""
     return program("deadlock", 2, {1: [recv(2), send(2)], 2: [recv(1), send(1)]})
+
+
+def news_through_bystander() -> Program:
+    """Three processes whose closed channels leave process 3 apart.
+
+    p closes only 1->2 and 2->1, so the closed-channel graph is not
+    connected, yet :func:`news_through_bystander_seal` seals it.
+    """
+    return program(
+        "news_p",
+        3,
+        {1: [send(3), recv(3)], 2: [send(3), recv(3)], 3: [send(1), recv(1), send(2), recv(2)]},
+    )
+
+
+def news_through_bystander_seal() -> Program:
+    """A seal for :func:`news_through_bystander`: it sends on the open
+    channels 1->3 and 3->2 only after news from process 2 reached the
+    sender, and process 2's last event follows p's last receive on 1->3."""
+    return program("news_q", 3, {1: [recv(2), send(3)], 2: [send(1), recv(3)], 3: [recv(1), send(2)]})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -300,6 +301,7 @@ def _reference_outcome(src):
 # numbers past the limit or with leading zeros.
 _EDITS = [
     *"{};# \t\n\r\x0b@0123456789",
+    *"\f\x00\u00e9\ufeff",
     *("processes", "program", "process", "send", "recv", "assign"),
     *("9999999", "000001"),
 ]
@@ -323,6 +325,42 @@ def test_parse_matches_reference_on_error_tables_and_mutants():
         sources.append(text)
     for src in sources:
         assert _outcome(src) == _reference_outcome(src), repr(src)
+
+
+def test_a_stray_wins_over_an_earlier_syntax_error():
+    for src, line, col in (("processes x; @", 1, 14), ("processes 2;\nprogram 9 { }\n\n  \x00", 4, 3)):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert (exc.value.line, exc.value.column) == (line, col)
+        assert exc.value.message.startswith("unexpected character ")
+        assert _outcome(src) == _reference_outcome(src)
+
+
+# Characters that are neither blanks nor part of a token: allowed in a
+# comment, a stray anywhere else.
+_STRAYS = "@\f\x00\u00e9\ufeff"
+
+
+def test_any_character_is_accepted_in_a_comment():
+    for ch in _STRAYS:
+        src = f"processes 2; # {ch} to\nprogram p {{ process 1 {{ send 2; #{ch}\n}} }} #{ch}"
+        assert parse(src) == program("p", 2, {1: [send(2)]}), repr(ch)
+
+
+def test_strays_outside_comments_are_placed_as_the_reference_places_them():
+    text = format_program(program("p", 2, {1: [send(2), recv(2)], 2: [recv(1), send(1)]}))
+    for ch in _STRAYS:
+        for at in range(len(text) + 1):
+            src = text[:at] + ch + text[at:]
+            got = _outcome(src)
+            assert got == _reference_outcome(src), repr(src)
+            assert got[0][0] == "syntax" and got[0][3] == f"unexpected character {ch!r}", repr(src)
+
+
+def test_a_peer_with_leading_zeros_shares_its_statement():
+    p = parse("processes 2; program p { process 1 { send 02; send 2; recv 0002; } }")
+    one = p.statements(1)
+    assert one == (send(2), send(2), recv(2)) and one[0] is one[1]
 
 
 def test_byte_order_mark_in_text_is_a_stray():
@@ -365,3 +403,25 @@ def test_spans_on_a_long_source():
         with pytest.raises(ParseError) as exc:
             parse(src)
         assert (exc.value.line, exc.value.column, exc.value.message) == (line, col, message)
+
+
+def test_parse_memory_stays_within_a_small_multiple_of_the_source():
+    # Tokens are kept as plain strings in one list, so the peak is a few
+    # times the source: about 8 times for this shape, where keeping a
+    # tuple per token read about 24 times.
+    k = 25_000
+    source = (
+        "processes 2;\nprogram big {\n  process 1 {\n"
+        + "    send 2;\n" * k
+        + "  }\n  process 2 {\n"
+        + "    recv 1;\n" * k
+        + "  }\n}\n"
+    )
+    tracemalloc.start()
+    try:
+        p = parse(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.event_count == 2 * k
+    assert peak < 12 * len(source), peak / len(source)

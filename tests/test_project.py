@@ -89,6 +89,48 @@ def _imported(path: Path) -> list[str]:
     return imported
 
 
+# A possessive quantifier (``*+``, ``++``, ``?+``, ``}+``) or an atomic
+# group: Python 3.10, which ``requires-python`` admits, refuses both.
+_NEW_IN_3_11 = re.compile(r"[*+?}]\+|\(\?>")
+_TAKE_A_PATTERN = {"compile", "search", "match", "fullmatch", "split", "findall", "finditer", "sub", "subn"}
+
+
+def _pattern_text(node: ast.expr, named: dict[str, ast.expr]) -> str:
+    """The text of a pattern built from string literals, module-level names
+    bound to them, and ``+``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.Name) and node.id in named:
+        return _pattern_text(named[node.id], named)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _pattern_text(node.left, named) + _pattern_text(node.right, named)
+    raise AssertionError(f"line {node.lineno}: a pattern not built from literals")
+
+
+def test_regular_expressions_run_on_python_3_10():
+    assert all(map(_NEW_IN_3_11.search, ("a*+", "[0-9]++", "x?+", "a{2}+", "(?>ab)")))
+    patterns = {}
+    for path in sorted((PROJECT / "src" / "layerseal").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {
+            target.id: node.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) == "re"
+                and node.func.attr in _TAKE_A_PATTERN
+            ):
+                patterns[f"{path.name}:{node.lineno}"] = _pattern_text(node.args[0], named)
+    assert len(patterns) >= 4
+    assert [at for at, pattern in patterns.items() if _NEW_IN_3_11.search(pattern)] == []
+
+
 def test_oracle_imports_neither_signature_nor_sealing():
     # The oracle is the ground truth the signatures and seals are checked
     # against, so it must share no code with them.

@@ -48,6 +48,8 @@ from progsets import (
     crossed_exchange,
     gather_phase,
     hand_gather_seal,
+    news_through_bystander,
+    news_through_bystander_seal,
     random_balanced_df,
     relay_ack_seal,
 )
@@ -105,6 +107,18 @@ def test_is_seal_relay_fixture():
 def test_is_seal_gather_fixture():
     for n in (3, 4, 5):
         assert is_seal(gather_phase(n), hand_gather_seal(n))
+
+
+def test_a_disconnected_closed_graph_can_have_a_seal():
+    p, q = news_through_bystander(), news_through_bystander_seal()
+    assert sorted(closed_channels(p).edges) == [(1, 2), (2, 1)]
+    assert is_seal(p, q)
+    assert oracle_seals(p, q)
+
+
+@pytest.mark.xfail(strict=True, reason="is_sealable asks for a connected closed-channel graph, which a seal does not need")
+def test_is_sealable_finds_a_seal_past_a_disconnected_closed_graph():
+    assert is_sealable(news_through_bystander())
 
 
 def test_is_seal_rejects_mismatched_counts():
