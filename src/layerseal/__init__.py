@@ -20,14 +20,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": "AnalysisError BadProcessId BudgetExceeded CyclicGraph InvariantViolation"
     " ProcessCountMismatch Unbalanced Unsealable",
-    "graph": "deadlock_free program_graph",
+    "graph": "deadlock_free",
+    "listing": "SigNode program_graph",
     "model": "Channel Program Statement StmtKind channels_of empty_program is_balanced layer"
     " message_transmit program recv send",
     "oracle": "DEFAULT_BUDGET OracleBudget oracle_channel_open oracle_seals oracle_tcc",
     "parser": "ParseError ParseErrorKind format_program parse",
     "sealing": "ClosedChannelGraph Phase SealPlan closed_channels construct_seal expand_plan"
     " format_plan is_seal is_sealable parse_plan plan_seal seal_signature",
-    "signature": "SigNode Signature compute_signature signature_compose signature_equal",
+    "signature": "Signature compute_signature signature_compose signature_equal signature_seals",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -23,15 +23,13 @@ from types import SimpleNamespace
 from . import __version__
 from .errors import BadProcessId, BudgetExceeded, CyclicGraph, ProcessCountMismatch, Unbalanced, Unsealable
 from .model import Program, Record, channels_of, empty_program, setfield
-from .parser import MAX_PROCESSES, ParseError, format_program, parse
 
 TYPE_CHECKING = False  # as ``typing`` would say at run time, without loading it
 if TYPE_CHECKING:
     import argparse
-    from collections.abc import Callable
 
-# Each command imports the analyses it runs: a call loads, and where no
-# bytecode is cached compiles, only those.
+# Each command imports the analyses it runs, and the parser loads on first
+# use: a call loads, and where no bytecode is cached compiles, only those.
 
 __all__ = ["CliResult", "main", "run"]
 
@@ -70,7 +68,35 @@ def _read(path: str) -> str:
 
 
 def _load_program(path: str) -> Program:
-    return parse(_read(path))
+    return _parse(_read(path))
+
+
+# parser.ParseError, once the first parse has loaded the parser; before it no
+# parse error can be raised, and ``except ()`` catches nothing.
+_ParseError: type | tuple = ()
+
+
+def _parse(text: str) -> Program:
+    """parser.parse, imported on the first call and kept, with ParseError:
+    ``--version`` and argparse's own paths load no parser."""
+    global _parse, _ParseError
+    from .parser import ParseError as _ParseError, parse as _parse
+    return _parse(text)
+
+
+def _process_count(text: str) -> int:
+    from .parser import MAX_PROCESSES
+    return _positive(text, MAX_PROCESSES)
+
+
+def _seals(p: Program, q: Program) -> bool:
+    """sealing.is_seal, decided from the signatures here, so that a call
+    loads no sealing for it: mismatched process counts raise before either
+    program is signed."""
+    from .signature import compute_signature, signature_seals
+    if p.n != q.n:
+        raise ProcessCountMismatch(p.n, q.n)
+    return signature_seals(compute_signature(p), compute_signature(q))
 
 
 def _answer(ok: bool, lines: _Lines) -> CliResult:
@@ -88,41 +114,6 @@ def _listing(head: _Lines, nodes: list[str], edges: list[tuple[str, str]]) -> Cl
     return _answer(True, lines)
 
 
-def _quote(name: str) -> str:
-    return '"' + name.replace('"', '\\"') + '"'
-
-
-def _dot(
-    graph: str,
-    nodes: list[str],
-    edges: list[tuple[str, str]],
-    implied: Callable[[str, str], bool] = lambda a, b: False,
-) -> str:
-    """DOT text: dummies as boxes, events as circles, and each edge that
-    ``implied`` marks drawn thin."""
-    lines = [f"digraph {graph} {{", "  rankdir=LR;"]
-    for name in nodes:
-        shape = "box" if name.startswith(("fst_", "lst_")) else "circle"
-        lines.append(f"  {_quote(name)} [shape={shape}];")
-    for a, b in edges:
-        attr = ' [penwidth="0.5"]' if implied(a, b) else ""
-        lines.append(f"  {_quote(a)} -> {_quote(b)}{attr};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_signature(nodes: list[str], edges: list[tuple[str, str]]) -> str:
-    # Edges implied by other edges transitively are drawn thin, so the
-    # direct causality skeleton stands out. An edge a -> b is implied when
-    # some successor of a is a predecessor of b.
-    succ: dict[str, set[str]] = {}
-    pred: dict[str, set[str]] = {}
-    for a, b in edges:
-        succ.setdefault(a, set()).add(b)
-        pred.setdefault(b, set()).add(a)
-    return _dot("signature", nodes, edges, lambda a, b: not succ[a].isdisjoint(pred[b]))
-
-
 def _cmd_check(ns: SimpleNamespace) -> CliResult:
     from .graph import deadlock_free
     try:
@@ -133,21 +124,21 @@ def _cmd_check(ns: SimpleNamespace) -> CliResult:
 
 
 def _cmd_graph(ns: SimpleNamespace) -> CliResult:
-    from .graph import program_graph
+    from .listing import dot, program_graph
     nodes, edges = program_graph(_load_program(ns.file))
     if ns.dot:
-        return CliResult(0, _dot("program_graph", nodes, edges))
+        return CliResult(0, dot("program_graph", nodes, edges))
     return _listing([], nodes, edges)
 
 
 def _cmd_sig(ns: SimpleNamespace) -> CliResult:
+    from .listing import dot_signature
     from .signature import compute_signature
     sig = compute_signature(_load_program(ns.file))
-    nodes = [v.name for v in sig.nodes]
-    edges = [(a.name, b.name) for a, b in sig.edges]
     if ns.dot:
-        return CliResult(0, _dot_signature(nodes, edges))
-    return _listing([("n", sig.n)], nodes, edges)
+        return CliResult(0, dot_signature(sig))
+    edges = [(a.name, b.name) for a, b in sig.edges]
+    return _listing([("n", sig.n)], [v.name for v in sig.nodes], edges)
 
 
 def _cmd_channels(ns: SimpleNamespace) -> CliResult:
@@ -166,8 +157,7 @@ def _cmd_sealable(ns: SimpleNamespace) -> CliResult:
 
 
 def _cmd_is_seal(ns: SimpleNamespace) -> CliResult:
-    from .sealing import is_seal
-    ok = is_seal(_load_program(ns.program), _load_program(ns.candidate))
+    ok = _seals(_load_program(ns.program), _load_program(ns.candidate))
     return _answer(ok, [("seals", ok)])
 
 
@@ -188,6 +178,7 @@ def _cmd_seal(ns: SimpleNamespace) -> CliResult:
 
 
 def _cmd_expand(ns: SimpleNamespace) -> CliResult:
+    from .parser import format_program
     from .sealing import expand_plan, parse_plan
     plan = parse_plan(_read(ns.plan))
     return CliResult(0, format_program(expand_plan(plan, ns.processes)))
@@ -195,7 +186,6 @@ def _cmd_expand(ns: SimpleNamespace) -> CliResult:
 
 def _cmd_verify(ns: SimpleNamespace) -> CliResult:
     from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_channel_open, oracle_seals
-    from .sealing import is_seal
     from .signature import compute_signature
     budget = DEFAULT_BUDGET if ns.budget is None else OracleBudget(max_matchings=ns.budget)
     want = "two program files" if ns.mode == "is-seal" else "one program file"
@@ -218,7 +208,7 @@ def _cmd_verify(ns: SimpleNamespace) -> CliResult:
     else:
         # tcc: does the empty program seal p?
         q = _load_program(ns.files[1]) if ns.mode == "is-seal" else empty_program(p.n)
-        static, oracle = is_seal(p, q), oracle_seals(p, q, budget)
+        static, oracle = _seals(p, q), oracle_seals(p, q, budget)
         agree = static == oracle
         lines += [("static", static), ("oracle", oracle)]
     lines.append(("verdict", "AGREE" if agree else "DISAGREE"))
@@ -234,7 +224,8 @@ _COMMANDS = {
     "graph": (_cmd_graph, "print the program graph", [_FILE, _DOT]),
     "sig": (_cmd_sig, "print the signature", [_FILE, _DOT]),
     "channels": (_cmd_channels, "list closed and open channels", [_FILE]),
-    "sealable": (_cmd_sealable, "decide whether any seal exists", [_FILE]),
+    "sealable": (_cmd_sealable, "decide whether the closed-channel graph is connected, which is enough"
+                 " for a seal", [_FILE]),
     "is-seal": (_cmd_is_seal, "decide whether the second program seals the first", [
         (("program",), {}), (("candidate",), {}),
     ]),
@@ -244,7 +235,7 @@ _COMMANDS = {
     "expand": (_cmd_expand, "expand a seal plan into program text", [
         (("plan",), {}),
         (("-n", "--processes"), dict(
-            type=lambda text: _positive(text, MAX_PROCESSES), required=True, help="process count")),
+            type=_process_count, required=True, help="process count")),
     ]),
     "verify": (_cmd_verify, "cross-check a static analysis against the brute-force oracle", [
         (("mode",), dict(choices=["channels", "is-seal", "tcc"])),
@@ -321,7 +312,7 @@ def run(argv: list[str]) -> CliResult:
         sys.stdout = stdout
     try:
         return ns.handler(ns)
-    except ParseError as exc:
+    except _ParseError as exc:
         return CliResult(2, f"error: {exc} [{exc.kind.value}]\n")
     except BudgetExceeded as exc:
         return CliResult(3, f"error: {exc}\n")

@@ -30,9 +30,8 @@ is the pass alone. :func:`causality_sweep` is the pass with a vector clock
 position on process k that precedes or equals the node, -1 when none does,
 so a node's own entry is its position. A node a on process i precedes
 another node b exactly when ``b[i] >= a[i]``, in O(1). It keeps only the
-clocks a signature reads. :func:`program_graph` checks balance first
-(:func:`~layerseal.model.require_balanced`), then pairs sends with receives
-the same way, without clocks, to list the nodes and edges, for display only.
+clocks a signature reads. The graph's own nodes and edges are listed, for
+display only, by :func:`~layerseal.listing.program_graph`.
 
 One entry outlives a call, ``_swept``: the last two programs a pass found
 deadlock-free, for which :func:`deadlock_free` answers ``True`` without a
@@ -48,7 +47,7 @@ from collections import deque
 from .errors import CyclicGraph
 from .model import Program, StmtKind, channel_balance, require_balanced
 
-__all__ = ["Clock", "causality_sweep", "deadlock_free", "program_graph"]
+__all__ = ["Clock", "causality_sweep", "deadlock_free"]
 
 # A channel as (sender, receiver).
 Chan = tuple[int, int]
@@ -57,43 +56,6 @@ Clock = tuple[int, ...]
 
 _SEND = StmtKind.SEND
 _swept: tuple = (None, None)  # latest first
-
-
-def program_graph(p: Program) -> tuple[list[str], list[tuple[str, str]]]:
-    """Node names and edges of the graph of a balanced program.
-
-    Nodes are listed per process: fst_i, then its events by position
-    (``s:i:x`` or ``r:i:x``, x counting from 0), then lst_i. Edges are
-    listed by source node, then by target node, in that order. Raises
-    :class:`Unbalanced` like :func:`~layerseal.model.require_balanced`.
-    """
-    require_balanced(channel_balance(p))
-    # Each channel queues its send positions, counting a process's events
-    # from 1; the k'th receive on it takes the k'th send off the front.
-    queues: dict[Chan, deque[tuple[int, int]]] = {}
-    for i, seq in enumerate(p.seqs, start=1):
-        for x, stmt in enumerate(seq, start=1):
-            if stmt.kind is _SEND:
-                queues.setdefault((i, stmt.peer), deque()).append((i, x))
-    match = {}
-    for j, seq in enumerate(p.seqs, start=1):
-        for y, stmt in enumerate(seq, start=1):
-            if stmt.kind is not _SEND:
-                match[queues[(stmt.peer, j)].popleft()] = (j, y)
-    rows = [
-        [f"fst_{i}"]
-        + [f"{'s' if stmt.kind is _SEND else 'r'}:{i}:{x}" for x, stmt in enumerate(seq)]
-        + [f"lst_{i}"]
-        for i, seq in enumerate(p.seqs, start=1)
-    ]
-    edges: list[tuple[str, str]] = []
-    for i, row in enumerate(rows, start=1):
-        for x, name in enumerate(row[:-1]):
-            targets = [(i, x + 1)]
-            if (i, x) in match:
-                targets = sorted([*targets, match[(i, x)]])
-            edges += [(name, rows[j - 1][y]) for j, y in targets]
-    return [name for row in rows for name in row], edges
 
 
 def causality_sweep(p: Program) -> tuple[tuple[Clock, ...], dict[Chan, Clock], dict[Chan, Clock]]:

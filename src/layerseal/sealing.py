@@ -5,11 +5,8 @@ receive belonging to p can ever consume a message sent after p finished.
 Sealing is what makes a layer boundary safe: once sealed, anything layered
 after q composes with p as if a global barrier stood between them.
 
-Deciding is_seal(p, q) needs only the two signatures. For every channel i->j
-that p leaves open, some process k must have p's last receive on the channel
-causally before lst_k in p, and q must causally order fst_k before the point
-that guards the channel in q: q's own first send on i->j when q sends on it,
-otherwise lst_i, which bounds every send a later layer could add.
+Deciding is_seal(p, q) needs only the two signatures:
+:func:`~layerseal.signature.signature_seals` decides it from them.
 
 Construction works on the closed-channel graph: the directed graph over
 processes with an edge (i, j) exactly when p closes channel i->j, that is,
@@ -116,6 +113,14 @@ def _compute_signature(p: Program) -> Signature:
     return _compute_signature(p)
 
 
+def _signature_seals(sp: Signature, sq: Signature) -> bool:
+    """signature_seals, imported on the first call and kept, as is
+    ``_compute_signature``."""
+    global _signature_seals
+    from .signature import signature_seals as _signature_seals
+    return _signature_seals(sp, sq)
+
+
 def _closed(sig: Signature) -> ClosedChannelGraph:
     return ClosedChannelGraph(sig.n, frozenset(sig.closed_pairs()))
 
@@ -136,20 +141,7 @@ def is_seal(p: Program, q: Program) -> bool:
     """
     if p.n != q.n:
         raise ProcessCountMismatch(p.n, q.n)
-    return _seals(_compute_signature(p), _compute_signature(q))
-
-
-def _seals(sp: Signature, sq: Signature) -> bool:
-    # Channel i->j is guarded when, for some k, p's last receive on it
-    # precedes lst_k in p and fst_k precedes the target in q: entry j of
-    # lst_k's clock reaches the receive, entry k of the target's clock is
-    # not -1.
-    for (i, j), recv in sp.recvs.items():
-        pos = recv[j - 1]
-        target = sq.sends.get((i, j)) or sq.exits[i - 1]
-        if not any(clock[j - 1] >= pos and c >= 0 for clock, c in zip(sp.exits, target)):
-            return False
-    return True
+    return _signature_seals(_compute_signature(p), _compute_signature(q))
 
 
 def expand_plan(plan: SealPlan, n: int) -> Program:
@@ -280,7 +272,7 @@ def seal_signature(sig: Signature) -> SealPlan:
     need it.
     """
     plan = plan_seal(_closed(sig))
-    if not _seals(sig, _compute_signature(expand_plan(plan, sig.n))):
+    if not _signature_seals(sig, _compute_signature(expand_plan(plan, sig.n))):
         raise InvariantViolation("constructed plan does not seal its input")
     return plan
 

@@ -24,8 +24,11 @@ own entry is its position. The identity of a signature is its ranked
 clocks: every entry k of a kept node's clock replaced by its rank among the
 kept positions on process k. Two signatures have the same edges, the causal
 order restricted to their kept nodes, exactly when their kept channels and
-ranked clocks agree, so equality and hashing never list an edge. The node
-and edge listings are read off the clocks on first use, for display only.
+ranked clocks agree, so equality and hashing never list an edge. The
+nodes and edges, each node a ``SigNode`` known by its name (fst_i / lst_i
+for the dummies, snd:i>j for a surviving first send, rcv:j<i for a
+surviving last receive), are listed by :mod:`~layerseal.listing` on first
+use, for display only.
 
 Signatures compose: :func:`signature_compose` computes the signature of a
 layered program from the two signatures alone, without revisiting the
@@ -37,9 +40,13 @@ layer's lst_k, which the gluing puts before it. The first layer's first
 send on a channel comes before the second layer's, and the second layer's
 last receive after the first layer's.
 
-Every node is a :class:`SigNode` known by a stable name: fst_i / lst_i for
-the dummies, snd:i>j for a surviving first send, rcv:j<i for a surviving
-last receive.
+Sealing is decided from two signatures as well: :func:`signature_seals`
+tells whether a program q seals a program p from their signatures alone.
+For every channel i->j that p leaves open, some process k must have p's
+last receive on the channel causally before lst_k in p, and q must
+causally order fst_k before the point that guards the channel in q: q's
+own first send on i->j when q sends on it, otherwise lst_i, which bounds
+every send a later layer could add.
 
 One entry outlives a call, ``_signed``: the last two programs signed and their
 checked signatures, matched by identity and returned again. It turns over with
@@ -57,28 +64,23 @@ from types import MappingProxyType
 
 from .errors import InvariantViolation, ProcessCountMismatch
 from .graph import Clock, causality_sweep
-from .model import Channel, Program, Record, setfield
+from .model import Channel, Program
+
+TYPE_CHECKING = False  # as ``typing`` would say at run time, without loading it
+if TYPE_CHECKING:
+    from .listing import SigNode
+
+    SigEdge = tuple[SigNode, SigNode]
 
 __all__ = [
-    "SigNode",
     "Signature",
     "compute_signature",
     "signature_compose",
     "signature_equal",
+    "signature_seals",
 ]
 
 
-class SigNode(Record):
-    """A kept node of a signature, known by its name: ``fst_k``, ``lst_k``,
-    ``snd:i>j`` or ``rcv:j<i``."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        setfield(self, "name", name)
-
-
-SigEdge = tuple[SigNode, SigNode]
 # Kept first sends or last receives, by channel (i, j).
 ByChannel = dict[tuple[int, int], Clock]
 # (program, signature) pairs, latest first: read once and replaced whole.
@@ -132,34 +134,15 @@ class Signature:
         return self.n, exits, sends, recvs
 
     @cached_property
-    def _points(self) -> list[tuple[SigNode, int, Clock]]:
-        """Every node with its process and clock, in print order: fst and
-        then lst by process, first sends and then last receives by
-        channel."""
-        n = self.n
-        points = [
-            (SigNode(f"fst_{k}"), k, (-1,) * (k - 1) + (0,) + (-1,) * (n - k)) for k in range(1, n + 1)
-        ]
-        points += [(SigNode(f"lst_{k}"), k, clock) for k, clock in enumerate(self.exits, start=1)]
-        points += [(SigNode(f"snd:{i}>{j}"), i, clock) for (i, j), clock in sorted(self.sends.items())]
-        points += [(SigNode(f"rcv:{j}<{i}"), j, clock) for (i, j), clock in sorted(self.recvs.items())]
-        return points
-
-    @cached_property
     def nodes(self) -> tuple[SigNode, ...]:
-        return tuple(v for v, _, _ in self._points)
+        """Every kept node in print order (:mod:`~layerseal.listing`)."""
+        return _nodes(self)
 
     @cached_property
     def edges(self) -> tuple[SigEdge, ...]:
         """Every causally ordered pair of distinct nodes, by source and then
-        target in print order."""
-        points = [(v, proc - 1, clock[proc - 1], clock) for v, proc, clock in self._points]
-        return tuple(
-            (a, b)
-            for a, i, x, _ in points
-            for b, _, _, clock in points
-            if a is not b and clock[i] >= x
-        )
+        target in print order (:mod:`~layerseal.listing`)."""
+        return _edges(self)
 
     def open_channels(self) -> list[Channel]:
         return [Channel(i, j) for i, j in sorted(self.recvs)]
@@ -293,3 +276,37 @@ def signature_equal(a: Signature, b: Signature) -> bool:
     O(|sig| n log n) the first time a signature is compared or hashed, and
     O(|sig| n) after that."""
     return a._key == b._key
+
+
+def signature_seals(sp: Signature, sq: Signature) -> bool:
+    """True when a program with signature ``sq`` seals one with signature
+    ``sp``, by the rule in the module docstring; O(n) per open channel.
+
+    Raises :class:`ProcessCountMismatch` when the process counts differ."""
+    if sp.n != sq.n:
+        raise ProcessCountMismatch(sp.n, sq.n)
+    # Channel i->j is guarded when, for some k, p's last receive on it
+    # precedes lst_k in p and fst_k precedes the target in q: entry j of
+    # lst_k's clock reaches the receive, entry k of the target's clock is
+    # not -1.
+    for (i, j), recv in sp.recvs.items():
+        pos = recv[j - 1]
+        target = sq.sends.get((i, j)) or sq.exits[i - 1]
+        if not any(clock[j - 1] >= pos and c >= 0 for clock, c in zip(sp.exits, target)):
+            return False
+    return True
+
+
+def _nodes(sig: Signature) -> tuple[SigNode, ...]:
+    """listing.signature_nodes, imported on the first call and kept, as is
+    ``_edges``: no analysis loads the display code, and a fresh import of the
+    package later in the process does not mix its modules into this copy's."""
+    global _nodes
+    from .listing import signature_nodes as _nodes
+    return _nodes(sig)
+
+
+def _edges(sig: Signature) -> tuple[SigEdge, ...]:
+    global _edges
+    from .listing import signature_edges as _edges
+    return _edges(sig)

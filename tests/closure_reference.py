@@ -13,6 +13,8 @@ before signatures were compared by their ranked clocks. :func:`pairing`
 states the k'th-send-to-k'th-receive rule as a table, read off the
 explicit graph's match edges, for the tests of the library's
 :func:`program_graph`, which numbers its match edges itself.
+:func:`implied_edges` keeps the rule ``sig --dot`` drew edges thin by
+before it read covers off the clocks.
 """
 
 from __future__ import annotations
@@ -275,3 +277,15 @@ def edge_sets(sig: Signature) -> RefSignature:
     """A signature as its materialised node set and edge set; two
     signatures were equal when these were."""
     return sig.n, frozenset(sig.nodes), frozenset(sig.edges)
+
+
+def implied_edges(edges: Iterable[tuple[N, N]]) -> frozenset[tuple[N, N]]:
+    """The edges a -> b of a transitively closed relation that some node
+    implies: a successor of a that is a predecessor of b."""
+    edges = list(edges)
+    succ: dict[N, set[N]] = {}
+    pred: dict[N, set[N]] = {}
+    for a, b in edges:
+        succ.setdefault(a, set()).add(b)
+        pred.setdefault(b, set()).add(a)
+    return frozenset((a, b) for a, b in edges if not succ[a].isdisjoint(pred[b]))

@@ -341,7 +341,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, mt_file, ack_file
     cases = {
         ("--version",): analyses,
         ("check", mt_file): {"signature", "sealing", "oracle"},
-        ("graph", mt_file): {"signature", "sealing", "oracle"},
+        ("graph", mt_file): {"graph", "signature", "sealing", "oracle"},
         ("sig", mt_file): {"sealing", "oracle"},
         ("sig", mt_file, "--dot"): {"sealing", "oracle"},
         ("channels", mt_file): {"sealing", "oracle"},
@@ -351,10 +351,18 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, mt_file, ack_file
         ("seal", mt_file, "-o", str(tmp_path / "out.plan")): {"oracle"},
         ("expand", str(plan), "-n", "2"): {"graph", "signature", "oracle"},
         ("verify", "tcc", mt_file, "--budget", "9"): set(),
+        ("verify", "is-seal", mt_file, ack_file): set(),
     }
     for argv, unloaded in cases.items():
         modules, _, _ = loaded(f"from layerseal.cli import run\nprint(run({list(argv)!r}).stdout)")
         assert not modules & (unloaded | parsing | unused), (argv, modules & (unloaded | parsing | unused))
+        # is-seal and verify decide from signatures, without the seal plans.
+        if argv[0] in ("is-seal", "verify"):
+            assert "sealing" not in modules, (argv, modules)
+        # The display listings load for the commands that print them alone.
+        assert ("listing" in modules) == (argv[0] in ("graph", "sig")), (argv, modules)
+    # --version reads no program, so it loads no parser.
+    assert "parser" not in loaded("from layerseal.cli import run\nprint(run(['--version']).stdout)")[0]
     # An option before the file goes through argparse, and loads no more analyses.
     modules, _, _ = loaded(f"from layerseal.cli import run\nprint(run(['sig', '--dot', {mt_file!r}]).stdout)")
     assert parsing <= modules and not modules & {"sealing", "oracle"}, modules
@@ -370,7 +378,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, mt_file, ack_file
         )),
     ):
         modules, *printed = loaded(f"from layerseal.cli import run\nres = run({argv!r})\nprint(res.stdout, res.exit_code, sep='')")
-        assert parsing <= modules and not modules & analyses, (argv, modules)
+        assert parsing <= modules and not modules & (analyses | {"listing", "parser"}), (argv, modules)
         assert printed == [f"{out}{code}", err], argv
 
 
@@ -628,6 +636,9 @@ def test_every_command_is_declared_whole_and_documented(capsys):
     assert [c.dest for c in sub._choices_actions] == list(USAGE)
     for choice in sub._choices_actions:
         assert choice.help and f"{choice.dest} {choice.help}" in top, choice.dest
+    # ``sealable`` says what it decides: a connected closed-channel graph is
+    # enough for a seal, but not needed for one.
+    assert "sealable decide whether the closed-channel graph is connected, which is enough for a seal" in top
     for name, parser in sub.choices.items():
         text = help_of([name])
         assert text.startswith(f"usage: layerseal {USAGE[name]} "), text

@@ -30,6 +30,7 @@ from layerseal import (
     recv,
     send,
     signature_compose,
+    signature_seals,
 )
 from progsets import all_balanced_df_programs, gather_then_transmit, rename
 
@@ -80,11 +81,14 @@ def test_is_seal_matches_oracle_on_all_pairs_of_two_processes():
 
 
 def test_is_seal_matches_oracle_on_all_pairs_of_three_processes():
+    # The decision on the two signatures is checked beside is_seal.
     progs = all_balanced_df_programs(3, 4)
     assert len(progs) ** 2 == 2116
     for p in progs:
         for s in progs:
-            assert is_seal(p, s) == oracle_seals(p, s), (p, s)
+            answer = oracle_seals(p, s)
+            assert is_seal(p, s) == answer, (p, s)
+            assert signature_seals(compute_signature(p), compute_signature(s)) == answer, (p, s)
 
 
 def test_is_seal_matches_oracle_on_sampled_pairs_of_four_processes():

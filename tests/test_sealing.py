@@ -40,6 +40,7 @@ from layerseal import (
     recv,
     send,
     signature_compose,
+    signature_seals,
 )
 from layerseal.cli import run
 from progsets import (
@@ -134,6 +135,9 @@ def test_is_seal_rejects_mismatched_counts():
         for check in (is_seal, oracle_seals):
             with pytest.raises(ProcessCountMismatch):
                 check(p, q)
+    # The decision on signatures compares the counts too.
+    with pytest.raises(ProcessCountMismatch):
+        signature_seals(compute_signature(p), compute_signature(empty_program(3)))
 
 
 def test_the_empty_program_seals_exactly_the_programs_without_events():
@@ -414,8 +418,8 @@ def test_pipelines_are_decided_from_composed_signatures():
     signature = cache(compute_signature)
     for a, b, c in triples:
         sa, sb, sc = map(signature, (a, b, c))
-        assert sealing._seals(sa, sb) == oracle_seals(a, b), (a, b)
-        assert sealing._seals(signature_compose(sa, sb), sc) == oracle_seals(layer(a, b), c), (a, b, c)
+        assert signature_seals(sa, sb) == oracle_seals(a, b), (a, b)
+        assert signature_seals(signature_compose(sa, sb), sc) == oracle_seals(layer(a, b), c), (a, b, c)
 
 
 def test_plan_seal_rejects_a_disconnected_graph():

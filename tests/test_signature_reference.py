@@ -4,7 +4,11 @@ reference in ``closure_reference.py`` exactly, nodes and edges, and
 
 from __future__ import annotations
 
+import json
 import random
+import re
+import subprocess
+import sys
 
 from closure_reference import (
     by_name,
@@ -12,6 +16,7 @@ from closure_reference import (
     closure_compose,
     closure_signature,
     edge_sets,
+    implied_edges,
     listed,
 )
 from layerseal import (
@@ -21,8 +26,10 @@ from layerseal import (
     deadlock_free,
     layer,
     message_transmit,
+    parse,
     signature_compose,
 )
+from layerseal.listing import dot_signature
 from layerseal.signature import Signature, _check
 from progsets import (
     all_balanced_df_programs,
@@ -31,6 +38,7 @@ from progsets import (
     deadlocked_pair,
     random_balanced_df,
 )
+from test_bench import BENCH_ENV
 
 EXHAUSTIVE = ((1, 4), (2, 4), (2, 6), (3, 4), (3, 6), (4, 4))
 
@@ -168,3 +176,32 @@ def test_equality_matches_edge_sets_on_perturbed_signatures():
         q = random_balanced_df(rng, n, 6)
         for sig in (compute_signature(p), signature_compose(compute_signature(p), compute_signature(q))):
             _agree_on_all_pairs([sig, *_variants(sig)])
+
+
+def test_dot_draws_thin_exactly_the_implied_edges():
+    # ``sig --dot`` lists the signature's edges and draws thin each one whose
+    # source does not cover its target, reading covers off the clocks; the
+    # reference draws thin each edge that a successor of its source, being a
+    # predecessor of its target, implies. Both agree on all of (3, 4) and on
+    # the benchmark's CLI and full-pipeline programs.
+    code = (
+        "import json, programs, workloads\n"
+        "texts = [programs.render(p) for p in workloads.Cli(1).progs.values()]\n"
+        "texts += [op.text for op in workloads.Wide(1).ops]\n"
+        "print(json.dumps(texts))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=BENCH_ENV, timeout=60)
+    assert done.returncode == 0, done.stderr
+    texts = json.loads(done.stdout)
+    assert len(texts) == 13
+    edge = re.compile(r'^  "([^"]*)" -> "([^"]*)"( \[penwidth="0\.5"\])?;$', re.M)
+    marks = {"thin": 0, "plain": 0}
+    for p in [*all_balanced_df_programs(3, 4), *map(parse, texts)]:
+        sig = compute_signature(p)
+        drawn = edge.findall(dot_signature(sig))
+        assert [(a, b) for a, b, _ in drawn] == [(a.name, b.name) for a, b in sig.edges], p
+        thin = {(a, b) for a, b, mark in drawn if mark}
+        assert thin == implied_edges(listed(sig)[2]), p
+        marks["thin"] += len(thin)
+        marks["plain"] += len(drawn) - len(thin)
+    assert min(marks.values()) > 1000, marks
