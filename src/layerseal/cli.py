@@ -28,8 +28,8 @@ TYPE_CHECKING = False  # as ``typing`` would say at run time, without loading it
 if TYPE_CHECKING:
     import argparse
 
-# Each command imports the analyses it runs, and the parser loads on first
-# use: a call loads, and where no bytecode is cached compiles, only those.
+# Each command imports the parser and the analyses it runs: a call loads, and
+# where no bytecode is cached compiles, only those.
 
 __all__ = ["CliResult", "main", "run"]
 
@@ -68,20 +68,8 @@ def _read(path: str) -> str:
 
 
 def _load_program(path: str) -> Program:
-    return _parse(_read(path))
-
-
-# parser.ParseError, once the first parse has loaded the parser; before it no
-# parse error can be raised, and ``except ()`` catches nothing.
-_ParseError: type | tuple = ()
-
-
-def _parse(text: str) -> Program:
-    """parser.parse, imported on the first call and kept, with ParseError:
-    ``--version`` and argparse's own paths load no parser."""
-    global _parse, _ParseError
-    from .parser import ParseError as _ParseError, parse as _parse
-    return _parse(text)
+    from .parser import parse
+    return parse(_read(path))
 
 
 def _process_count(text: str) -> int:
@@ -132,13 +120,12 @@ def _cmd_graph(ns: SimpleNamespace) -> CliResult:
 
 
 def _cmd_sig(ns: SimpleNamespace) -> CliResult:
-    from .listing import dot_signature
+    from .listing import dot_signature, signature_graph
     from .signature import compute_signature
     sig = compute_signature(_load_program(ns.file))
     if ns.dot:
         return CliResult(0, dot_signature(sig))
-    edges = [(a.name, b.name) for a, b in sig.edges]
-    return _listing([("n", sig.n)], [v.name for v in sig.nodes], edges)
+    return _listing([("n", sig.n)], *signature_graph(sig))
 
 
 def _cmd_channels(ns: SimpleNamespace) -> CliResult:
@@ -310,9 +297,10 @@ def run(argv: list[str]) -> CliResult:
         return CliResult(exc.code if isinstance(exc.code, int) else 2, sys.stdout.getvalue())
     finally:
         sys.stdout = stdout
+    from .parser import ParseError  # every command parses; --version and usage errors returned above
     try:
         return ns.handler(ns)
-    except _ParseError as exc:
+    except ParseError as exc:
         return CliResult(2, f"error: {exc} [{exc.kind.value}]\n")
     except BudgetExceeded as exc:
         return CliResult(3, f"error: {exc}\n")

@@ -52,7 +52,7 @@ class ProcessCountMismatch(AnalysisError):
 
 
 class Unsealable(AnalysisError):
-    """No seal exists: the closed-channel graph is disconnected."""
+    """The closed-channel graph is disconnected: connected is enough for a seal, not needed."""
 
 
 class BadProcessId(AnalysisError):

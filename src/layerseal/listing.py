@@ -33,6 +33,7 @@ __all__ = [
     "dot_signature",
     "program_graph",
     "signature_edges",
+    "signature_graph",
     "signature_nodes",
 ]
 
@@ -107,6 +108,12 @@ def _ordered(points: list[_Point]) -> list[tuple]:
     return [(a[0], b[0]) for a, i, x in keyed for b in points if b is not a and b[2][i] >= x]
 
 
+def signature_graph(sig: Signature) -> tuple[list[str], list[tuple[str, str]]]:
+    """The names of ``sig.nodes`` and ``sig.edges``, in order, with no ``SigNode`` built."""
+    points = _points(sig)
+    return [name for name, _, _ in points], _ordered(points)
+
+
 def signature_nodes(sig: Signature) -> tuple[SigNode, ...]:
     """The kept nodes of ``sig`` in print order."""
     return tuple(SigNode(name) for name, _, _ in _points(sig))
@@ -159,5 +166,4 @@ def dot(
 def dot_signature(sig: Signature) -> str:
     """The DOT text of ``sig``: its nodes and edges as ``sig.nodes`` and
     ``sig.edges`` list them, an edge a -> b drawn thin unless a covers b."""
-    points = _points(sig)
-    return dot("signature", [name for name, _, _ in points], _ordered(points), _covers(sig.n, points))
+    return dot("signature", *signature_graph(sig), _covers(sig.n, _points(sig)))

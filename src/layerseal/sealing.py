@@ -186,8 +186,8 @@ def _undirected(n: int, pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]
 
 
 def _spanning(closed: ClosedChannelGraph) -> dict[int, int]:
-    """Breadth-first search from 1 over the closed channels taken both ways:
-    it spans exactly when p is sealable, and the plan casts over its tree."""
+    """Breadth-first search from 1 over the closed channels taken both ways, for
+    the plan to cast over its tree: spanning is enough for a seal, not needed."""
     adj = _undirected(closed.n, closed.edges)
     return _bfs(adj, 1) if adj else {}
 

@@ -70,8 +70,6 @@ TYPE_CHECKING = False  # as ``typing`` would say at run time, without loading it
 if TYPE_CHECKING:
     from .listing import SigNode
 
-    SigEdge = tuple[SigNode, SigNode]
-
 __all__ = [
     "Signature",
     "compute_signature",
@@ -95,10 +93,8 @@ class Signature:
     on process j. A node's own entry is its position there. fst_k is
     implicit: clock -1 but for its own 0.
 
-    ``nodes`` and ``edges`` are listed in print order on first use and
-    then kept, for display only; ``edges`` holds every causally ordered
-    pair of distinct nodes. Equality and hashing use the ranked clocks
-    alone.
+    ``nodes`` and ``edges`` are listed on first use and kept, for display
+    only; equality and hashing use the ranked clocks alone.
     """
 
     def __init__(self, n: int, exits: tuple[Clock, ...], sends: ByChannel, recvs: ByChannel) -> None:
@@ -136,13 +132,15 @@ class Signature:
     @cached_property
     def nodes(self) -> tuple[SigNode, ...]:
         """Every kept node in print order (:mod:`~layerseal.listing`)."""
-        return _nodes(self)
+        from .listing import signature_nodes
+        return signature_nodes(self)
 
     @cached_property
-    def edges(self) -> tuple[SigEdge, ...]:
+    def edges(self) -> tuple[tuple[SigNode, SigNode], ...]:
         """Every causally ordered pair of distinct nodes, by source and then
         target in print order (:mod:`~layerseal.listing`)."""
-        return _edges(self)
+        from .listing import signature_edges
+        return signature_edges(self)
 
     def open_channels(self) -> list[Channel]:
         return [Channel(i, j) for i, j in sorted(self.recvs)]
@@ -296,17 +294,3 @@ def signature_seals(sp: Signature, sq: Signature) -> bool:
             return False
     return True
 
-
-def _nodes(sig: Signature) -> tuple[SigNode, ...]:
-    """listing.signature_nodes, imported on the first call and kept, as is
-    ``_edges``: no analysis loads the display code, and a fresh import of the
-    package later in the process does not mix its modules into this copy's."""
-    global _nodes
-    from .listing import signature_nodes as _nodes
-    return _nodes(sig)
-
-
-def _edges(sig: Signature) -> tuple[SigEdge, ...]:
-    global _edges
-    from .listing import signature_edges as _edges
-    return _edges(sig)

@@ -285,6 +285,23 @@ def test_parse_error_reported_with_position(tmp_path):
     assert res.stdout == "error: line 3 col 20: process 1 addresses itself [self-channel]\n"
 
 
+def test_the_first_parse_error_of_a_fresh_interpreter_is_reported(tmp_path):
+    # Each CLI call starts a fresh interpreter, whose first parse also loads
+    # the parser: the error it raises is reported like any later one.
+    bad = tmp_path / "bad.lsl"
+    bad.write_text("processes 2;\nprogram p {\n  process 1 { send 1; }\n}\n")
+    code = (
+        "import sys\n"
+        "from layerseal.cli import run\n"
+        "assert 'layerseal.parser' not in sys.modules\n"
+        f"res = run(['check', {str(bad)!r}])\n"
+        "print(res.exit_code, res.stdout, sep='\\n', end='')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(layerseal.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.stdout == "2\nerror: line 3 col 20: process 1 addresses itself [self-channel]\n", done.stderr
+
+
 @pytest.mark.parametrize("count", ["1000000", "9" * 5000])
 def test_process_count_over_limit_is_parse_error(tmp_path, count):
     big = tmp_path / "big.lsl"

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import layerseal
 
 import pytest
 from layerseal import (
@@ -103,6 +109,34 @@ def test_listings_are_in_cli_sig_order(tmp_path, p):
         x for x in lines if x.startswith("edge: ")
     ]
     assert len(set(sig.nodes)) == len(sig.nodes) and len(set(sig.edges)) == len(sig.edges)
+
+
+def test_listings_read_after_a_fresh_import_of_the_package():
+    # ``bench/run.py`` imports the package afresh between passes, and its
+    # checks read the listings of signatures computed before: a signature
+    # of the first copy lists the names the new copy's signature does.
+    code = (
+        "import importlib, sys\n"
+        "import layerseal\n"
+        "old = layerseal.compute_signature(layerseal.parse(TEXT))\n"
+        "for name in [m for m in sys.modules if m == 'layerseal' or m.startswith('layerseal.')]:\n"
+        "    del sys.modules[name]\n"
+        "fresh = importlib.import_module('layerseal')\n"
+        "assert fresh is not layerseal\n"
+        "new = fresh.compute_signature(fresh.parse(TEXT))\n"
+        "def names(sig):\n"
+        "    return [v.name for v in sig.nodes], [(a.name, b.name) for a, b in sig.edges]\n"
+        "print(names(old) == names(new), len(names(old)[1]))\n"
+    )
+    text = format_program(gather_phase(4))
+    done = subprocess.run(
+        [sys.executable, "-c", f"TEXT = {text!r}\n" + code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(layerseal.__file__).resolve().parents[1])),
+        timeout=60,
+    )
+    assert done.stdout == f"True {len(compute_signature(gather_phase(4)).edges)}\n", done.stderr
 
 
 def test_acknowledged_transmit_closes_the_channel():
