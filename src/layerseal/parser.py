@@ -16,10 +16,18 @@ The program name may not be a keyword, which ``format_program`` could not
 print.
 
 :func:`parse` finds the first stray character with one regular expression,
-and refuses it before any grammar error; another scans the tokens into a
-flat list of strings, walked by index. A token keeps no position: only when
-an error is raised is the source scanned again to the offending token, and
-its line and column counted from its offset.
+and refuses it before any grammar error. The tokens are then a flat list of
+strings, walked by index. Past the stray check, a source without a comment
+holds only blanks, ``{};`` and ``[0-9A-Za-z_]``, so its tokens are its
+blank-separated words once ``{};`` are spaced out, save a word such as
+``2x``, a digit then a letter or ``_``, that the exact scan ``_SCAN`` splits
+in two. That word is no literal, number or identifier, so the walk refuses
+it wherever it stands: words that the walk accepts are the scan's tokens.
+Refused words are walked again as the scan's tokens, which raise the exact
+error. A source with a comment is scanned at once, as a word holding ``#``
+is refused too. A token keeps no position: only when an error is raised is
+the source scanned again to the offending token, and its line and column
+counted from its offset.
 
 :func:`parse` raises :class:`ParseError` with the 1-based ``line`` and
 ``column`` of the offending token and a kind:
@@ -61,8 +69,9 @@ _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"  # ``format_program`` matches it alone, compi
 _CLEAN = re.compile(r"(?:[ \t\r\n{};0-9A-Za-z_]+|#[^\n]*)*")
 # Blanks, newlines and comments, then one token (the group), which is empty
 # at the end of the source. Tokens are ASCII, so ``str.isdigit`` and
-# ``str.isidentifier`` tell naturals and identifiers exactly.
-_SCAN = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*([{};]|[0-9]+|" + _IDENT + r")?")
+# ``str.isidentifier`` tell naturals and identifiers exactly. Compiled on
+# first use: a source without a comment is scanned only to place an error.
+_SCAN = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*([{};]|[0-9]+|" + _IDENT + r")?"
 _KEYWORDS = frozenset({"processes", "program", "process", "send", "recv", "assign"})
 _STMT_KINDS = {"send": StmtKind.SEND, "recv": StmtKind.RECV}
 
@@ -108,7 +117,7 @@ def natural(digits: str, what: str) -> int:
 def _error(source: str, at: int, message: str, kind=ParseErrorKind.SYNTAX) -> ParseError:
     """The error at the ``at``'th match of the scan of ``source``: at its
     token, or, at a match without one, at the end of input."""
-    m = next(islice(_SCAN.finditer(source), at, None))
+    m = next(islice(re.finditer(_SCAN, source), at, None))
     return _error_at(source, m.start(1) if m.lastindex else m.end(), message, kind)
 
 
@@ -140,7 +149,18 @@ def parse(source: str) -> Program:
     stray = _CLEAN.match(source).end()
     if stray < len(source):
         raise _error_at(source, stray, f"unexpected character {source[stray]!r}")
-    toks = _SCAN.findall(source)
+    if "#" not in source:
+        toks = source.replace("{", " { ").replace("}", " } ").replace(";", " ; ").split()
+        toks.append("")
+        try:
+            return _walk(source, toks)
+        except ParseError:
+            del toks  # freed before the scan's tokens, which place the refusal exactly
+    return _walk(source, re.findall(_SCAN, source))
+
+
+def _walk(source: str, toks: list[str]) -> Program:
+    """The program that the tokens ``toks`` of ``source`` spell."""
     # Every check below refuses the empty token that ends ``toks``, so no
     # index runs past it.
     if toks[0] != "processes":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -19,6 +20,7 @@ from layerseal import (
     recv,
     send,
 )
+from layerseal import parser as parser_module
 from layerseal.parser import MAX_PROCESSES
 from parser_reference import parse as reference_parse
 from progsets import random_balanced_df
@@ -304,13 +306,23 @@ _EDITS = [
     *"\f\x00\u00e9\ufeff",
     *("processes", "program", "process", "send", "recv", "assign"),
     *("9999999", "000001"),
+    # Words that start with a digit and go on with a letter or ``_``: the
+    # scan splits each in two, a split on blanks does not.
+    *("2x", "0_", "1send"),
 ]
 
 
 def test_parse_matches_reference_on_error_tables_and_mutants():
     rng = random.Random(2026)
     texts = [format_program(random_balanced_df(rng, rng.randint(1, 5), 6)) for _ in range(60)]
-    sources = [src for src, *_ in SEMANTIC_ERRORS] + SYNTAX_ERRORS + [src for src, *_ in SYNTAX_SPANS]
+    tables = [GOOD] + [src for src, *_ in SEMANTIC_ERRORS] + SYNTAX_ERRORS + [src for src, *_ in SYNTAX_SPANS]
+    # Each table entry as it is, which is mostly free of comments, and with a
+    # comment at its head, at its tail and after its first ';'.
+    sources = [
+        variant
+        for src in tables
+        for variant in (src, "# head\n" + src, src + "\n# tail @", src.replace(";", "; #;\n", 1))
+    ]
     sources += texts
     for _ in range(3000):
         text = rng.choice(texts)
@@ -325,6 +337,69 @@ def test_parse_matches_reference_on_error_tables_and_mutants():
         sources.append(text)
     for src in sources:
         assert _outcome(src) == _reference_outcome(src), repr(src)
+
+
+# Pieces that sources over the program alphabet are joined from: blanks,
+# punctuation, numbers with and without leading zeros, names, keywords,
+# glued forms, digit-led words and comments holding any character.
+_PIECES = [
+    *" \t\r\n",
+    "\r\n",
+    *"{};",
+    *("0", "2", "02", "0003", "100001", "x", "_", "p", "a_1", "Z9"),
+    *("processes", "program", "process", "send", "recv", "assign"),
+    *("process1{send2;}", "send 2;", "recv\t1 ;", "assign v;", "}}", "processes 3;program q{"),
+    *("2x", "0_", "7send", "00_a"),
+    *("#", "# any @\u00e9\x00\f\ufeff text\n", "#}{;\r\n", "#x"),
+]
+
+
+def _drawn_source(rng):
+    """A source over the program alphabet: a well-formed program with its
+    blanks redrawn and a few pieces spliced in, or pieces alone."""
+    if rng.random() < 0.2:
+        return "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 30)))
+    text = format_program(random_balanced_df(rng, rng.randint(1, 4), 5))
+    words = text.split()
+    blanks = ["", " ", "\t", "\n", "\r\n", "  \n\t"]
+    parts = [rng.choice(blanks)]
+    for word in words:
+        # A blank may vanish after punctuation, which keeps the tokens apart,
+        # and now and then after a name or number, which glues it to the next;
+        # a number may gain leading zeros.
+        glue = word[-1] in "{};" or rng.random() < 0.05
+        if word[0].isdigit() and rng.random() < 0.1:
+            word = "00" + word
+        parts += [word, rng.choice(blanks if glue else blanks[1:])]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        parts.insert(rng.randrange(len(parts) + 1), rng.choice(_PIECES))
+    return "".join(parts)
+
+
+def test_parse_matches_reference_on_sources_over_the_program_alphabet():
+    rng = random.Random(3217)
+    accepted = refused = 0
+    for _ in range(4000):
+        src = _drawn_source(rng)
+        got = _outcome(src)
+        assert got == _reference_outcome(src), repr(src)
+        if got[1] is None:
+            accepted += 1
+        else:
+            refused += 1
+    # Both outcomes are common, so both paths of ``parse`` are exercised.
+    assert accepted > 1000 and refused > 1000, (accepted, refused)
+
+
+def test_a_source_without_comments_is_walked_without_the_scan(monkeypatch):
+    # With the scan unusable, a well-formed source without a comment still
+    # parses; one with a comment, or with an error, reaches the scan.
+    good = _outcome(GOOD)
+    monkeypatch.setattr(parser_module, "_SCAN", "(")
+    assert _outcome(GOOD) == good
+    for src in (GOOD + "# end\n", GOOD + "extra", GOOD.replace("send 2", "send 2x")):
+        with pytest.raises(re.error):
+            parse(src)
 
 
 def test_a_stray_wins_over_an_earlier_syntax_error():
@@ -405,13 +480,37 @@ def test_spans_on_a_long_source():
         assert (exc.value.line, exc.value.column, exc.value.message) == (line, col, message)
 
 
-def test_parse_memory_stays_within_a_small_multiple_of_the_source():
-    # Tokens are kept as plain strings in one list, so the peak is a few
-    # times the source: about 8 times for this shape, where keeping a
-    # tuple per token read about 24 times.
+def test_spans_through_the_retry_on_a_long_source():
+    # Without a comment, an error found on the words is placed by the
+    # scan's tokens: ``1x`` is one word but two tokens. After a late
+    # comment, the whole source is scanned.
+    k = 50_000
+    head = "processes 2;\nprogram long {\n  process 1 {\n" + "    send 2;\n" * k + "  }\n  process 2 {\n"
+    body = "    recv 1;\n" * (k - 1)
+    cases = [
+        (head + body + "    recv 1x;\n  }\n}\n", 2 * k + 5, 11, "expected ';', found 'x'"),
+        (
+            head + body + "    # late\n    recv 1; program 1;\n  }\n}\n",
+            2 * k + 6,
+            13,
+            "expected 'send', 'recv' or 'assign', found 'program'",
+        ),
+    ]
+    for src, line, col, message in cases:
+        assert "#" not in src or src.index("#") > len(head)
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (line, col, message)
+        assert _outcome(src) == _reference_outcome(src)
+
+
+def _peak_over_source(head):
+    """The ``tracemalloc`` peak of parsing a 50,000-statement source that
+    starts with ``head``, as a multiple of the source's length."""
     k = 25_000
     source = (
-        "processes 2;\nprogram big {\n  process 1 {\n"
+        head
+        + "program big {\n  process 1 {\n"
         + "    send 2;\n" * k
         + "  }\n  process 2 {\n"
         + "    recv 1;\n" * k
@@ -424,4 +523,16 @@ def test_parse_memory_stays_within_a_small_multiple_of_the_source():
     finally:
         tracemalloc.stop()
     assert p.event_count == 2 * k
-    assert peak < 12 * len(source), peak / len(source)
+    return peak / len(source)
+
+
+def test_parse_memory_stays_within_a_small_multiple_of_the_source():
+    # Tokens are kept as plain strings in one list, so the peak is a few
+    # times the source: about 8 times for this shape, where keeping a
+    # tuple per token read about 24 times.
+    assert _peak_over_source("processes 2;\n") < 12
+
+
+def test_parse_memory_with_a_comment_stays_within_the_same_multiple():
+    # A comment sends the source through the scan, under the same bound.
+    assert _peak_over_source("processes 2; # big\n") < 12
