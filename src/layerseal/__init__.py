@@ -26,9 +26,10 @@ _EXPORTS = {
     " message_transmit program recv send",
     "oracle": "DEFAULT_BUDGET OracleBudget oracle_channel_open oracle_seals oracle_tcc",
     "parser": "ParseError ParseErrorKind format_program parse",
-    "sealing": "ClosedChannelGraph Phase SealPlan closed_channels construct_seal expand_plan"
-    " format_plan is_seal is_sealable parse_plan plan_seal seal_signature",
-    "signature": "Signature compute_signature signature_compose signature_equal signature_seals",
+    "plan": "Phase SealPlan expand_plan format_plan parse_plan",
+    "sealing": "ClosedChannelGraph closed_channels construct_seal is_sealable plan_seal seal_signature",
+    "signature": "Signature compute_signature is_seal signature_compose signature_equal"
+    " signature_seals",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

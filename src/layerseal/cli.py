@@ -77,16 +77,6 @@ def _process_count(text: str) -> int:
     return _positive(text, MAX_PROCESSES)
 
 
-def _seals(p: Program, q: Program) -> bool:
-    """sealing.is_seal, decided from the signatures here, so that a call
-    loads no sealing for it: mismatched process counts raise before either
-    program is signed."""
-    from .signature import compute_signature, signature_seals
-    if p.n != q.n:
-        raise ProcessCountMismatch(p.n, q.n)
-    return signature_seals(compute_signature(p), compute_signature(q))
-
-
 def _answer(ok: bool, lines: _Lines) -> CliResult:
     """The ``key: value`` lines, a bool value as ``true`` or ``false``, with
     exit 0 for a positive answer and 1 for a negative one."""
@@ -144,12 +134,14 @@ def _cmd_sealable(ns: SimpleNamespace) -> CliResult:
 
 
 def _cmd_is_seal(ns: SimpleNamespace) -> CliResult:
-    ok = _seals(_load_program(ns.program), _load_program(ns.candidate))
+    from .signature import is_seal
+    ok = is_seal(_load_program(ns.program), _load_program(ns.candidate))
     return _answer(ok, [("seals", ok)])
 
 
 def _cmd_seal(ns: SimpleNamespace) -> CliResult:
-    from .sealing import format_plan, seal_signature
+    from .plan import format_plan
+    from .sealing import seal_signature
     from .signature import compute_signature
     sig = compute_signature(_load_program(ns.file))
     try:
@@ -166,14 +158,14 @@ def _cmd_seal(ns: SimpleNamespace) -> CliResult:
 
 def _cmd_expand(ns: SimpleNamespace) -> CliResult:
     from .parser import format_program
-    from .sealing import expand_plan, parse_plan
+    from .plan import expand_plan, parse_plan
     plan = parse_plan(_read(ns.plan))
     return CliResult(0, format_program(expand_plan(plan, ns.processes)))
 
 
 def _cmd_verify(ns: SimpleNamespace) -> CliResult:
     from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_channel_open, oracle_seals
-    from .signature import compute_signature
+    from .signature import compute_signature, is_seal
     budget = DEFAULT_BUDGET if ns.budget is None else OracleBudget(max_matchings=ns.budget)
     want = "two program files" if ns.mode == "is-seal" else "one program file"
     if len(ns.files) != (2 if ns.mode == "is-seal" else 1):
@@ -195,7 +187,7 @@ def _cmd_verify(ns: SimpleNamespace) -> CliResult:
     else:
         # tcc: does the empty program seal p?
         q = _load_program(ns.files[1]) if ns.mode == "is-seal" else empty_program(p.n)
-        static, oracle = _seals(p, q), oracle_seals(p, q, budget)
+        static, oracle = is_seal(p, q), oracle_seals(p, q, budget)
         agree = static == oracle
         lines += [("static", static), ("oracle", oracle)]
     lines.append(("verdict", "AGREE" if agree else "DISAGREE"))

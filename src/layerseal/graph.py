@@ -33,11 +33,9 @@ another node b exactly when ``b[i] >= a[i]``, in O(1). It keeps only the
 clocks a signature reads. The graph's own nodes and edges are listed, for
 display only, by :func:`~layerseal.listing.program_graph`.
 
-One entry outlives a call, ``_swept``: the last two programs a pass found
-deadlock-free, for which :func:`deadlock_free` answers ``True`` without a
-pass. Matched by identity, it turns over with every other program swept, so
-the queries on one pair of programs sweep each program once; a program that
-fails a pass never enters it. One tuple, read once and replaced whole.
+A pass that finishes stores in the memo of :func:`~layerseal.model.found`
+that its program is deadlock-free, and :func:`deadlock_free` answers from it
+without a pass.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import CyclicGraph
-from .model import Program, StmtKind, channel_balance, require_balanced
+from .model import Program, StmtKind, channel_balance, found, require_balanced
 
 __all__ = ["Clock", "causality_sweep", "deadlock_free"]
 
@@ -55,7 +53,6 @@ Chan = tuple[int, int]
 Clock = tuple[int, ...]
 
 _SEND = StmtKind.SEND
-_swept: tuple = (None, None)  # latest first
 
 
 def causality_sweep(p: Program) -> tuple[tuple[Clock, ...], dict[Chan, Clock], dict[Chan, Clock]]:
@@ -86,8 +83,7 @@ def deadlock_free(p: Program) -> bool:
     and memory. Raises :class:`Unbalanced` like
     :func:`~layerseal.model.require_balanced`.
     """
-    swept = _swept
-    return p is swept[0] or p is swept[1] or _sweep(p, False)[0]
+    return "deadlock_free" in found(p) or _sweep(p, False)[0]
 
 
 def _sweep(p: Program, clocked: bool) -> tuple[bool, list, dict[Chan, Clock], dict[Chan, Clock]]:
@@ -105,7 +101,6 @@ def _sweep(p: Program, clocked: bool) -> tuple[bool, list, dict[Chan, Clock], di
     every receive took a send, so a channel is unbalanced exactly when its
     queue still holds a message.
     """
-    global _swept
     n, seqs = p.n, p.seqs
     clocks: list = [[-1] * n for _ in range(n)] if clocked else [()] * n
     done = [0] * n
@@ -150,6 +145,6 @@ def _sweep(p: Program, clocked: bool) -> tuple[bool, list, dict[Chan, Clock], di
     finished = done == list(map(len, seqs))
     if not finished or any(pending.values()):
         require_balanced(pending if finished else channel_balance(p))
-    if finished and p is not _swept[0]:
-        _swept = (p, _swept[0])
+    if finished:
+        found(p)["deadlock_free"] = True
     return finished, clocks, sends, recvs

@@ -13,6 +13,15 @@ message in flight on that channel, not necessarily the oldest one.
 Layering (:func:`layer`) concatenates two programs process by process. There
 is no barrier between layers; statements of the second program may execute
 while slower processes are still inside the first.
+
+One memo outlives a call: :func:`found` keeps the facts found about each of
+the last two programs asked about, matched by identity, so the queries on
+one pair of programs find each fact once. ``graph`` stores that a program
+is deadlock-free, ``signature`` its checked signature, and ``oracle`` that
+it checked the program well formed, then the program's bare world. A fact
+is stored once found, so a program that raises stores none; a program is
+immutable, so a fact holds while it is kept. The memo is one tuple, read
+once and replaced whole, so concurrent queries each read a consistent pair.
 """
 
 from __future__ import annotations
@@ -233,6 +242,22 @@ def is_balanced(p: Program) -> bool:
     For straight-line programs this static count decides balance exactly.
     """
     return not any(channel_balance(p).values())
+
+
+# The last two programs asked about and their facts, latest first.
+_found: tuple = ((None, None), (None, None))
+
+
+def found(p: Program) -> dict:
+    """The facts found about p, as the module docstring describes; p is
+    now the latest program asked about."""
+    global _found
+    last = _found
+    if last[0][0] is p:
+        return last[0][1]
+    facts = last[1][1] if last[1][0] is p else {}
+    _found = ((p, facts), last[0])
+    return facts
 
 
 def channels_of(n: int) -> list[Channel]:

@@ -49,15 +49,15 @@ search returns at the first complete matching holding a goal pair, and
 prunes a branch once the last receive with a goal is matched without one.
 :func:`_search` is the same search with no goal, and streams every matching.
 
-One entry outlives a call: the last program a query found well formed, and
-its bare world once a channel query has built it. Matched by identity, it
-lets :func:`oracle_seals` and the channel queries on one ``Program`` check
-it once and build its world once; a program that fails the check never
-enters it. A channel query adds its probe to that world as one event more,
-numbered after p's (only its bit matters, and it is its channel's last send
-either way): to the channel's sends, to the bitsets of the receives on its
-sender's row, and to the candidates, as (k + 1)! for the channel's k!. A
-channel with no receive in p answers ``False`` after the budget refusals.
+A query stores in the memo of :func:`~layerseal.model.found` that it found
+a program well formed, and a channel query then the program's bare world,
+so :func:`oracle_seals` and the channel queries on one ``Program`` check it
+once and build its world once. A channel query adds its probe to that world
+as one event more, numbered after p's (only its bit matters, and it is its
+channel's last send either way): to the channel's sends, to the bitsets of
+the receives on its sender's row, and to the candidates, as (k + 1)! for
+the channel's k!. A channel with no receive in p answers ``False`` after
+the budget refusals.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from operator import or_
 
 from .errors import BadProcessId, BudgetExceeded, CyclicGraph, ProcessCountMismatch
 from .graph import deadlock_free
-from .model import Channel, Program, Record, StmtKind, empty_program, setfield
+from .model import Channel, Program, Record, StmtKind, empty_program, found, setfield
 
 TYPE_CHECKING = False  # as ``typing`` would say at run time, without loading it
 if TYPE_CHECKING:
@@ -211,30 +211,19 @@ def _search(rows: list[_Row], budget: OracleBudget) -> Iterator[tuple[tuple[int,
     _check_size(sum(map(len, rows)), budget)
     sends, chans, indices, reach, _, candidates = _world(rows)
     _check_candidates(candidates, budget)
-    found = _matchings([sends[ch] for ch in chans], reach) if candidates else ()
-    return (tuple(zip(indices, m)) for m in found)
+    matchings = _matchings([sends[ch] for ch in chans], reach) if candidates else ()
+    return (tuple(zip(indices, m)) for m in matchings)
 
 
-def _require_well_formed(p: Program) -> None:
-    if not deadlock_free(p):
-        raise CyclicGraph()
-
-
-# The last program a query found well formed and its bare world, or None
-# until a channel query builds it: one tuple, read once and replaced whole,
-# so concurrent queries each use a consistent entry.
-_checked: tuple | None = None
-
-
-def _entry(p: Program) -> tuple:
-    """The entry of p, checking p and filling ``_checked`` when it is not
-    the last program a query found well formed."""
-    global _checked
-    entry = _checked
-    if entry is None or entry[0] is not p:
-        _require_well_formed(p)
-        _checked = entry = (p, None)
-    return entry
+def _facts(p: Program) -> dict:
+    """The facts found about p, once p is found well formed: ``world`` is
+    its bare world, or None until a channel query builds it."""
+    facts = found(p)
+    if "world" not in facts:
+        if not deadlock_free(p):
+            raise CyclicGraph()
+        facts["world"] = None
+    return facts
 
 
 def oracle_channel_open(
@@ -245,14 +234,13 @@ def oracle_channel_open(
     Appends one probe send on ``channel`` and checks whether any matching
     hands it to one of p's receives.
     """
-    global _checked
     if channel.src > p.n or channel.dst > p.n:
         raise BadProcessId(f"channel {channel} outside 1..{p.n}")
-    _, world = _entry(p)
+    facts = _facts(p)
+    world = facts["world"]
     if world is None:
         _check_size(p.event_count + 1, budget)
-        world = _world(_rows([p]))
-        _checked = (p, world)
+        world = facts["world"] = _world(_rows([p]))
     sends, chans, _, reach, size, candidates = world
     _check_size(size + 1, budget)
     ch = (channel.src, channel.dst)
@@ -280,8 +268,8 @@ def oracle_seals(p: Program, s: Program, budget: OracleBudget = DEFAULT_BUDGET) 
     """
     if p.n != s.n:
         raise ProcessCountMismatch(p.n, s.n)
-    _entry(p)
-    _require_well_formed(s)
+    _facts(p)
+    _facts(s)
     rows = _rows([p, s], permutations(range(1, p.n + 1), 2))
     _check_size(sum(map(len, rows)), budget)
     sends, chans, indices, reach, _, candidates = _world(rows)

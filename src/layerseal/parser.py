@@ -23,11 +23,12 @@ blank-separated words once ``{};`` are spaced out, save a word such as
 ``2x``, a digit then a letter or ``_``, that the exact scan ``_SCAN`` splits
 in two. That word is no literal, number or identifier, so the walk refuses
 it wherever it stands: words that the walk accepts are the scan's tokens.
-Refused words are walked again as the scan's tokens, which raise the exact
+Refused words are walked again as the scan's tokens, which settle the exact
 error. A source with a comment is scanned at once, as a word holding ``#``
-is refused too. A token keeps no position: only when an error is raised is
-the source scanned again to the offending token, and its line and column
-counted from its offset.
+is refused too. A token keeps no position: the walk refuses with the index
+of the offending token, its message and its kind, and only that refusal,
+on the scan's tokens, is placed by scanning the source again to the
+offending token and counting its line and column from its offset.
 
 :func:`parse` raises :class:`ParseError` with the 1-based ``line`` and
 ``column`` of the offending token and a kind:
@@ -114,11 +115,9 @@ def natural(digits: str, what: str) -> int:
     return int(significant or "0")
 
 
-def _error(source: str, at: int, message: str, kind=ParseErrorKind.SYNTAX) -> ParseError:
-    """The error at the ``at``'th match of the scan of ``source``: at its
-    token, or, at a match without one, at the end of input."""
-    m = next(islice(re.finditer(_SCAN, source), at, None))
-    return _error_at(source, m.start(1) if m.lastindex else m.end(), message, kind)
+class _Refusal(Exception):
+    """A refusal of the walk, with three arguments: the index of the offending
+    token, the message and the kind, placed in the source by :func:`parse`."""
 
 
 def _error_at(source: str, offset: int, message: str, kind=ParseErrorKind.SYNTAX) -> ParseError:
@@ -126,22 +125,22 @@ def _error_at(source: str, offset: int, message: str, kind=ParseErrorKind.SYNTAX
     return ParseError(kind, line, offset - source.rfind("\n", 0, offset), message)
 
 
-def _expected(source: str, toks: list[str], at: int, what: str) -> ParseError:
+def _expected(toks: list[str], at: int, what: str) -> _Refusal:
     found = repr(toks[at]) if toks[at] else "end of input"
-    return _error(source, at, f"expected {what}, found {found}")
+    return _Refusal(at, f"expected {what}, found {found}", ParseErrorKind.SYNTAX)
 
 
-def _number(source: str, toks: list[str], at: int, what: str) -> int:
+def _number(toks: list[str], at: int, what: str) -> int:
     """The natural number at token ``at``. One too long is refused as
     ``TOO_MANY_PROCESSES`` if it is the count, token 1, else as ``BAD_PROCESS_ID``."""
     tok = toks[at]
     if not tok.isdigit():
-        raise _expected(source, toks, at, what)
+        raise _expected(toks, at, what)
     try:
         return int(tok) if len(tok) <= _DIGITS else natural(tok, what)
     except ValueError as exc:
         kind = ParseErrorKind.TOO_MANY_PROCESSES if at == 1 else ParseErrorKind.BAD_PROCESS_ID
-        raise _error(source, at, str(exc), kind) from None
+        raise _Refusal(at, str(exc), kind) from None
 
 
 def parse(source: str) -> Program:
@@ -153,45 +152,51 @@ def parse(source: str) -> Program:
         toks = source.replace("{", " { ").replace("}", " } ").replace(";", " ; ").split()
         toks.append("")
         try:
-            return _walk(source, toks)
-        except ParseError:
-            del toks  # freed before the scan's tokens, which place the refusal exactly
-    return _walk(source, re.findall(_SCAN, source))
+            return _walk(toks)
+        except _Refusal:
+            del toks  # freed before the scan's tokens, which settle the refusal
+    try:
+        return _walk(re.findall(_SCAN, source))
+    except _Refusal as refusal:
+        at, message, kind = refusal.args
+    # The at'th match of the scan holds the offending token, or ends the input without one.
+    m = next(islice(re.finditer(_SCAN, source), at, None))
+    raise _error_at(source, m.start(1) if m.lastindex else m.end(), message, kind)
 
 
-def _walk(source: str, toks: list[str]) -> Program:
-    """The program that the tokens ``toks`` of ``source`` spell."""
+def _walk(toks: list[str]) -> Program:
+    """The program that the tokens ``toks`` spell; raises :class:`_Refusal`."""
     # Every check below refuses the empty token that ends ``toks``, so no
     # index runs past it.
     if toks[0] != "processes":
-        raise _expected(source, toks, 0, "'processes'")
-    n = _number(source, toks, 1, "process count")
+        raise _expected(toks, 0, "'processes'")
+    n = _number(toks, 1, "process count")
     if n > MAX_PROCESSES:
         message = f"process count {n} exceeds {MAX_PROCESSES}"
-        raise _error(source, 1, message, ParseErrorKind.TOO_MANY_PROCESSES)
+        raise _Refusal(1, message, ParseErrorKind.TOO_MANY_PROCESSES)
     for at, literal in ((2, ";"), (3, "program")):
         if toks[at] != literal:
-            raise _expected(source, toks, at, repr(literal))
+            raise _expected(toks, at, repr(literal))
     name = toks[4]
     if not name.isidentifier() or name in _KEYWORDS:
-        raise _expected(source, toks, 4, "program name")
+        raise _expected(toks, 4, "program name")
     if toks[5] != "{":
-        raise _expected(source, toks, 5, "'{'")
+        raise _expected(toks, 5, "'{'")
     seqs: dict[int, list[Statement]] = {}
     shared: dict[tuple[str, int], Statement] = {}  # one per (keyword, peer)
     i = 6
     while (tok := toks[i]) != "}":
         if tok != "process":
-            raise _expected(source, toks, i, "'process'" if tok else "'process' or '}'")
-        pid = _number(source, toks, i + 1, "process id")
+            raise _expected(toks, i, "'process'" if tok else "'process' or '}'")
+        pid = _number(toks, i + 1, "process id")
         if not 1 <= pid <= n:
             message = f"process id {pid} outside 1..{n}"
-            raise _error(source, i + 1, message, ParseErrorKind.BAD_PROCESS_ID)
+            raise _Refusal(i + 1, message, ParseErrorKind.BAD_PROCESS_ID)
         if pid in seqs:
             message = f"duplicate block for process {pid}"
-            raise _error(source, i + 1, message, ParseErrorKind.DUPLICATE_PROCESS)
+            raise _Refusal(i + 1, message, ParseErrorKind.DUPLICATE_PROCESS)
         if toks[i + 2] != "{":
-            raise _expected(source, toks, i + 2, "'{'")
+            raise _expected(toks, i + 2, "'{'")
         out = seqs[pid] = []
         i += 3
         while (tok := toks[i]) != "}":
@@ -201,26 +206,26 @@ def _walk(source: str, toks: list[str]) -> Program:
                 if len(peer) <= _DIGITS and peer.isdigit():
                     peer = int(peer)
                 else:
-                    peer = _number(source, toks, i + 1, "peer id")
+                    peer = _number(toks, i + 1, "peer id")
                 if not 1 <= peer <= n:
                     message = f"peer {peer} outside 1..{n}"
-                    raise _error(source, i + 1, message, ParseErrorKind.BAD_PROCESS_ID)
+                    raise _Refusal(i + 1, message, ParseErrorKind.BAD_PROCESS_ID)
                 if peer == pid:
                     message = f"process {pid} addresses itself"
-                    raise _error(source, i + 1, message, ParseErrorKind.SELF_CHANNEL)
+                    raise _Refusal(i + 1, message, ParseErrorKind.SELF_CHANNEL)
                 out.append(shared.get((tok, peer)) or shared.setdefault((tok, peer), Statement(kind, peer)))
             elif tok == "assign":
                 if not toks[i + 1].isidentifier():
-                    raise _expected(source, toks, i + 1, "variable name")
+                    raise _expected(toks, i + 1, "variable name")
             else:
                 what = "'send', 'recv' or 'assign'" if tok else "statement or '}'"
-                raise _expected(source, toks, i, what)
+                raise _expected(toks, i, what)
             if toks[i + 2] != ";":
-                raise _expected(source, toks, i + 2, "';'")
+                raise _expected(toks, i + 2, "';'")
             i += 3
         i += 1
     if trailing := toks[i + 1]:
-        raise _error(source, i + 1, f"trailing input after program: {trailing!r}")
+        raise _Refusal(i + 1, f"trailing input after program: {trailing!r}", ParseErrorKind.SYNTAX)
     return Program(name, n, [seqs.get(k, ()) for k in range(1, n + 1)])
 
 

@@ -1,12 +1,9 @@
-"""Deciding and constructing seals.
+"""Constructing seals.
 
-A program q seals a program p when, in the layered program p then q, no
-receive belonging to p can ever consume a message sent after p finished.
-Sealing is what makes a layer boundary safe: once sealed, anything layered
-after q composes with p as if a global barrier stood between them.
-
-Deciding is_seal(p, q) needs only the two signatures:
-:func:`~layerseal.signature.signature_seals` decides it from them.
+A seal of p is a program q that seals p, as :mod:`~layerseal.signature`
+defines and decides it. Sealing is what makes a layer boundary safe: once
+sealed, anything layered after q composes with p as if a global barrier
+stood between them. A seal is built as a plan (:mod:`~layerseal.plan`).
 
 Construction works on the closed-channel graph: the directed graph over
 processes with an edge (i, j) exactly when p closes channel i->j, that is,
@@ -35,12 +32,11 @@ ascending order in both casts.
 
 from __future__ import annotations
 
-import re
-from enum import Enum
-
-from .errors import BadProcessId, InvariantViolation, ProcessCountMismatch, Unsealable
-from .model import Program, Record, program, recv, send, setfield
-from .parser import MAX_PROCESSES, natural
+from .errors import BadProcessId, InvariantViolation, Unsealable
+from .model import Program, Record, setfield
+# The benchmark reads ``is_seal``, ``expand_plan`` and ``format_plan`` as ``sealing.*``.
+from .plan import Phase, SealPlan, expand_plan, format_plan
+from .signature import compute_signature, is_seal, signature_seals
 
 TYPE_CHECKING = False  # as ``typing`` would say at run time, without loading it
 if TYPE_CHECKING:
@@ -49,24 +45,12 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ClosedChannelGraph",
-    "Phase",
-    "SealPlan",
     "closed_channels",
     "construct_seal",
-    "expand_plan",
-    "format_plan",
-    "is_seal",
     "is_sealable",
-    "parse_plan",
     "plan_seal",
     "seal_signature",
 ]
-
-
-class Phase(Enum):
-    DIRECT_CLOSE = "direct-close"
-    CONVERGE_CAST = "converge-cast"
-    BROADCAST = "broadcast"
 
 
 class ClosedChannelGraph(Record):
@@ -84,41 +68,10 @@ class ClosedChannelGraph(Record):
         return len(_spanning(self)) == self.n
 
 
-class SealPlan(Record):
-    """Ordered single-message transmissions realizing a seal."""
-
-    __slots__ = ("transmissions", "phase_tags")
-
-    def __init__(
-        self, transmissions: tuple[tuple[int, int], ...], phase_tags: tuple[Phase, ...]
-    ) -> None:
-        if len(transmissions) != len(phase_tags):
-            raise ValueError("one phase tag per transmission")
-        setfield(self, "transmissions", transmissions)
-        setfield(self, "phase_tags", phase_tags)
-
-
 def closed_channels(p: Program) -> ClosedChannelGraph:
     """Which channels p closes: every channel its signature leaves open
     is open, every other one is closed."""
-    return _closed(_compute_signature(p))
-
-
-def _compute_signature(p: Program) -> Signature:
-    """compute_signature, imported on the first call and kept: expanding a
-    plan loads no causality analysis, and a fresh import of the package
-    later in the process does not mix its modules into this copy's."""
-    global _compute_signature
-    from .signature import compute_signature as _compute_signature
-    return _compute_signature(p)
-
-
-def _signature_seals(sp: Signature, sq: Signature) -> bool:
-    """signature_seals, imported on the first call and kept, as is
-    ``_compute_signature``."""
-    global _signature_seals
-    from .signature import signature_seals as _signature_seals
-    return _signature_seals(sp, sq)
+    return _closed(compute_signature(p))
 
 
 def _closed(sig: Signature) -> ClosedChannelGraph:
@@ -129,36 +82,6 @@ def is_sealable(p: Program) -> bool:
     """True when p's closed-channel graph is connected, which is enough for a
     seal but not needed for one: a few programs it refuses have a seal."""
     return closed_channels(p).undirected_connected()
-
-
-def is_seal(p: Program, q: Program) -> bool:
-    """Decide whether q seals p, on signatures alone.
-
-    Both programs must be balanced and deadlock-free over the same process
-    count. Layering balanced deadlock-free programs is itself deadlock-free:
-    the layered graph adds no edge from the later layer back into the
-    earlier one.
-    """
-    if p.n != q.n:
-        raise ProcessCountMismatch(p.n, q.n)
-    return _signature_seals(_compute_signature(p), _compute_signature(q))
-
-
-def expand_plan(plan: SealPlan, n: int) -> Program:
-    """Expand a plan into the program that performs its transmissions.
-
-    Raises :class:`BadProcessId` when a transmission endpoint lies outside
-    1..n or sends to itself.
-    """
-    seqs: dict[int, list] = {}
-    for src, dst in plan.transmissions:
-        if not (1 <= src <= n and 1 <= dst <= n):
-            raise BadProcessId(f"transmission {src}->{dst} outside 1..{n}")
-        if src == dst:
-            raise BadProcessId(f"transmission {src}->{dst} addresses itself")
-        seqs.setdefault(src, []).append(send(dst))
-        seqs.setdefault(dst, []).append(recv(src))
-    return program("seal", n, seqs)
 
 
 def _bfs(adj: dict[int, list[int]], root: int) -> dict[int, int]:
@@ -260,7 +183,7 @@ def construct_seal(p: Program) -> SealPlan:
     The expansion of the returned plan always satisfies
     ``is_seal(p, expand_plan(plan, p.n))`` and stays under 3n transmissions.
     """
-    return seal_signature(_compute_signature(p))
+    return seal_signature(compute_signature(p))
 
 
 def seal_signature(sig: Signature) -> SealPlan:
@@ -272,56 +195,6 @@ def seal_signature(sig: Signature) -> SealPlan:
     need it.
     """
     plan = plan_seal(_closed(sig))
-    if not _signature_seals(sig, _compute_signature(expand_plan(plan, sig.n))):
+    if not signature_seals(sig, compute_signature(expand_plan(plan, sig.n))):
         raise InvariantViolation("constructed plan does not seal its input")
     return plan
-
-
-# ASCII only, as in programs: ``\d`` and ``\s`` would take other scripts' digits
-# and blanks. Only ``parse_plan`` uses it, so ``re`` compiles it on first use.
-_PLAN_LINE = r"[ \t]*([0-9]+)[ \t]*->[ \t]*([0-9]+)[ \t]*(?:\[([a-z-]+)\])?[ \t]*"
-
-
-def format_plan(plan: SealPlan) -> str:
-    """One transmission per line: ``src -> dst [phase]``."""
-    lines = [
-        f"{src} -> {dst} [{tag.value}]"
-        for (src, dst), tag in zip(plan.transmissions, plan.phase_tags)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _process_id(digits: str) -> int:
-    value = natural(digits, "process id")
-    if value > MAX_PROCESSES:
-        raise ValueError(f"process id {value} exceeds {MAX_PROCESSES}")
-    return value
-
-
-def parse_plan(text: str) -> SealPlan:
-    """Inverse of :func:`format_plan`; blank lines and ``#`` comments allowed.
-
-    A line ends at a line feed alone, which may follow a carriage return:
-    ``str.splitlines`` would also end one at a form feed or a Unicode line
-    separator. Raises :class:`ValueError` naming the line for a line that
-    does not parse, an unknown phase, or a process id above
-    ``MAX_PROCESSES``."""
-    steps: list[tuple[tuple[int, int], Phase]] = []
-    for lineno, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip(" \t"):
-            continue
-        m = re.fullmatch(_PLAN_LINE, line)
-        if m is None:
-            raise ValueError(f"plan line {lineno}: cannot parse {raw!r}")
-        src, dst, tag = m.groups()
-        try:
-            transmission = (_process_id(src), _process_id(dst))
-        except ValueError as exc:
-            raise ValueError(f"plan line {lineno}: {exc}") from None
-        try:
-            phase = Phase(tag) if tag else Phase.DIRECT_CLOSE
-        except ValueError:
-            raise ValueError(f"plan line {lineno}: unknown phase {tag!r}") from None
-        steps.append((transmission, phase))
-    return SealPlan(*zip(*steps)) if steps else SealPlan((), ())

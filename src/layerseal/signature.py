@@ -40,18 +40,17 @@ layer's lst_k, which the gluing puts before it. The first layer's first
 send on a channel comes before the second layer's, and the second layer's
 last receive after the first layer's.
 
-Sealing is decided from two signatures as well: :func:`signature_seals`
-tells whether a program q seals a program p from their signatures alone.
-For every channel i->j that p leaves open, some process k must have p's
-last receive on the channel causally before lst_k in p, and q must
-causally order fst_k before the point that guards the channel in q: q's
-own first send on i->j when q sends on it, otherwise lst_i, which bounds
-every send a later layer could add.
+Sealing is decided from two signatures as well. A program q seals a
+program p when, in the layered program p then q, no receive belonging to p
+can ever consume a message sent after p finished. :func:`is_seal` decides
+it with :func:`signature_seals`: for every channel i->j that p leaves open,
+some process k must have p's last receive on the channel causally before
+lst_k in p, and q must causally order fst_k before the point that guards
+the channel in q: q's own first send on i->j when q sends on it, otherwise
+lst_i, which bounds every send a later layer could add.
 
-One entry outlives a call, ``_signed``: the last two programs signed and their
-checked signatures, matched by identity and returned again. It turns over with
-every new program, so two signatures stay alive until two others are signed. A
-program that raises never enters it; a shared signature's maps are read-only.
+:func:`compute_signature` keeps each checked signature in the memo of
+:func:`~layerseal.model.found`; a shared signature's maps are read-only.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from types import MappingProxyType
 
 from .errors import InvariantViolation, ProcessCountMismatch
 from .graph import Clock, causality_sweep
-from .model import Channel, Program
+from .model import Channel, Program, found
 
 TYPE_CHECKING = False  # as ``typing`` would say at run time, without loading it
 if TYPE_CHECKING:
@@ -73,6 +72,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Signature",
     "compute_signature",
+    "is_seal",
     "signature_compose",
     "signature_equal",
     "signature_seals",
@@ -81,8 +81,6 @@ __all__ = [
 
 # Kept first sends or last receives, by channel (i, j).
 ByChannel = dict[tuple[int, int], Clock]
-# (program, signature) pairs, latest first: read once and replaced whole.
-_signed: tuple = ((None, None), (None, None))
 
 
 class Signature:
@@ -223,13 +221,10 @@ def compute_signature(p: Program) -> Signature:
     Raises :class:`Unbalanced` or :class:`CyclicGraph` when the
     preconditions fail.
     """
-    global _signed
-    signed = _signed
-    for q, sig in signed:
-        if q is p:
-            return sig
-    sig = _kept(p.n, *causality_sweep(p))
-    _signed = ((p, sig), signed[0])
+    facts = found(p)
+    sig = facts.get("signature")
+    if sig is None:
+        sig = facts["signature"] = _kept(p.n, *causality_sweep(p))
     return sig
 
 
@@ -294,3 +289,15 @@ def signature_seals(sp: Signature, sq: Signature) -> bool:
             return False
     return True
 
+
+def is_seal(p: Program, q: Program) -> bool:
+    """Decide whether q seals p, on signatures alone.
+
+    Both programs must be balanced and deadlock-free over the same process
+    count. Layering balanced deadlock-free programs is itself deadlock-free:
+    the layered graph adds no edge from the later layer back into the
+    earlier one.
+    """
+    if p.n != q.n:
+        raise ProcessCountMismatch(p.n, q.n)
+    return signature_seals(compute_signature(p), compute_signature(q))

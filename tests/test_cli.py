@@ -366,7 +366,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, mt_file, ack_file
         ("is-seal", mt_file, ack_file): {"oracle"},
         ("seal", mt_file): {"oracle"},
         ("seal", mt_file, "-o", str(tmp_path / "out.plan")): {"oracle"},
-        ("expand", str(plan), "-n", "2"): {"graph", "signature", "oracle"},
+        ("expand", str(plan), "-n", "2"): {"graph", "signature", "sealing", "oracle"},
         ("verify", "tcc", mt_file, "--budget", "9"): set(),
         ("verify", "is-seal", mt_file, ack_file): set(),
     }
@@ -376,6 +376,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, mt_file, ack_file
         # is-seal and verify decide from signatures, without the seal plans.
         if argv[0] in ("is-seal", "verify"):
             assert "sealing" not in modules, (argv, modules)
+        # Only the commands that build, print or read a plan load its module.
+        if argv[0] in ("is-seal", "verify", "check", "sig", "channels"):
+            assert "plan" not in modules, (argv, modules)
         # The display listings load for the commands that print them alone.
         assert ("listing" in modules) == (argv[0] in ("graph", "sig")), (argv, modules)
     # --version reads no program, so it loads no parser.

@@ -1,7 +1,8 @@
-"""The entries that outlive a call: ``graph._swept`` keeps the last two
-programs a pass found deadlock-free, ``signature._signed`` the last two
-signatures computed. Both are matched by identity, so a live program must
-answer every question as a fresh copy of it does."""
+"""The one memo that outlives a call, ``model.found``: for each of the last
+two programs asked about, that a pass found it deadlock-free, its checked
+signature, and that the oracle checked it and built its bare world. Every
+fact turns over with its program, and is matched by identity, so a live
+program must answer every question as a fresh copy of it does."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from layerseal import (
     program,
     send,
 )
-from layerseal import graph
+from layerseal import graph, oracle
 from progsets import deadlocked_pair, random_balanced_df
 
 
@@ -74,10 +75,31 @@ def test_deadlock_free_after_is_seal_runs_no_sweep(monkeypatch):
     assert deadlock_free(p) and deadlock_free(q)
     _answer(oracle_seals, p, q)
     closed_channels(p)
+    for ch in channels_of(p.n):
+        _answer(oracle_channel_open, p, ch)
     assert calls == [p, q]
     # A copy is another program: it is swept afresh.
     assert deadlock_free(copy.copy(p))
     assert len(calls) == 3
+
+
+def test_two_programs_signed_after_p_turn_over_its_oracle_world(monkeypatch):
+    p, a, b = _programs(8, 3)
+    ch = channels_of(p.n)[0]
+    worlds, sweeps = [], []
+    world, sweep = oracle._world, graph._sweep
+    monkeypatch.setattr(oracle, "_world", lambda rows: worlds.append(rows) or world(rows))
+    monkeypatch.setattr(graph, "_sweep", lambda prog, clocked: sweeps.append(prog) or sweep(prog, clocked))
+    answer = oracle_channel_open(p, ch)
+    assert oracle_channel_open(p, ch) is answer
+    compute_signature(a)  # one other program: p is still kept
+    assert oracle_channel_open(p, ch) is answer
+    assert len(worlds) == 1 and sweeps == [p, a]
+    compute_signature(a)
+    compute_signature(b)
+    assert oracle_channel_open(p, ch) is answer
+    # Checked and built again, as every fact about p turned over together.
+    assert len(worlds) == 2 and sweeps == [p, a, b, p]
 
 
 def test_faulty_programs_raise_on_every_call():

@@ -504,6 +504,25 @@ def test_spans_through_the_retry_on_a_long_source():
         assert _outcome(src) == _reference_outcome(src)
 
 
+def test_a_late_error_is_placed_with_one_scan(monkeypatch):
+    # The walk over the words refuses with a token index alone; only the
+    # refusal of the scan's tokens, which settle it, is placed in the source.
+    k = 25_000
+    src = "processes 2;\nprogram late {\n  process 2 {\n" + "    send 1;\n" * k + "    recv 1x;\n  }\n}\n"
+    placed = []
+    finditer = re.finditer
+
+    def counted(*args):
+        placed.append(args[0])
+        return finditer(*args)
+
+    monkeypatch.setattr(re, "finditer", counted)
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert (exc.value.line, exc.value.column, exc.value.message) == (k + 4, 11, "expected ';', found 'x'")
+    assert placed == [parser_module._SCAN]
+
+
 def _peak_over_source(head):
     """The ``tracemalloc`` peak of parsing a 50,000-statement source that
     starts with ``head``, as a multiple of the source's length."""

@@ -141,8 +141,9 @@ def test_oracle_imports_neither_signature_nor_sealing():
 
 def test_only_the_reviewed_entries_outlive_a_call():
     # A module-level name that a function rebinds keeps state from one call
-    # to the next. Each such entry is matched by identity and bounded; a new
-    # one needs its own tests of that contract before it joins this list.
+    # to the next. The one such entry is the memo of ``model.found``,
+    # matched by identity and bounded to two programs; another needs its own
+    # tests of that contract before it joins this list.
     declared = {
         f"{path.stem}.{name}"
         for path in sorted((PROJECT / "src" / "layerseal").glob("*.py"))
@@ -150,17 +151,24 @@ def test_only_the_reviewed_entries_outlive_a_call():
         if isinstance(node, ast.Global)
         for name in node.names
     }
-    assert declared == {
-        "graph._swept",
-        "oracle._checked",
-        "signature._signed",
-        # Imports bound on first use, where every query runs them: a name
-        # rebinds once, to the function it stood in for, and holds nothing of
-        # any call. An import that runs once a CLI call or once a display
-        # stays a plain import in the function that runs it.
-        "sealing._compute_signature",
-        "sealing._signature_seals",
-    }
+    assert declared == {"model._found"}
+
+
+def test_the_analyses_import_their_siblings_at_the_top():
+    # The analyses bind what they call from each other when they load, so
+    # no query pays for an import statement. The one import in a function
+    # body is the listings', which a signature runs only for display.
+    found = []
+    for stem in ("model", "graph", "signature", "sealing", "plan", "oracle", "parser"):
+        tree = ast.parse((PROJECT / "src" / "layerseal" / f"{stem}.py").read_text(encoding="utf-8"))
+        found += [
+            f"{stem}.{func.name}:{node.module}"
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.ImportFrom) and node.level
+        ]
+    assert found == ["signature.nodes:listing", "signature.edges:listing"]
 
 
 def test_oracle_counts_candidates_in_one_place():
