@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 import layerseal
 from layerseal import Channel, format_program, message_transmit, parse
-from layerseal.cli import CliResult, _build_parser, _plain, run
+from layerseal.cli import CliResult, run
+from layerseal.commands import _build_parser, _plain
 from layerseal.parser import MAX_PROCESSES
 from progsets import bystander_sealable, crossed_exchange, deadlocked_pair, gather_phase
 from test_bench import BENCH_ENV
@@ -400,6 +401,40 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, mt_file, ack_file
         modules, *printed = loaded(f"from layerseal.cli import run\nres = run({argv!r})\nprint(res.stdout, res.exit_code, sep='')")
         assert parsing <= modules and not modules & (analyses | {"listing", "parser"}), (argv, modules)
         assert printed == [f"{out}{code}", err], argv
+
+
+def test_version_loads_only_the_entry():
+    # ``--version`` is the floor under every call: ``main`` answers it before
+    # loading the commands, the model or argparse. Importing ``main`` loads
+    # no commands; ``run`` and ``CliResult`` load them on first use, and no
+    # other name of ``cli`` loads anything.
+    env = dict(os.environ, PYTHONPATH=str(Path(layerseal.__file__).resolve().parents[1]))
+    watched = {"argparse", "gettext"}
+    report = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: sys.stderr.write(' '.join(sorted(m for m in sys.modules"
+        f" if m.split('.')[0] == 'layerseal' or m in {watched!r}))))\n"
+    )
+
+    def child(code: str, *argv: str) -> tuple[int, str, set[str]]:
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", report + code, *argv], capture_output=True, text=True, env=env, timeout=60,
+        )
+        return done.returncode, done.stdout, set(done.stderr.split())
+
+    assert child("from layerseal.cli import main\nmain()", "--version") == (
+        0, f"layerseal {layerseal.__version__}\n", {"layerseal", "layerseal.cli"},
+    )
+    assert child("from layerseal.cli import main") == (0, "", {"layerseal", "layerseal.cli"})
+    code, out, modules = child(
+        "import layerseal.cli as cli\n"
+        "assert not hasattr(cli, 'handler') and 'layerseal.commands' not in sys.modules\n"
+        "assert cli.run is sys.modules['layerseal.commands'].run\n"
+        "assert cli.CliResult is sys.modules['layerseal.commands'].CliResult\n"
+        "print(cli.run(['--version']).stdout, end='')\n"
+    )
+    assert (code, out) == (0, f"layerseal {layerseal.__version__}\n")
+    assert "layerseal.commands" in modules and not modules & watched, modules
 
 
 def test_star_import_gives_every_public_name():

@@ -15,6 +15,7 @@ from layerseal import (
     CyclicGraph,
     OracleBudget,
     ProcessCountMismatch,
+    StmtKind,
     Unbalanced,
     channels_of,
     compute_signature,
@@ -32,6 +33,7 @@ from layerseal import (
 from layerseal import oracle
 from layerseal.oracle import _rows, _search
 from progsets import (
+    all_balanced_df_programs,
     all_balanced_programs,
     crossed_exchange,
     deadlocked_pair,
@@ -359,3 +361,32 @@ def test_channel_queries_interleaved_across_programs_and_budgets_match_reference
     in_a_row = [(p, ch, bu) for p in progs for bu in budgets for ch in channels_of(3)]
     for p, ch, budget in interleaved + in_a_row:
         assert _open(p, ch, budget) == expected[id(p), ch, budget], (p.name, ch, budget)
+
+
+def _interferes(first, second):
+    """Does some run of first;second have a receive of first take a send of
+    second? The search of ``oracle_seals`` without probes, each receive of
+    first aiming at the sends outside first."""
+    rows = _rows([first, second])
+    sends, chans, indices, reach, _, candidates = oracle._world(rows)
+    in_first = start = 0
+    for seq, row in zip(first.seqs, rows):
+        in_first |= ((1 << len(seq)) - 1) << start
+        start += len(row)
+    goals = [~in_first if in_first >> x & 1 else 0 for x in indices]
+    return bool(candidates) and next(oracle._matchings([sends[ch] for ch in chans], reach, goals), None) is not None
+
+
+def test_barriers_do_not_exist():
+    # The paper's first result: no program with an event is a barrier. A
+    # minimal event of B is a send, first on its process i, say to d: a
+    # receive of P, the one message i->d, may take B's message. A maximal
+    # event is a receive, last on its process j, say from s: it may take
+    # the message of Q, the one message s->j.
+    programs = [b for n, e in ((2, 8), (3, 6), (4, 6)) for b in all_balanced_df_programs(n, e) if b.event_count]
+    assert len(programs) == 2230
+    for b in programs:
+        i, first = next((i, seq[0]) for i, seq in enumerate(b.seqs, 1) if seq and seq[0].kind is StmtKind.SEND)
+        j, last = next((j, seq[-1]) for j, seq in enumerate(b.seqs, 1) if seq and seq[-1].kind is StmtKind.RECV)
+        assert _interferes(message_transmit(i, first.peer, b.n), b), b.seqs
+        assert _interferes(b, message_transmit(last.peer, j, b.n)), b.seqs

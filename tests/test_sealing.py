@@ -122,6 +122,20 @@ def test_is_sealable_finds_a_seal_past_a_disconnected_closed_graph():
     assert is_sealable(news_through_bystander())
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="is_sealable asks for a connected closed-channel graph, which a seal does not need",
+)
+def test_no_program_that_is_sealable_rejects_has_a_seal():
+    # The census of rejections: every p of (2,8) and (3,8) that is_sealable
+    # rejects, against every q of (2,8) and (3,6) over its process count.
+    # Today it rejects 37, and 6 of them have a seal.
+    candidates = {2: all_balanced_df_programs(2, 8), 3: all_balanced_df_programs(3, 6)}
+    rejected = [p for n in (2, 3) for p in all_balanced_df_programs(n, 8) if not is_sealable(p)]
+    sealed = [p.seqs for p in rejected if any(is_seal(p, q) for q in candidates[p.n])]
+    assert sealed == []
+
+
 def test_is_seal_rejects_mismatched_counts():
     with pytest.raises(ProcessCountMismatch):
         is_seal(empty_program(2), empty_program(3))
