@@ -8,8 +8,6 @@ sealing layers. A brute-force semantic oracle backs every static answer on
 programs small enough to enumerate.
 """
 
-from __future__ import annotations
-
 import importlib
 
 __version__ = "0.1.0"

@@ -16,12 +16,12 @@ while slower processes are still inside the first.
 
 One memo outlives a call: :func:`found` keeps the facts found about each of
 the last two programs asked about, matched by identity, so the queries on
-one pair of programs find each fact once. ``graph`` stores that a program
-is deadlock-free, ``signature`` its checked signature, and ``oracle`` that
-it checked the program well formed, then the program's bare world. A fact
-is stored once found, so a program that raises stores none; a program is
-immutable, so a fact holds while it is kept. The memo is one tuple, read
-once and replaced whole, so concurrent queries each read a consistent pair.
+one pair of programs find each fact once. ``graph`` stores
+``deadlock_free`` when a sweep finished on the program, ``signature`` its
+checked ``signature``, and ``oracle`` its bare ``world``. A fact is stored
+once found, so a program that raises stores none; a program is immutable,
+so a fact holds while it is kept. The memo is one tuple, read once and
+replaced whole, so concurrent queries each read a consistent pair.
 """
 
 from __future__ import annotations

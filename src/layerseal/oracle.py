@@ -49,15 +49,17 @@ search returns at the first complete matching holding a goal pair, and
 prunes a branch once the last receive with a goal is matched without one.
 :func:`_search` is the same search with no goal, and streams every matching.
 
-A query stores in the memo of :func:`~layerseal.model.found` that it found
-a program well formed, and a channel query then the program's bare world,
-so :func:`oracle_seals` and the channel queries on one ``Program`` check it
-once and build its world once. A channel query adds its probe to that world
-as one event more, numbered after p's (only its bit matters, and it is its
-channel's last send either way): to the channel's sends, to the bitsets of
-the receives on its sender's row, and to the candidates, as (k + 1)! for
-the channel's k!. A channel with no receive in p answers ``False`` after
-the budget refusals.
+A query checks each program well formed by
+:func:`~layerseal.graph.deadlock_free`, which answers from the memo of
+:func:`~layerseal.model.found` once a sweep finished on the program, and a
+channel query stores there the program's bare world as ``world``, so
+:func:`oracle_seals` and the channel queries on one ``Program`` check it
+once and build its world once. A channel query adds its probe to that
+world as one event more, numbered after p's (only its bit matters, and it
+is its channel's last send either way): to the channel's sends, to the
+bitsets of the receives on its sender's row, and to the candidates, as
+(k + 1)! for the channel's k!. A channel with no receive in p answers
+``False`` after the budget refusals.
 """
 
 from __future__ import annotations
@@ -215,17 +217,6 @@ def _search(rows: list[_Row], budget: OracleBudget) -> Iterator[tuple[tuple[int,
     return (tuple(zip(indices, m)) for m in matchings)
 
 
-def _facts(p: Program) -> dict:
-    """The facts found about p, once p is found well formed: ``world`` is
-    its bare world, or None until a channel query builds it."""
-    facts = found(p)
-    if "world" not in facts:
-        if not deadlock_free(p):
-            raise CyclicGraph()
-        facts["world"] = None
-    return facts
-
-
 def oracle_channel_open(
     p: Program, channel: Channel, budget: OracleBudget = DEFAULT_BUDGET
 ) -> bool:
@@ -236,8 +227,10 @@ def oracle_channel_open(
     """
     if channel.src > p.n or channel.dst > p.n:
         raise BadProcessId(f"channel {channel} outside 1..{p.n}")
-    facts = _facts(p)
-    world = facts["world"]
+    if not deadlock_free(p):
+        raise CyclicGraph()
+    facts = found(p)
+    world = facts.get("world")
     if world is None:
         _check_size(p.event_count + 1, budget)
         world = facts["world"] = _world(_rows([p]))
@@ -268,8 +261,8 @@ def oracle_seals(p: Program, s: Program, budget: OracleBudget = DEFAULT_BUDGET) 
     """
     if p.n != s.n:
         raise ProcessCountMismatch(p.n, s.n)
-    _facts(p)
-    _facts(s)
+    if not (deadlock_free(p) and deadlock_free(s)):
+        raise CyclicGraph()
     rows = _rows([p, s], permutations(range(1, p.n + 1), 2))
     _check_size(sum(map(len, rows)), budget)
     sends, chans, indices, reach, _, candidates = _world(rows)

@@ -104,15 +104,19 @@ class ParseError(Exception):
         return type(self), (self.kind, self.line, self.column, self.message)
 
 
-def natural(digits: str, what: str) -> int:
-    """The value of an ASCII digit string. One with more digits than
-    ``MAX_PROCESSES``, leading zeros aside, raises :class:`ValueError` naming
-    ``what`` before ``int`` sees it: ``int`` refuses more than 4300 digits
-    with an error that names no place."""
+def natural(digits: str, what: str, bound: int | None) -> int:
+    """The value of an ASCII digit string, at most ``bound`` unless that is
+    None; else :class:`ValueError` naming ``what``. One with more digits
+    than ``MAX_PROCESSES``, leading zeros aside, is refused before ``int``
+    sees it: ``int`` refuses more than 4300 digits with an error that names
+    no place."""
     significant = digits.lstrip("0")
     if len(significant) > _DIGITS:
         raise ValueError(f"{what} with {len(significant)} digits exceeds {MAX_PROCESSES}")
-    return int(significant or "0")
+    value = int(significant or "0")
+    if bound is not None and value > bound:
+        raise ValueError(f"{what} {value} exceeds {bound}")
+    return value
 
 
 class _Refusal(Exception):
@@ -131,15 +135,18 @@ def _expected(toks: list[str], at: int, what: str) -> _Refusal:
 
 
 def _number(toks: list[str], at: int, what: str) -> int:
-    """The natural number at token ``at``. One too long is refused as
-    ``TOO_MANY_PROCESSES`` if it is the count, token 1, else as ``BAD_PROCESS_ID``."""
+    """The natural number at token ``at``. The count, token 1, is refused
+    above ``MAX_PROCESSES`` as ``TOO_MANY_PROCESSES``; an id or peer, which
+    the walk checks against n, only when too long, as ``BAD_PROCESS_ID``."""
     tok = toks[at]
     if not tok.isdigit():
         raise _expected(toks, at, what)
+    bound = MAX_PROCESSES if at == 1 else None
     try:
-        return int(tok) if len(tok) <= _DIGITS else natural(tok, what)
+        # A number with fewer digits than MAX_PROCESSES lies below it.
+        return int(tok) if len(tok) < _DIGITS else natural(tok, what, bound)
     except ValueError as exc:
-        kind = ParseErrorKind.TOO_MANY_PROCESSES if at == 1 else ParseErrorKind.BAD_PROCESS_ID
+        kind = ParseErrorKind.BAD_PROCESS_ID if bound is None else ParseErrorKind.TOO_MANY_PROCESSES
         raise _Refusal(at, str(exc), kind) from None
 
 
@@ -171,9 +178,6 @@ def _walk(toks: list[str]) -> Program:
     if toks[0] != "processes":
         raise _expected(toks, 0, "'processes'")
     n = _number(toks, 1, "process count")
-    if n > MAX_PROCESSES:
-        message = f"process count {n} exceeds {MAX_PROCESSES}"
-        raise _Refusal(1, message, ParseErrorKind.TOO_MANY_PROCESSES)
     for at, literal in ((2, ";"), (3, "program")):
         if toks[at] != literal:
             raise _expected(toks, at, repr(literal))

@@ -68,13 +68,6 @@ def format_plan(plan: SealPlan) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _process_id(digits: str) -> int:
-    value = natural(digits, "process id")
-    if value > MAX_PROCESSES:
-        raise ValueError(f"process id {value} exceeds {MAX_PROCESSES}")
-    return value
-
-
 def parse_plan(text: str) -> SealPlan:
     """Inverse of :func:`format_plan`; blank lines and ``#`` comments allowed.
 
@@ -93,7 +86,7 @@ def parse_plan(text: str) -> SealPlan:
             raise ValueError(f"plan line {lineno}: cannot parse {raw!r}")
         src, dst, tag = m.groups()
         try:
-            transmission = (_process_id(src), _process_id(dst))
+            transmission = tuple(natural(end, "process id", MAX_PROCESSES) for end in (src, dst))
         except ValueError as exc:
             raise ValueError(f"plan line {lineno}: {exc}") from None
         try:

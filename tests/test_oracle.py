@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 import tracemalloc
 
@@ -30,7 +31,8 @@ from layerseal import (
     recv,
     send,
 )
-from layerseal import oracle
+from layerseal import graph, oracle
+from layerseal.model import found
 from layerseal.oracle import _rows, _search
 from progsets import (
     all_balanced_df_programs,
@@ -210,15 +212,15 @@ def test_world_positions_run_per_process():
 
 
 def test_seal_and_channel_queries_check_each_program_once(monkeypatch):
-    # oracle_seals checks p and s and builds one world, of p then s and the
-    # probes; the channel queries that follow on the same p find it already
-    # checked, and build p's bare world once among them.
+    # oracle_seals checks p and s, one sweep each, and builds one world, of
+    # p then s and the probes; the channel queries that follow on the same p
+    # find it already checked, and build p's bare world once among them.
     checked, rows, worlds = [], [], []
-    real_rows, real_world = oracle._rows, oracle._world
+    real_sweep, real_rows, real_world = graph._sweep, oracle._rows, oracle._world
 
-    def counting(p):
+    def counting(p, clocked):
         checked.append(p)
-        return deadlock_free(p)
+        return real_sweep(p, clocked)
 
     def counting_rows(layers, probes=()):
         rows.append(list(layers))
@@ -228,13 +230,15 @@ def test_seal_and_channel_queries_check_each_program_once(monkeypatch):
         worlds.append(r)
         return real_world(r)
 
-    monkeypatch.setattr("layerseal.oracle.deadlock_free", counting)
+    monkeypatch.setattr("layerseal.graph._sweep", counting)
     monkeypatch.setattr("layerseal.oracle._rows", counting_rows)
     monkeypatch.setattr("layerseal.oracle._world", counting_world)
     p = layer(message_transmit(1, 2, 3), message_transmit(2, 3, 3))
     s = message_transmit(3, 1, 3)
     oracle_seals(p, s)
     assert checked == [p, s] and rows == [[p, s]] and len(worlds) == 1
+    # The sweep's entry marks p checked; no world of p alone is built yet.
+    assert found(p).keys() == {"deadlock_free"}
     for ch in channels_of(3):
         oracle_channel_open(p, ch)
     assert checked == [p, s] and rows == [[p, s], [p]]
@@ -297,8 +301,9 @@ ILL_FORMED = [
 
 @pytest.mark.parametrize("bad, error", ILL_FORMED, ids=[p.name for p, _ in ILL_FORMED])
 def test_channel_queries_on_an_ill_formed_program_always_raise(bad, error):
-    # The oracle remembers the last program a channel query found well
-    # formed; a program that fails the check must fail it in every position.
+    # The memo keeps the facts of the last programs found well formed; a
+    # program that fails the check must fail it in every position, in a seal
+    # query too, whatever ran on it first.
     good = crossed_exchange(bad.n)
     opened = {Channel(1, 2), Channel(2, 1)}
 
@@ -306,6 +311,8 @@ def test_channel_queries_on_an_ill_formed_program_always_raise(bad, error):
         for ch in channels_of(bad.n):
             with pytest.raises(error):
                 oracle_channel_open(bad, ch)
+        with pytest.raises(error):
+            oracle_seals(bad, empty_program(bad.n))
 
     refused_on_every_channel()  # queried first
     refused_on_every_channel()  # and again, right after itself
@@ -314,6 +321,10 @@ def test_channel_queries_on_an_ill_formed_program_always_raise(bad, error):
     for ch in channels_of(bad.n):
         assert oracle_channel_open(good, ch) == (ch in opened), ch
         refused_on_every_channel()  # between two queries on one program
+    for first in (compute_signature, deadlock_free, lambda p: oracle_channel_open(p, Channel(1, 2))):
+        with contextlib.suppress(error):  # deadlock_free answers False on a cycle
+            first(bad)
+        refused_on_every_channel()
 
 
 def _reference_open(p, ch, budget):

@@ -197,24 +197,33 @@ def test_process_count_limit():
     assert parse("processes 000100000;\nprogram wide { }\n").n == MAX_PROCESSES
     # Counts above the limit, up to one too long for Python's int(), are
     # refused at the number before any process is built.
-    for count in ("100001", "1000000", "0" * 9 + "1000000", "9" * 5000):
+    for count, message in (
+        ("100001", "process count 100001 exceeds 100000"),
+        ("0100001", "process count 100001 exceeds 100000"),
+        ("1000000", "process count with 7 digits exceeds 100000"),
+        ("0" * 9 + "1000000", "process count with 7 digits exceeds 100000"),
+        ("9" * 5000, "process count with 5000 digits exceeds 100000"),
+    ):
         with pytest.raises(ParseError) as exc:
             parse(f"processes {count};\nprogram wide {{ }}\n")
         assert exc.value.kind is ParseErrorKind.TOO_MANY_PROCESSES
-        assert (exc.value.line, exc.value.column) == (1, 11)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (1, 11, message)
 
 
 def test_oversized_ids_and_peers_are_bad_process_ids():
     huge = "7" * 5000
-    for src, col in (
-        (f"processes 3;\nprogram p {{\n  process {huge} {{ }}\n}}\n", 11),
-        (f"processes 3;\nprogram p {{\n  process 1 {{ send {huge}; }}\n}}\n", 20),
-        ("processes 3;\nprogram p {\n  process 1 { recv 100001; }\n}\n", 20),
+    head = "processes 3;\nprogram p {\n  process "
+    for src, col, message in (
+        (f"{head}{huge} {{ }}\n}}\n", 11, "process id with 5000 digits exceeds 100000"),
+        (f"{head}1 {{ send {huge}; }}\n}}\n", 20, "peer id with 5000 digits exceeds 100000"),
+        (head + "1 { recv 100001; }\n}\n", 20, "peer 100001 outside 1..3"),
+        # Above MAX_PROCESSES too, an id is judged against n.
+        (head + "0100001 { }\n}\n", 11, "process id 100001 outside 1..3"),
     ):
         with pytest.raises(ParseError) as exc:
             parse(src)
         assert exc.value.kind is ParseErrorKind.BAD_PROCESS_ID
-        assert (exc.value.line, exc.value.column) == (3, col)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (3, col, message)
         assert len(str(exc.value)) < 100
     # Leading zeros do not count toward a number's length.
     assert parse("processes 3;\nprogram p { process 0000001 { send 00000002; } }\n").n == 3

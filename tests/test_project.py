@@ -245,3 +245,18 @@ def test_every_package_name_is_its_home_modules():
         if name not in module.__all__ or getattr(layerseal, name) is not getattr(module, name):
             drifted.append(f"{home}.{name}")
     assert drifted == []
+
+
+def test_src_line_count_skips_blanks_comments_and_docstrings(tmp_path):
+    # CI reports each module's lines and code lines with this script.
+    (tmp_path / "m.py").write_text(
+        '"""Module\n\ndocstring."""\n\n# comment\nx = f(\n    1,  # one\n    # alone\n    2,\n)\n\n\n'
+        'def g():\n    """Docstring."""\n    return """a\nb"""\n'
+    )
+    done = subprocess.run(
+        [sys.executable, str(PROJECT / "tools" / "src_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    # Code: ``x = f(`` through ``)`` bar the lone comment, ``def g():`` and
+    # the two lines of the return.
+    assert done.stdout.splitlines()[-2:] == ["| m.py | 16 | 7 |", "| **total** | **16** | **7** |"], done

@@ -281,6 +281,8 @@ def test_parse_plan_errors():
     for pid in (100001, 999999):
         with pytest.raises(ValueError, match=f"^plan line 2: process id {pid} exceeds 100000$"):
             parse_plan(f"1 -> 2\n1 -> {pid}\n")
+    with pytest.raises(ValueError, match="^plan line 1: process id 100001 exceeds 100000$"):
+        parse_plan("0100001 -> 1\n")
 
 
 def test_parse_plan_is_ascii_only():
